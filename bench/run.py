@@ -52,10 +52,17 @@ PROBE_TIMEOUT_S = 60
 _FAILED_RE = re.compile(r"(\d+)/\d+ replications failed")
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError("seeds are non-negative integers")
+    return seed
+
+
 def parse_args(argv):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(WORKLOADS))
-    parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--seed", type=_seed, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     return parser.parse_args(argv)

@@ -39,13 +39,18 @@ def _cells(models, methods, n1, n, design, reps) -> tuple[Cell, ...]:
                  for m in models for meth in methods)
 
 
-# The replication counts keep one round near 10 s on two workers while the
-# mean final efficiencies stay steady from seed to seed (see README).
+# The replication counts keep the mean final efficiencies steady from seed
+# to seed and give each cell's replication times a few seconds of host time
+# per round.  One m3-paper round takes a little over the 20 s a run
+# measures, so a run makes one round; with 12 cm replications, rounds of
+# 18-22 s made runs flip between one round and two.
 WORKLOADS: dict[str, tuple[Cell, ...]] = {
     # growth layers: cm's interval search, the M3 profile cold fit, the LM
     # refits, and the balanced scheduler next to independent draws
-    "m3-paper": _cells(("M3",), ("cm", "pics", "balanced_pics"), 60, 200, "uniform",
-                       {"cm": 12, "pics": 8, "balanced_pics": 8}),
+    # (the plug-in cells run at both ends of the round, so that pics_rep_ms
+    # samples the host at two times)
+    "m3-paper": _cells(("M3",), ("pics", "cm", "balanced_pics"), 60, 200, "uniform",
+                       {"cm": 16, "pics": 10, "balanced_pics": 10}),
     # long, cheap trajectories: per-step overhead, exact logistic fits,
     # parent-side efficiency, pickling and artifact writing
     "glm-long": _cells(("GLM_C1", "GLM_C2"), ("cm", "pics"), 100, 1200, "four_point",
