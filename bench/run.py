@@ -1,13 +1,13 @@
 """seqdopt benchmark: seeded simulation studies, end to end or traced by layer.
 
-    python3 bench/run.py --workload m3-paper --seed 1 --seconds 20 --trace 0
+    python3 bench/run.py --workload m3-paper --seed 1 --seconds 45 --trace 0
 
 Run from the root of a checkout.  A run repeats whole rounds of its
 workload's study until --seconds have passed; each round sends every
 (model, method) cell through harness.run_experiment with a process pool
 of one worker per available CPU and writes the artifact tree under
-.bench_out/.  Then it checks the outputs (checks.py) and prints a table,
-followed by one JSON line:
+.bench_out/.  Timings are medians over the rounds.  Then it checks the
+outputs (checks.py) and prints a table, followed by one JSON line:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
@@ -46,7 +46,7 @@ OUT = ROOT / ".bench_out"
 #: timed set-up probes before the rounds and again after them, so that
 #: setup_s samples the host at both ends of the run; one untimed probe
 #: fills the bytecode cache first
-SETUP_PROBES = 6
+SETUP_PROBES = 4
 PROBE_TIMEOUT_S = 60
 
 _FAILED_RE = re.compile(r"(\d+)/\d+ replications failed")
@@ -119,7 +119,8 @@ class Study:
         self.digests: list = []          # round 0's trajectory digest per cell
         self.problems: list[str] = []    # rounds that differ from round 1
         self.failures: list[str] = []    # studies that raised on failed replications
-        self.round_s: list[float] = []
+        self.round_s: list[float] = []   # wall time of each round
+        # per cell, the mean replication time of each round
         self.rep_ms: dict[str, list[float]] = {c.name: [] for c in self.cells}
         self.trace_rounds: list[dict] = []
 
@@ -166,12 +167,14 @@ class Study:
             self.trace_rounds.append(trace_round)
         else:
             for cell, summary in zip(self.cells, summaries):
-                for traj in summary.trajectories if summary else ():
-                    if not hasattr(traj, "bench_run_ms"):
-                        raise RuntimeError("replications were not timed: the pool "
-                                           "no longer runs engine.run through "
-                                           "harness.run in forked workers")
-                    self.rep_ms[cell.name].append(traj.bench_run_ms)
+                trajs = summary.trajectories if summary else []
+                if not all(hasattr(traj, "bench_run_ms") for traj in trajs):
+                    raise RuntimeError("replications were not timed: the pool "
+                                       "no longer runs engine.run through "
+                                       "harness.run in forked workers")
+                if trajs:
+                    self.rep_ms[cell.name].append(
+                        statistics.fmean(traj.bench_run_ms for traj in trajs))
         digests = [checks.digest(s.trajectories) if s else None for s in summaries]
         if not self.digests:
             self.digests = digests
@@ -227,9 +230,10 @@ class Study:
             return statistics.fmean(vals)
 
         def rep_ms(cell, _):
-            # the mean, not the median: pooled replication times are bimodal
-            # (see README, Noise), and a median jumps between the modes
-            return statistics.fmean(self.rep_ms[cell.name])
+            # within a round the mean, not the median: pooled replication
+            # times are bimodal (see README, Noise), and a median jumps
+            # between the modes; over rounds the median, like study_s
+            return statistics.median(self.rep_ms[cell.name])
 
         def final_eff(_, summary):
             return float(summary.mean_curve.values[-1])

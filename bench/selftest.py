@@ -24,7 +24,8 @@ from workloads import Cell  # noqa: E402
 
 OUT = HERE.parent / ".bench_out" / "selftest"
 
-#: tiny cells covering every model, method and check of the workloads
+#: tiny cells covering every model, method and check of the workloads, and
+#: M1 for the normality check, which no workload runs now
 CELLS = (
     Cell("M3", "cm", 12, 30, "uniform", 2),
     Cell("M3", "pics", 12, 30, "uniform", 3),

@@ -39,26 +39,22 @@ def _cells(models, methods, n1, n, design, reps) -> tuple[Cell, ...]:
                  for m in models for meth in methods)
 
 
-# The replication counts keep the mean final efficiencies steady from seed
-# to seed and give each cell's replication times a few seconds of host time
-# per round.  One m3-paper round takes a little over the 20 s a run
-# measures, so a run makes one round; with 12 cm replications, rounds of
-# 18-22 s made runs flip between one round and two.
+# A round is one whole study, and a run reports medians over its rounds, so
+# rounds are kept short (5-8 s with two workers) to give a run several of
+# them.  The replication counts are the smallest that keep the mean final
+# efficiencies steady from seed to seed and give every layer metric of the
+# traced run its samples.
 WORKLOADS: dict[str, tuple[Cell, ...]] = {
     # growth layers: cm's interval search, the M3 profile cold fit, the LM
     # refits, and the balanced scheduler next to independent draws
     # (the plug-in cells run at both ends of the round, so that pics_rep_ms
     # samples the host at two times)
     "m3-paper": _cells(("M3",), ("pics", "cm", "balanced_pics"), 60, 200, "uniform",
-                       {"cm": 16, "pics": 10, "balanced_pics": 10}),
+                       {"cm": 4, "pics": 4, "balanced_pics": 4}),
     # long, cheap trajectories: per-step overhead, exact logistic fits,
     # parent-side efficiency, pickling and artifact writing
     "glm-long": _cells(("GLM_C1", "GLM_C2"), ("cm", "pics"), 100, 1200, "four_point",
-                       {"cm": 12, "pics": 20}),
-    # the normality study: many short pics jobs, warm refits, n^2
-    # efficiency recompute; a cm cell at the paper's n=200 keeps cm measured
-    "m1-normality": (Cell("M1", "pics", 60, 400, "uniform", 48),
-                     Cell("M1", "cm", 60, 200, "uniform", 8)),
+                       {"cm": 6, "pics": 10}),
 }
 
 
