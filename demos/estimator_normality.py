@@ -27,10 +27,9 @@ def main():
 
     thetas, infos = [], []
     for traj in summary.trajectories:
-        xs = np.array([r.x for r in traj.records])
         thetas.append(traj.final_theta)
         infos.append(cumulative_fisher_nlr(model.nlr_kind, traj.final_theta,
-                                           xs, model.sigma2))
+                                           traj.x, model.sigma2))
     diag = normality_diagnostic(thetas, model.theta_star, infos)
 
     print(f"{REPS} replications of the plug-in run at n={cfg.n}")

@@ -62,6 +62,10 @@ def validate_config(config: RunConfig) -> RunConfig:
 
     is_glm = config.model.startswith("GLM")
     if is_glm:
+        if config.method == "balanced_pics":
+            # the scheduler serves weights on a 1/12 grid; the logistic
+            # closed-form weights are irrational
+            _fail("method", "balanced_pics is not available for the logistic models")
         if config.initial_design != "four_point":
             _fail("initial_design", "logistic models use the four_point design")
         if config.n1 % 4 != 0:

@@ -18,21 +18,28 @@ and rebuilds the cumulative information under the new estimate; per-step
 wall time covers exactly that compute (selection + response + refit +
 information rebuild).  Both methods share this refit, so the cm/pics
 compute gap is the cost of cm's criterion maximization.
+
+A run keeps its history as parallel per-trial lists and returns it as a
+columnar ``Trajectory``: the points (cell indices for the logistic
+models), responses, estimates, the determinant of the cumulative
+information at each step's estimate, and step times.  These arrays are
+what a pooled replication sends back; ``Trajectory.records`` rebuilds
+per-trial objects only when asked for.
 """
 
 from __future__ import annotations
 
-import csv
 import logging
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import modelspec
 from .config import RunConfig
 from .designs import BalancedScheduler, DesignMeasure, draw_point
-from .errors import ConstraintViolated, DegenerateDesign, DegenerateInformation
+from .errors import ConstraintViolated, DegenerateDesign, DegenerateInformation, StepFailed
 from .fitting import FitResult, local_minimize
 from .growth import cumulative_fisher_nlr, fisher_info_nlr
 from .linalg import det_sym
@@ -53,73 +60,80 @@ class TrialRecord:
     step_ms: float
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
+    """One replication as columns, one row per trial.
+
+    ``x`` holds the points of the growth models, or the cell indices (into
+    ``LEVEL_POINTS``) of the logistic models.  ``theta_hat`` (n x d) and
+    ``det_cum_info`` are NaN before step n1, where no estimate exists yet;
+    ``step_ms`` is 0 for the static stage.
+    """
+
     model: ModelSpec
     method: str
     n1: int
-    records: list[TrialRecord]
+    x: np.ndarray
+    y: np.ndarray
+    theta_hat: np.ndarray
+    det_cum_info: np.ndarray
+    step_ms: np.ndarray
     stage1_ms: float
     stop_index: int | None = None
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.x.size
 
     @property
     def final_theta(self) -> np.ndarray:
-        return self.records[-1].theta_hat
+        return self.theta_hat[-1]
 
-    def xs(self) -> list:
-        return [r.x for r in self.records]
-
-    def stage2_xs(self) -> list:
-        return [r.x for r in self.records[self.n1:]]
+    def stage2_xs(self) -> np.ndarray:
+        return self.x[self.n1:]
 
     def total_compute_ms(self) -> float:
-        return self.stage1_ms + sum(r.step_ms for r in self.records[self.n1:])
+        return self.stage1_ms + float(self.step_ms[self.n1:].sum())
 
-    def to_csv(self, path, include_step_ms: bool = True):
-        """Write records as CSV.
+    @cached_property
+    def records(self) -> list[TrialRecord]:
+        """The rows as TrialRecords, built on first access and kept.
 
-        Columns: step, x (or x1,x2), y, theta_hat_1..d, det_cum_info and,
-        unless disabled, step_ms.  Wall times are the only non-deterministic
-        column, so reproducibility-checked outputs drop them.
+        Logistic points come back as level tuples, and the estimate and
+        determinant as None before step n1.
         """
-        d = self.model.dim
-        xcols = ["x1", "x2"] if self.model.is_glm else ["x"]
-        header = (["step"] + xcols + ["y"]
-                  + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
-        if include_step_ms:
-            header.append("step_ms")
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for r in self.records:
-                row = [r.step]
-                row += list(r.x) if self.model.is_glm else [repr(float(r.x))]
-                row.append(repr(float(r.y)))
-                if r.theta_hat is None:
-                    row += [""] * d + [""]
-                else:
-                    row += [repr(float(v)) for v in r.theta_hat]
-                    row.append(repr(float(r.det_cum_info)))
-                if include_step_ms:
-                    row.append(repr(float(r.step_ms)))
-                writer.writerow(row)
+        if self.model.is_glm:
+            xs = [LEVEL_POINTS[c] for c in self.x.tolist()]
+        else:
+            xs = self.x.tolist()
+        out = []
+        for k, (x, y, det, ms) in enumerate(zip(
+                xs, self.y.tolist(), self.det_cum_info.tolist(), self.step_ms.tolist())):
+            estimated = k >= self.n1 - 1
+            out.append(TrialRecord(k + 1, x, y,
+                                   self.theta_hat[k].copy() if estimated else None,
+                                   det if estimated else None, ms))
+        return out
 
 
 @dataclass
 class EngineState:
-    """Mutable state of one sequential run (single-threaded by design)."""
+    """Mutable state of one sequential run (single-threaded by design).
+
+    The per-trial history grows as parallel lists (``xs``, ``ys``,
+    ``thetas``, ``dets``, ``step_ms``), one entry per finished trial;
+    logistic points are kept as cell indices.
+    """
 
     model: ModelSpec
     method: str
     n1: int
     n: int
     rng: np.random.Generator
-    records: list[TrialRecord] = field(default_factory=list)
     xs: list = field(default_factory=list)
     ys: list = field(default_factory=list)
+    thetas: list = field(default_factory=list)
+    dets: list = field(default_factory=list)
+    step_ms: list = field(default_factory=list)
     theta_hat: np.ndarray | None = None
     cum_info: np.ndarray | None = None
     det_cum: float | None = None
@@ -130,7 +144,15 @@ class EngineState:
 
     @property
     def step(self) -> int:
-        return len(self.records)
+        return len(self.step_ms)
+
+    def to_trajectory(self, stop_index: int | None = None) -> Trajectory:
+        return Trajectory(model=self.model, method=self.method, n1=self.n1,
+                          x=np.asarray(self.xs), y=np.asarray(self.ys, dtype=float),
+                          theta_hat=np.array(self.thetas, dtype=float),
+                          det_cum_info=np.array(self.dets, dtype=float),
+                          step_ms=np.array(self.step_ms, dtype=float),
+                          stage1_ms=self.stage1_ms, stop_index=stop_index)
 
 
 def _initial_points(model: ModelSpec, initial_design: str, n1: int,
@@ -176,13 +198,13 @@ def _rebuild_cum_info(state: EngineState):
 
 def _observe(state: EngineState, x):
     y = modelspec.simulate(state.model, x, state.rng)
-    state.xs.append(x)
-    state.ys.append(y)
     if state.model.is_glm:
         c = cell_index(x)
         state.cell_counts[c] += 1.0
         state.cell_successes[c] += float(y)
-    return y
+        x = c
+    state.xs.append(x)
+    state.ys.append(y)
 
 
 def run_static_stage(model: ModelSpec, method: str, n1: int, n: int,
@@ -195,18 +217,18 @@ def run_static_stage(model: ModelSpec, method: str, n1: int, n: int,
 
     t0 = time.perf_counter()
     points = _initial_points(model, initial_design, n1, rng)
-    for j, x in enumerate(points, start=1):
-        y = _observe(state, x)
-        state.records.append(TrialRecord(j, x, y, None, None, 0.0))
+    for x in points:
+        _observe(state, x)
 
     result = _refit(state)
     state.theta_hat = result.theta
     _rebuild_cum_info(state)
     state.stage1_ms = (time.perf_counter() - t0) * 1e3
 
-    last = state.records[-1]
-    last.theta_hat = state.theta_hat
-    last.det_cum_info = state.det_cum
+    # no estimate exists before the last static trial
+    state.thetas += [np.full(model.dim, np.nan)] * (n1 - 1) + [state.theta_hat]
+    state.dets += [np.nan] * (n1 - 1) + [state.det_cum]
+    state.step_ms += [0.0] * n1
     return state
 
 
@@ -277,13 +299,13 @@ def pics_step(state: EngineState) -> EngineState:
 
 
 def _finish_step(state: EngineState, x, t0: float):
-    y = _observe(state, x)
+    _observe(state, x)
     result = _refit(state)
     state.theta_hat = result.theta
     _rebuild_cum_info(state)
-    elapsed_ms = (time.perf_counter() - t0) * 1e3
-    state.records.append(TrialRecord(state.step + 1, x, y, state.theta_hat,
-                                     state.det_cum, elapsed_ms))
+    state.thetas.append(state.theta_hat)
+    state.dets.append(state.det_cum)
+    state.step_ms.append((time.perf_counter() - t0) * 1e3)
 
 
 def stopping_check(state: EngineState, delta: float) -> bool:
@@ -295,8 +317,7 @@ def stopping_check(state: EngineState, delta: float) -> bool:
     i = state.step
     if i < state.n1 + 2:
         return False
-    det_now = state.records[-1].det_cum_info
-    det_prev = state.records[-2].det_cum_info
+    det_now, det_prev = state.dets[-1], state.dets[-2]
     if det_prev <= 1e-300:
         raise DegenerateInformation(f"determinant {det_prev!r} at step {i - 1}")
     return abs(det_now - det_prev) / det_prev < delta
@@ -319,10 +340,8 @@ def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory
         try:
             step_fn(state)
         except Exception as exc:
-            raise RuntimeError(f"step {i} failed: {exc}") from exc
+            raise StepFailed(i, f"{type(exc).__name__}: {exc}") from exc
         if config.delta_stop is not None and stopping_check(state, config.delta_stop):
             stop_index = i
             break
-    return Trajectory(model=model, method=config.method, n1=config.n1,
-                      records=state.records, stage1_ms=state.stage1_ms,
-                      stop_index=stop_index)
+    return state.to_trajectory(stop_index)

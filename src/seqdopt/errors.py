@@ -35,3 +35,15 @@ class DegenerateInformation(SeqDoptError):
 
 class ConfigMismatch(SeqDoptError):
     """Method-comparison configs differ in fields other than the method."""
+
+
+class StepFailed(SeqDoptError):
+    """A sequential step raised; the original error is the ``__cause__``."""
+
+    def __init__(self, step: int, reason: str):
+        super().__init__(step, reason)
+        self.step = step
+        self.reason = reason
+
+    def __str__(self) -> str:
+        return f"step {self.step} failed: {self.reason}"

@@ -18,12 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import metrics
-from .config import RunConfig, parse_config, validate_config
+from .config import RunConfig, validate_config
 from .engine import Trajectory, run
 from .errors import ConfigMismatch
+from .logistic import LEVEL_POINTS
 
-__all__ = ["RunConfig", "parse_config", "validate_config", "ReplicationSummary",
-           "run_experiment", "compare_methods", "write_outputs"]
+__all__ = ["ReplicationSummary", "run_experiment", "compare_methods", "write_outputs"]
 
 
 @dataclass
@@ -120,25 +120,29 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
 
 def _write_trajectories_csv(summary: ReplicationSummary, path):
+    """One row per trial and replication, written column-wise.
+
+    Floats go through repr, logistic points as their integer levels, and
+    the estimate and determinant cells stay empty before step n1.
+    """
     model = summary.config.to_model()
     d = model.dim
     xcols = ["x1", "x2"] if model.is_glm else ["x"]
     header = (["replication", "step"] + xcols + ["y"]
               + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
+    unestimated = [""] * (d + 1)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for rep, traj in enumerate(summary.trajectories):
-            for rec in traj.records:
-                row = [rep, rec.step]
-                row += list(rec.x) if model.is_glm else [repr(float(rec.x))]
-                row.append(repr(float(rec.y)))
-                if rec.theta_hat is None:
-                    row += [""] * (d + 1)
-                else:
-                    row += [repr(float(v)) for v in rec.theta_hat]
-                    row.append(repr(float(rec.det_cum_info)))
-                writer.writerow(row)
+            if model.is_glm:
+                xs = [LEVEL_POINTS[c] for c in traj.x.tolist()]
+            else:
+                xs = [(x,) for x in traj.x.tolist()]
+            estimates = np.column_stack([traj.theta_hat, traj.det_cum_info]).tolist()
+            rows = [[rep, k + 1, *x, y, *(est if k >= traj.n1 - 1 else unestimated)]
+                    for k, (x, y, est) in enumerate(zip(xs, traj.y.tolist(), estimates))]
+            writer.writerows(rows)
 
 
 def write_outputs(summary: ReplicationSummary, out_dir: str):
@@ -153,7 +157,6 @@ def write_outputs(summary: ReplicationSummary, out_dir: str):
         with open(os.path.join(out_dir, "allocation.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["x1", "x2", "proportion"])
-            from .logistic import LEVEL_POINTS
             for point, p in zip(LEVEL_POINTS, summary.allocation):
                 writer.writerow([point[0], point[1], repr(float(p))])
     else:

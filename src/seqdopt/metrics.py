@@ -1,9 +1,10 @@
 """Efficiency, density and normality diagnostics over finished trajectories.
 
 The per-step relative efficiency compares the determinant of the averaged
-cumulative information (under the step's own estimate, recomputed in full
-rather than patched incrementally) to the determinant of the information at
-the true optimal design.
+cumulative information under the step's own estimate to the determinant of
+the information at the true optimal design.  The engine records the
+determinant of the cumulative information at every step, so the curve is
+array arithmetic over that column; nothing is refitted or rebuilt here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,8 @@ import numpy as np
 from .designs import d_criterion
 from .engine import Trajectory
 from .errors import DegenerateInformation
-from .growth import cumulative_fisher_nlr
 from .linalg import cholesky_spd, det_sym
-from .logistic import cell_index, fisher_from_counts
+from .logistic import fisher_from_counts
 from .modelspec import ModelSpec, closed_form_design, fisher_point
 
 
@@ -78,35 +78,19 @@ def true_fisher_info(model: ModelSpec, theta=None) -> np.ndarray:
                for x, w in zip(measure.support, measure.weights))
 
 
-def relative_efficiency(traj: Trajectory, i_star: np.ndarray,
-                        model: ModelSpec | None = None) -> EfficiencyCurve:
-    """e_i = 1 - |det((1/i) sum_j I(theta_hat_i, X_j)) - det(I*)| / det(I*)."""
-    model = traj.model if model is None else model
+def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve:
+    """e_i = 1 - |det((1/i) sum_j I(theta_hat_i, X_j)) - det(I*)| / det(I*).
+
+    The sum over j <= i is the cumulative information whose determinant the
+    engine records at step i, and det(M / i) = det(M) / i^d for d x d M.
+    """
     det_star = det_sym(i_star)
     if det_star <= 0.0:
         raise DegenerateInformation(f"det(I*) = {det_star!r} must be positive")
 
-    n = len(traj.records)
-    steps = np.arange(traj.n1, n + 1)
-    values = np.empty(steps.size)
-    if model.is_glm:
-        cells = np.array([cell_index(r.x) for r in traj.records])
-        counts = np.zeros(4)
-        for c in cells[: traj.n1]:
-            counts[c] += 1.0
-        for k, i in enumerate(steps):
-            if k > 0:
-                counts[cells[i - 1]] += 1.0
-            info = fisher_from_counts(counts, traj.records[i - 1].theta_hat) / i
-            values[k] = 1.0 - abs(det_sym(info) - det_star) / det_star
-    else:
-        xs = np.array([r.x for r in traj.records])
-        kind, sigma2 = model.nlr_kind, model.sigma2
-        for k, i in enumerate(steps):
-            theta_i = traj.records[i - 1].theta_hat
-            info = cumulative_fisher_nlr(kind, theta_i, xs[:i], sigma2) / i
-            values[k] = 1.0 - abs(det_sym(info) - det_star) / det_star
-    return EfficiencyCurve(steps=steps, values=values)
+    steps = np.arange(traj.n1, len(traj) + 1)
+    dets = traj.det_cum_info[traj.n1 - 1:] / steps.astype(float) ** traj.model.dim
+    return EfficiencyCurve(steps=steps, values=1.0 - np.abs(dets - det_star) / det_star)
 
 
 def mean_efficiency(curves: list[EfficiencyCurve]) -> EfficiencyCurve:
@@ -132,8 +116,7 @@ def sequential_density(trajectories: list[Trajectory], bins: int = 100,
     model = trajectories[0].model
     x_min = model.x_min if x_min is None else x_min
     x_max = model.x_max if x_max is None else x_max
-    pooled = np.concatenate([np.asarray(t.stage2_xs(), dtype=float)
-                             for t in trajectories])
+    pooled = np.concatenate([t.stage2_xs() for t in trajectories])
     hist, edges = np.histogram(pooled, bins=bins, range=(x_min, x_max))
     return DensityHistogram(edges=edges, mass=hist / hist.sum())
 
@@ -160,10 +143,8 @@ def normality_diagnostic(theta_hats, theta_star, cum_infos) -> dict:
 
 def glm_allocation(trajectories: list[Trajectory]) -> np.ndarray:
     """Pooled adaptive-stage cell proportions in the fixed row order."""
-    counts = np.zeros(4)
-    for traj in trajectories:
-        for x in traj.stage2_xs():
-            counts[cell_index(x)] += 1.0
+    counts = np.bincount(np.concatenate([t.stage2_xs() for t in trajectories]),
+                         minlength=4)
     return counts / counts.sum()
 
 

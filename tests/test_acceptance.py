@@ -7,6 +7,7 @@ conftest; every tolerance is fixed here, nothing is calibrated at runtime.
 import time
 
 import numpy as np
+import pytest
 
 from seqdopt import modelspec
 from seqdopt.cli import main as cli_main
@@ -26,6 +27,7 @@ from seqdopt.metrics import (
 
 from conftest import BATTERY_CELLS
 
+pytestmark = pytest.mark.acceptance
 
 def _report(number: int, ok: bool, detail: str):
     print(f"\nACCEPTANCE {number}: {'PASS' if ok else 'FAIL'} - {detail}")

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,8 @@ from seqdopt.engine import (
     run_static_stage,
     stopping_check,
 )
-from seqdopt.errors import DegenerateInformation
+from seqdopt.errors import DegenerateInformation, StepFailed
+from seqdopt.harness import run_experiment
 from seqdopt.growth import fisher_info_nlr
 from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS, XXT_CELLS, cell_weights, fisher_from_counts
@@ -48,9 +51,10 @@ def test_static_stage_three_point_support():
 
 def test_static_stage_records_estimate_only_on_last_record():
     state = _fresh_state("M1", n1=40)
-    assert all(r.theta_hat is None for r in state.records[:-1])
-    assert state.records[-1].theta_hat is not None
-    assert state.records[-1].det_cum_info == pytest.approx(det_sym(state.cum_info))
+    assert len(state.thetas) == len(state.dets) == state.step == 40
+    assert np.isnan(state.thetas[:-1]).all() and np.isnan(state.dets[:-1]).all()
+    assert np.array_equal(state.thetas[-1], state.theta_hat)
+    assert state.dets[-1] == pytest.approx(det_sym(state.cum_info))
 
 
 def test_static_stage_deterministic():
@@ -122,7 +126,7 @@ def test_pics_step_draws_from_closed_form_support():
         state = _fresh_state("M1", method="pics", seed=seed)
         state.theta_hat = theta  # plug in the truth
         pics_step(state)
-        x = state.records[-1].x
+        x = state.xs[-1]
         assert min(abs(x - s) for s in support) < 1e-9
 
 
@@ -130,7 +134,7 @@ def test_balanced_pics_cycle_covers_support():
     state = _fresh_state("M3", method="balanced_pics", n1=60, n=200, seed=3)
     for _ in range(3):
         pics_step(state)
-    block = [r.x for r in state.records[60:63]]
+    block = state.xs[60:63]
     # all three support points of the (fixed-cycle) measure appear once
     assert len(set(np.round(block, 6))) == 3
 
@@ -189,7 +193,7 @@ def test_stopping_degenerate_information_raises():
     state = _fresh_state("M1", n1=40, n=100)
     pics_step(state)
     pics_step(state)
-    state.records[-2].det_cum_info = 0.0
+    state.dets[-2] = 0.0
     with pytest.raises(DegenerateInformation):
         stopping_check(state, 1e-4)
 
@@ -238,15 +242,10 @@ def test_run_glm_produces_level_points():
 
 def test_trajectory_csv_schema(tmp_path):
     cfg = parse_config(model="M1", method="pics", n1=40, n=50, seed=11)
-    traj = run(cfg)
-    path = tmp_path / "traj.csv"
-    traj.to_csv(path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "step,x,y,theta_hat_1,theta_hat_2,det_cum_info,step_ms"
+    run_experiment(cfg, out_dir=str(tmp_path), workers=1)
+    lines = (tmp_path / "trajectories.csv").read_text().strip().splitlines()
+    assert lines[0] == "replication,step,x,y,theta_hat_1,theta_hat_2,det_cum_info"
     assert len(lines) == 51
-    path2 = tmp_path / "traj_det.csv"
-    traj.to_csv(path2, include_step_ms=False)
-    assert path2.read_text().splitlines()[0].endswith("det_cum_info")
 
 
 def test_trajectory_total_compute_sums_stage2():
@@ -291,3 +290,53 @@ def test_run_with_n_equal_n1_is_pure_static():
     traj = run(cfg)
     assert len(traj) == 40
     assert traj.final_theta is not None
+
+
+def test_failed_step_raises_typed_error_with_cause(monkeypatch):
+    from seqdopt import engine
+
+    original = engine._rebuild_cum_info
+
+    def failing_rebuild(state):
+        if len(state.xs) == 43:
+            raise FloatingPointError("synthetic")
+        original(state)
+
+    monkeypatch.setattr(engine, "_rebuild_cum_info", failing_rebuild)
+    cfg = parse_config(model="M1", method="pics", n1=40, n=60, seed=16)
+    with pytest.raises(StepFailed) as info:
+        run(cfg)
+    assert info.value.step == 43
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert str(info.value) == "step 43 failed: FloatingPointError: synthetic"
+    # a replication's error can cross a process boundary intact
+    assert pickle.loads(pickle.dumps(info.value)).step == 43
+
+
+@pytest.mark.parametrize("name, n1, n", [("M3", 60, 90), ("GLM_C2", 80, 160)])
+def test_trajectory_columns_round_trip(name, n1, n):
+    cfg = parse_config(model=name, method="pics", n1=n1, n=n, seed=17)
+    traj = run(cfg)
+    copy = pickle.loads(pickle.dumps(traj))
+    # the pool ships columns only; records are built on demand
+    assert "records" not in traj.__dict__ and "records" not in copy.__dict__
+    for col in ("x", "y", "theta_hat", "det_cum_info", "step_ms"):
+        assert np.array_equal(getattr(copy, col), getattr(traj, col), equal_nan=True)
+    assert (copy.n1, copy.stage1_ms, copy.stop_index) == (traj.n1, traj.stage1_ms,
+                                                           traj.stop_index)
+
+    records = copy.records
+    assert records is copy.records  # built once, then kept
+    assert [r.step for r in records] == list(range(1, n + 1))
+    for k, r in enumerate(records):
+        if name.startswith("GLM"):
+            assert r.x == LEVEL_POINTS[traj.x[k]] and isinstance(r.x, tuple)
+        else:
+            assert r.x == traj.x[k]
+        assert r.y == traj.y[k]
+        assert r.step_ms == traj.step_ms[k]
+        if k < n1 - 1:
+            assert r.theta_hat is None and r.det_cum_info is None
+        else:
+            assert np.array_equal(r.theta_hat, traj.theta_hat[k])
+            assert r.det_cum_info == traj.det_cum_info[k]

@@ -125,10 +125,9 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
     if name == "M3":
         lo, hi = lo + [OMEGA.x_min + 1.0], hi + [OMEGA.x_max - 1.0]
     bounds = (np.array(lo), np.array(hi))
-    xs = np.array([r.x for r in traj.records])
-    ys = np.array([r.y for r in traj.records])
-    for i in range(traj.n1, len(traj.records)):
-        start = traj.records[i - 1].theta_hat
+    xs, ys = traj.x, traj.y
+    for i in range(traj.n1, len(traj)):
+        start = traj.theta_hat[i - 1]
         x, y = xs[:i + 1], ys[:i + 1]
 
         def rss(t):

@@ -51,6 +51,9 @@ def test_validation_errors_name_the_field():
         parse_config(model="M1", replications=0)
     with pytest.raises(ValueError, match="'delta_stop'"):
         parse_config(model="M1", delta_stop=-1.0)
+    for name in ("GLM_C1", "GLM_C2"):
+        with pytest.raises(ValueError, match="config field 'method'"):
+            parse_config(model=name, method="balanced_pics")
     with pytest.raises(ValueError, match="unknown config fields"):
         parse_config(model="M1", bogus=3)
 
@@ -205,3 +208,39 @@ def test_glm_c2_small_static_stage_completes_every_replication():
     summary = run_experiment(cfg, workers=1)
     assert summary.failures == []
     assert len(summary.trajectories) == 30
+
+
+def _reference_trajectories_csv(summary, path):
+    """Row-by-row writer over the records, the layout trajectories.csv keeps."""
+    import csv
+
+    model = summary.config.to_model()
+    d = model.dim
+    xcols = ["x1", "x2"] if model.is_glm else ["x"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["replication", "step"] + xcols + ["y"]
+                        + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
+        for rep, traj in enumerate(summary.trajectories):
+            for rec in traj.records:
+                row = [rep, rec.step]
+                row += list(rec.x) if model.is_glm else [repr(float(rec.x))]
+                row.append(repr(float(rec.y)))
+                if rec.theta_hat is None:
+                    row += [""] * (d + 1)
+                else:
+                    row += [repr(float(v)) for v in rec.theta_hat]
+                    row.append(repr(float(rec.det_cum_info)))
+                writer.writerow(row)
+
+
+@pytest.mark.parametrize("over", [
+    dict(model="M3", method="cm", n1=60, n=90, replications=2),
+    dict(model="GLM_C2", method="pics", n1=80, n=200, replications=2),
+], ids=["M3-cm", "GLM_C2-pics"])
+def test_trajectories_csv_matches_row_by_row_writer(tmp_path, over):
+    cfg = parse_config(seed=31, **over)
+    summary = run_experiment(cfg, out_dir=str(tmp_path), workers=1)
+    ref = tmp_path / "reference.csv"
+    _reference_trajectories_csv(summary, ref)
+    assert (tmp_path / "trajectories.csv").read_bytes() == ref.read_bytes()

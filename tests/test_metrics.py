@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqdopt.config import parse_config
-from seqdopt.engine import TrialRecord, Trajectory, run
+from seqdopt.engine import Trajectory, run
 from seqdopt.errors import DegenerateInformation
 from seqdopt.metrics import (
     DensityHistogram,
@@ -18,6 +18,7 @@ from seqdopt.metrics import (
 from seqdopt.designs import draw_point, optimal_design_m1
 from seqdopt.growth import cumulative_fisher_nlr
 from seqdopt.linalg import det_sym
+from seqdopt.logistic import fisher_from_counts
 from seqdopt.modelspec import closed_form_design, default_model, fisher_point
 
 
@@ -54,15 +55,59 @@ def test_true_fisher_matches_monte_carlo(name):
 
 
 def _toy_trajectory(model, xs, theta):
-    records = [TrialRecord(j + 1, float(x), 0.0, None, None, 0.0)
-               for j, x in enumerate(xs[:-1])]
-    records.append(TrialRecord(len(xs), float(xs[-1]), 0.0, theta, 1.0, 0.0))
-    # mark every step from n1 on as estimated at the same theta
-    n1 = 2
-    for r in records[n1 - 1:]:
-        r.theta_hat = theta
-    return Trajectory(model=model, method="pics", n1=n1, records=records,
+    """Every step from n1 = 2 on estimated at `theta`, recording the
+    determinant of the cumulative information there, as the engine does."""
+    n1, n = 2, len(xs)
+    x = np.asarray(xs, dtype=float)
+    thetas = np.full((n, model.dim), np.nan)
+    thetas[n1 - 1:] = theta
+    dets = np.full(n, np.nan)
+    for i in range(n1, n + 1):
+        dets[i - 1] = det_sym(cumulative_fisher_nlr(model.nlr_kind, theta, x[:i],
+                                                    model.sigma2))
+    return Trajectory(model=model, method="pics", n1=n1, x=x, y=np.zeros(n),
+                      theta_hat=thetas, det_cum_info=dets, step_ms=np.zeros(n),
                       stage1_ms=0.0)
+
+
+def _recomputed_efficiency(traj, i_star):
+    """Oracle: rebuild the averaged information at every step from the
+    points so far and the step's own estimate."""
+    model = traj.model
+    det_star = det_sym(i_star)
+    steps = np.arange(traj.n1, len(traj) + 1)
+    values = np.empty(steps.size)
+    for k, i in enumerate(steps):
+        theta_i = traj.theta_hat[i - 1]
+        if model.is_glm:
+            counts = np.bincount(traj.x[:i], minlength=4)
+            info = fisher_from_counts(counts, theta_i) / i
+        else:
+            info = cumulative_fisher_nlr(model.nlr_kind, theta_i, traj.x[:i],
+                                         model.sigma2) / i
+        values[k] = 1.0 - abs(det_sym(info) - det_star) / det_star
+    return steps, values
+
+
+@pytest.mark.parametrize("over", [
+    dict(model="M1", n1=40, n=140),
+    dict(model="M2", n1=60, n=140, initial_design="three_point"),
+    dict(model="M3", n1=60, n=140),
+    dict(model="M3", method="cm", n1=60, n=100),
+    dict(model="GLM_C1", n1=80, n=400),
+    dict(model="GLM_C2", method="cm", n1=80, n=400),
+    dict(model="M1", n1=40, n=400, delta_stop=1e-2),
+], ids=["M1", "M2", "M3", "M3-cm", "GLM_C1", "GLM_C2-cm", "M1-delta_stop"])
+def test_efficiency_from_recorded_dets_matches_full_recompute(over):
+    cfg = parse_config(seed=41, **over)
+    traj = run(cfg)
+    if cfg.delta_stop is not None:
+        assert traj.stop_index is not None and len(traj) == traj.stop_index < cfg.n
+    i_star = true_fisher_info(cfg.to_model())
+    curve = relative_efficiency(traj, i_star)
+    steps, values = _recomputed_efficiency(traj, i_star)
+    assert np.array_equal(curve.steps, steps)
+    assert np.max(np.abs(curve.values - values)) <= 1e-12
 
 
 def test_efficiency_one_when_information_matches():
@@ -203,12 +248,13 @@ def test_density_mode_masses_partition():
 
 def test_glm_allocation_pools_stage2_only():
     model = default_model("GLM_C1")
-    records = [TrialRecord(1, (1, 1), 1.0, None, None, 0.0),
-               TrialRecord(2, (1, 1), 0.0, np.zeros(3), 1.0, 0.0),
-               TrialRecord(3, (-1, -1), 1.0, np.zeros(3), 1.0, 0.0),
-               TrialRecord(4, (-1, 1), 1.0, np.zeros(3), 1.0, 0.0)]
-    traj = Trajectory(model=model, method="pics", n1=2, records=records,
-                      stage1_ms=0.0)
+    # cells (1, 1), (1, 1), (-1, -1), (-1, 1)
+    thetas = np.zeros((4, 3))
+    thetas[0] = np.nan
+    traj = Trajectory(model=model, method="pics", n1=2, x=np.array([0, 0, 3, 2]),
+                      y=np.array([1.0, 0.0, 1.0, 1.0]), theta_hat=thetas,
+                      det_cum_info=np.array([np.nan, 1.0, 1.0, 1.0]),
+                      step_ms=np.zeros(4), stage1_ms=0.0)
     alloc = glm_allocation([traj])
     assert alloc.tolist() == [0.0, 0.0, 0.5, 0.5]
 
