@@ -4,7 +4,8 @@ brute-force grid oracles.
 The optimal design of a nonlinear model depends on the unknown parameters:
 this script evaluates each family's closed form at the simulation-study
 truth and shows that an exhaustive grid search over the same design class
-finds nothing better.
+finds nothing better.  Each check is the one `seqdopt oracle --model NAME`
+prints.
 
 Run:
     python demos/closed_form_designs.py
@@ -13,43 +14,21 @@ Run:
 import numpy as np
 
 from seqdopt import modelspec
-from seqdopt.designs import (
-    d_criterion,
-    grid_oracle_glm,
-    grid_oracle_three_point,
-    grid_oracle_two_point,
-)
-from seqdopt.growth import growth_grad
+from seqdopt.config import parse_config
 
 
 def main():
-    print("=== interval models (support points) ===")
-    for name in ("M1", "M2", "M3"):
-        model = modelspec.default_model(name)
-        theta = np.asarray(model.theta_star)
-        closed = modelspec.closed_form_design(model, theta)
-        grad_fn = lambda xs: growth_grad(model.nlr_kind, theta, xs)
-        if name == "M3":
-            oracle = grid_oracle_three_point(grad_fn, model.interval)
-        else:
-            oracle = grid_oracle_two_point(grad_fn, model.interval)
-        fisher = lambda x: modelspec.fisher_point(model, theta, x)
-        excess = d_criterion(oracle, fisher) / d_criterion(closed, fisher) - 1.0
-        print(f"{name}: closed form {np.round(closed.support, 3)}  "
-              f"oracle {np.round(oracle.support, 3)}  "
-              f"oracle excess {excess:+.2e}")
-
-    print("\n=== factorial logistic models (cell proportions) ===")
-    for name in ("GLM_C1", "GLM_C2"):
-        model = modelspec.default_model(name)
-        theta = np.asarray(model.theta_star)
-        closed = modelspec.closed_form_design(model, theta)
-        oracle = grid_oracle_glm(theta)
-        fisher = lambda x: modelspec.fisher_point(model, theta, x)
-        excess = d_criterion(oracle, fisher) / d_criterion(closed, fisher) - 1.0
-        print(f"{name}: closed form {np.round(closed.weights, 4)}  "
-              f"oracle {np.round(oracle.weights, 4)}  "
-              f"oracle excess {excess:+.2e}")
+    for title, names, key, digits in (
+            ("interval models (support points)", ("M1", "M2", "M3"), "support", 3),
+            ("factorial logistic models (cell proportions)", ("GLM_C1", "GLM_C2"),
+             "weights", 4)):
+        print(f"=== {title} ===")
+        for name in names:
+            check = modelspec.oracle_check(parse_config(model=name).to_model())
+            print(f"{name}: closed form {np.round(check['closed_form'][key], digits)}  "
+                  f"oracle {np.round(check['oracle'][key], digits)}  "
+                  f"oracle excess {check['oracle_excess']:+.2e}")
+        print()
 
 
 if __name__ == "__main__":

@@ -13,63 +13,44 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from . import designs, harness, modelspec
-from .config import METHODS, parse_config
-from .growth import ExperimentInterval, growth_grad
+from . import harness, modelspec
+from .config import METHODS, RunConfig, parse_config
+from .errors import ConfigError
 
 
-def _add_config_flags(p: argparse.ArgumentParser, require_run_flags: bool):
-    p.add_argument("--config", help="JSON config file (flags override it)")
+def _add_config_flags(p: argparse.ArgumentParser, run_flags: bool):
+    """The model flags of every subcommand, and with `run_flags` those of a run."""
     p.add_argument("--model", choices=modelspec.MODEL_NAMES)
-    p.add_argument("--n1", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--initial-design", dest="initial_design",
-                   choices=("uniform", "three_point", "four_point"))
     p.add_argument("--theta", help="comma-separated true parameters")
-    p.add_argument("--sigma2", type=float)
     p.add_argument("--x-min", dest="x_min", type=float)
     p.add_argument("--x-max", dest="x_max", type=float)
     p.add_argument("--x0-known", dest="x0_known", type=float)
-    p.add_argument("--delta-stop", dest="delta_stop", type=float)
-    p.add_argument("--seed", type=int, required=require_run_flags)
-    p.add_argument("--reps", type=int, required=require_run_flags)
-    p.add_argument("--workers", type=int)
+    if run_flags:
+        p.add_argument("--config", help="JSON config file (flags override it)")
+        p.add_argument("--sigma2", type=float)
+        p.add_argument("--n1", type=int)
+        p.add_argument("--n", type=int)
+        p.add_argument("--initial-design", dest="initial_design",
+                       choices=("uniform", "three_point", "four_point"))
+        p.add_argument("--delta-stop", dest="delta_stop", type=float)
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--reps", type=int, required=True)
+        p.add_argument("--workers", type=int)
 
 
 def _config_from_args(args, **extra):
-    overrides = dict(
-        model=args.model, n1=args.n1, n=args.n,
-        initial_design=args.initial_design, sigma2=args.sigma2,
-        x_min=args.x_min, x_max=args.x_max, x0_known=args.x0_known,
-        delta_stop=args.delta_stop, seed=args.seed,
-        replications=args.reps,
-    )
+    """Validated config from any subcommand's flags (and --config file)."""
+    flags = vars(args)
+    overrides = {k: v for k, v in flags.items() if k in RunConfig.__dataclass_fields__}
+    overrides["replications"] = flags.get("reps")
     if args.theta is not None:
         overrides["true_params"] = tuple(float(v) for v in args.theta.split(","))
     overrides.update(extra)
-    return parse_config(args.config, **overrides)
-
-
-def _theta_for(args) -> tuple:
-    if args.theta is not None:
-        return tuple(float(v) for v in args.theta.split(","))
-    return modelspec.DEFAULT_TRUE_PARAMS[args.model]
-
-
-def _model_for(args) -> modelspec.ModelSpec:
-    overrides = {"theta_star": _theta_for(args)}
-    for name in ("x_min", "x_max"):
-        if getattr(args, name) is not None:
-            overrides[name] = getattr(args, name)
-    if args.model == "M2" and args.x0_known is not None:
-        overrides["x0_known"] = args.x0_known
-    return modelspec.default_model(args.model, **overrides)
+    return parse_config(flags.get("config"), **overrides)
 
 
 def _cmd_run(args) -> int:
-    config = _config_from_args(args, method=args.method)
+    config = _config_from_args(args)
     summary = harness.run_experiment(config, out_dir=args.out_dir,
                                      workers=args.workers)
     print(f"wrote {args.out_dir}: {len(summary.trajectories)} replications, "
@@ -92,36 +73,9 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_design(args) -> int:
-    model = _model_for(args)
-    measure = modelspec.closed_form_design(model, model.theta_star)
-    print(measure.to_json())
-    return 0
-
-
-def _cmd_oracle(args) -> int:
-    model = _model_for(args)
-    theta = np.asarray(model.theta_star)
-    closed = modelspec.closed_form_design(model, theta)
-    if model.name == "GLM_C1" or model.name == "GLM_C2":
-        oracle = designs.grid_oracle_glm(theta)
-    else:
-        interval = ExperimentInterval(model.x_min, model.x_max)
-        grad_fn = lambda xs: growth_grad(model.nlr_kind, theta, xs)
-        if model.name == "M3":
-            oracle = designs.grid_oracle_three_point(grad_fn, interval)
-        else:
-            oracle = designs.grid_oracle_two_point(grad_fn, interval)
-    fisher = lambda x: modelspec.fisher_point(model, theta, x)
-    val_closed = designs.d_criterion(closed, fisher)
-    val_oracle = designs.d_criterion(oracle, fisher)
-    print(json.dumps({
-        "closed_form": json.loads(closed.to_json()),
-        "oracle": json.loads(oracle.to_json()),
-        "criterion_closed_form": val_closed,
-        "criterion_oracle": val_oracle,
-        "oracle_excess": val_oracle / val_closed - 1.0,
-    }, indent=2))
+def _cmd_report(args) -> int:
+    """design / oracle: one report on the configured model at its true values."""
+    print(args.report(_config_from_args(args).to_model()))
     return 0
 
 
@@ -132,40 +86,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="run one configuration")
-    _add_config_flags(p_run, require_run_flags=True)
+    _add_config_flags(p_run, run_flags=True)
     p_run.add_argument("--method", choices=METHODS, default=None)
     p_run.add_argument("--out-dir", dest="out_dir", required=True)
     p_run.set_defaults(fn=_cmd_run)
 
     p_cmp = sub.add_parser("compare", help="compare methods on one setting")
-    _add_config_flags(p_cmp, require_run_flags=True)
+    _add_config_flags(p_cmp, run_flags=True)
     p_cmp.add_argument("--methods", default="cm,pics",
                        help="comma-separated methods (default cm,pics)")
     p_cmp.add_argument("--eff-target", dest="eff_target", type=float, default=0.6)
     p_cmp.add_argument("--out", help="write the comparison report JSON here")
     p_cmp.set_defaults(fn=_cmd_compare)
 
-    p_des = sub.add_parser("design", help="print the closed-form design")
-    p_des.add_argument("--model", choices=modelspec.MODEL_NAMES, required=True)
-    p_des.add_argument("--theta")
-    p_des.add_argument("--x-min", dest="x_min", type=float)
-    p_des.add_argument("--x-max", dest="x_max", type=float)
-    p_des.add_argument("--x0-known", dest="x0_known", type=float)
-    p_des.set_defaults(fn=_cmd_design)
-
-    p_orc = sub.add_parser("oracle", help="grid oracle vs closed form")
-    p_orc.add_argument("--model", choices=modelspec.MODEL_NAMES, required=True)
-    p_orc.add_argument("--theta")
-    p_orc.add_argument("--x-min", dest="x_min", type=float)
-    p_orc.add_argument("--x-max", dest="x_max", type=float)
-    p_orc.add_argument("--x0-known", dest="x0_known", type=float)
-    p_orc.set_defaults(fn=_cmd_oracle)
+    for name, help_text, report in (
+            ("design", "print the closed-form design",
+             lambda m: modelspec.closed_form_design(m, m.theta_star).to_json()),
+            ("oracle", "grid oracle vs closed form",
+             lambda m: json.dumps(modelspec.oracle_check(m), indent=2))):
+        p = sub.add_parser(name, help=help_text)
+        _add_config_flags(p, run_flags=False)
+        p.set_defaults(fn=_cmd_report, report=report)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        return args.fn(args)
+    except ConfigError as exc:  # one line naming the field, not a traceback
+        parser.exit(2, f"{parser.prog}: error: {exc}\n")
 
 
 if __name__ == "__main__":

@@ -211,17 +211,10 @@ class BalancedScheduler:
         self._order = order
         self._pos = 0
 
-    @property
-    def cycle_len(self) -> int:
-        return len(self._order)
-
-    def at_cycle_boundary(self) -> bool:
-        return self._pos == len(self._order)
-
     def next_point(self, measure: DesignMeasure):
         """Next point of the current cycle, rebuilding from `measure` when
         the previous cycle is exhausted."""
-        if self.at_cycle_boundary():
+        if self._pos == len(self._order):
             self._start_cycle(measure)
         point = self._support[self._order[self._pos]]
         self._pos += 1

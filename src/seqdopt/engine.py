@@ -19,17 +19,18 @@ wall time covers exactly that compute (selection + response + refit +
 information rebuild).  Both methods share this refit, so the cm/pics
 compute gap is the cost of cm's criterion maximization.
 
-A run keeps its history as parallel per-trial lists and returns it as a
-columnar ``Trajectory``: the points (cell indices for the logistic
-models), responses, estimates, the determinant of the cumulative
-information at each step's estimate, and step times.  These arrays are
-what a pooled replication sends back; ``Trajectory.records`` rebuilds
-per-trial objects only when asked for.
+The engine does not ask which model it runs: the model's entry in
+``modelspec.MODELS`` draws the static design, stores each point (and
+tallies the logistic cell table), and builds the information, while the
+fit, the response and the closed form go through ``modelspec`` functions.
+The one model-specific choice is cm's selector.  A run returns its history
+as a columnar ``Trajectory`` (points, responses, estimates, the determinant
+of the cumulative information at each step's estimate, step times); a
+pooled replication sends back only these arrays.
 """
 
 from __future__ import annotations
 
-import logging
 import time
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,15 +39,14 @@ import numpy as np
 
 from . import modelspec
 from .config import RunConfig
-from .designs import BalancedScheduler, DesignMeasure, draw_point
-from .errors import ConstraintViolated, DegenerateDesign, DegenerateInformation, StepFailed
-from .fitting import FitResult, local_minimize
-from .growth import cumulative_fisher_nlr, fisher_info_nlr
+from .designs import BalancedScheduler, draw_point
+from .errors import DegenerateInformation, StepFailed
+from .fitting import local_minimize
+from .growth import fisher_info_nlr
 from .linalg import det_sym
-from .logistic import LEVEL_POINTS, XXT_CELLS, cell_index, cell_weights, fisher_from_counts
+from .logistic import LEVEL_POINTS, XXT_CELLS, cell_index, cell_weights
 from .modelspec import ModelSpec
 
-logger = logging.getLogger(__name__)
 
 @dataclass
 class TrialRecord:
@@ -88,9 +88,6 @@ class Trajectory:
     def final_theta(self) -> np.ndarray:
         return self.theta_hat[-1]
 
-    def stage2_xs(self) -> np.ndarray:
-        return self.x[self.n1:]
-
     def total_compute_ms(self) -> float:
         return self.stage1_ms + float(self.step_ms[self.n1:].sum())
 
@@ -101,11 +98,8 @@ class Trajectory:
         Logistic points come back as level tuples, and the estimate and
         determinant as None before step n1.
         """
-        if self.model.is_glm:
-            xs = [LEVEL_POINTS[c] for c in self.x.tolist()]
-        else:
-            xs = self.x.tolist()
         out = []
+        xs = self.model.family.decode(self.x)
         for k, (x, y, det, ms) in enumerate(zip(
                 xs, self.y.tolist(), self.det_cum_info.tolist(), self.step_ms.tolist())):
             estimated = k >= self.n1 - 1
@@ -155,55 +149,29 @@ class EngineState:
                           stage1_ms=self.stage1_ms, stop_index=stop_index)
 
 
-def _initial_points(model: ModelSpec, initial_design: str, n1: int,
-                    rng: np.random.Generator) -> list:
-    if initial_design == "uniform":
-        return [float(rng.uniform(model.x_min, model.x_max)) for _ in range(n1)]
-    if initial_design == "three_point":
-        mid = (model.x_min + model.x_max) / 2.0
-        xi0 = DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
-        return [draw_point(xi0, rng) for _ in range(n1)]
-    if initial_design == "four_point":
-        if n1 % 4 != 0:
-            raise ValueError(f"four_point design needs 4 | n1, got {n1}")
-        cells = np.repeat(np.arange(4), n1 // 4)
-        rng.shuffle(cells)
-        return [LEVEL_POINTS[c] for c in cells]
-    raise ValueError(f"unknown initial design {initial_design!r}")
-
-
-def _refit(state: EngineState) -> FitResult:
-    """Constrained MLE on all data so far.
+def _refit(state: EngineState):
+    """Constrained MLE on all data so far, and the information at it.
 
     The logistic fits are exact functions of the cell table.  For the
     growth models, stage 1 has no estimate yet and runs the cold fit; every
     later refit takes Levenberg-Marquardt steps from the incumbent estimate.
     """
-    if state.model.is_glm:
-        return modelspec.fit(state.model, None, None,
-                             cell_counts=state.cell_counts,
-                             cell_successes=state.cell_successes)
-    return modelspec.fit(state.model, np.asarray(state.xs), np.asarray(state.ys),
-                         init=state.theta_hat)
+    state.theta_hat = modelspec.fit(state.model, state.xs, state.ys, init=state.theta_hat,
+                                    cell_counts=state.cell_counts,
+                                    cell_successes=state.cell_successes).theta
+    _rebuild_cum_info(state)
 
 
 def _rebuild_cum_info(state: EngineState):
-    if state.model.is_glm:
-        state.cum_info = fisher_from_counts(state.cell_counts, state.theta_hat)
-    else:
-        state.cum_info = cumulative_fisher_nlr(
-            state.model.nlr_kind, state.theta_hat, state.xs, state.model.sigma2)
+    state.cum_info = state.model.family.cumulative_info(
+        state.model, state.theta_hat, state.xs, state.cell_counts)
     state.det_cum = det_sym(state.cum_info)
 
 
 def _observe(state: EngineState, x):
     y = modelspec.simulate(state.model, x, state.rng)
-    if state.model.is_glm:
-        c = cell_index(x)
-        state.cell_counts[c] += 1.0
-        state.cell_successes[c] += float(y)
-        x = c
-    state.xs.append(x)
+    state.xs.append(state.model.family.observe(x, y, state.cell_counts,
+                                               state.cell_successes))
     state.ys.append(y)
 
 
@@ -211,18 +179,12 @@ def run_static_stage(model: ModelSpec, method: str, n1: int, n: int,
                      initial_design: str, rng: np.random.Generator) -> EngineState:
     """Draw the static design, observe responses and fit the initial MLE."""
     state = EngineState(model=model, method=method, n1=n1, n=n, rng=rng)
-    if model.is_glm:
-        state.cell_counts = np.zeros(4)
-        state.cell_successes = np.zeros(4)
+    state.cell_counts, state.cell_successes = model.family.new_cell_table()
 
     t0 = time.perf_counter()
-    points = _initial_points(model, initial_design, n1, rng)
-    for x in points:
+    for x in model.family.initial_points(model, initial_design, n1, rng):
         _observe(state, x)
-
-    result = _refit(state)
-    state.theta_hat = result.theta
-    _rebuild_cum_info(state)
+    _refit(state)
     state.stage1_ms = (time.perf_counter() - t0) * 1e3
 
     # no estimate exists before the last static trial
@@ -271,23 +233,10 @@ def cm_step(state: EngineState) -> EngineState:
     return state
 
 
-def _plugin_measure(state: EngineState) -> DesignMeasure:
-    theta = state.theta_hat
-    try:
-        return modelspec.closed_form_design(state.model, theta)
-    except (ConstraintViolated, DegenerateDesign) as exc:
-        projected = modelspec.project_admissible(state.model, theta)
-        logger.warning("step %d: estimate %s inadmissible for the closed form "
-                       "(%s); projected to %s", state.step + 1,
-                       np.array2string(np.asarray(theta), precision=6), exc,
-                       np.array2string(projected, precision=6))
-        return modelspec.closed_form_design(state.model, projected)
-
-
 def pics_step(state: EngineState) -> EngineState:
     """One plug-in trial: draw from the closed form at the current estimate."""
     t0 = time.perf_counter()
-    measure = _plugin_measure(state)
+    measure = modelspec.closed_form_design(state.model, state.theta_hat)
     if state.method == "balanced_pics":
         if state.scheduler is None:
             state.scheduler = BalancedScheduler(measure, state.rng)
@@ -300,9 +249,7 @@ def pics_step(state: EngineState) -> EngineState:
 
 def _finish_step(state: EngineState, x, t0: float):
     _observe(state, x)
-    result = _refit(state)
-    state.theta_hat = result.theta
-    _rebuild_cum_info(state)
+    _refit(state)
     state.thetas.append(state.theta_hat)
     state.dets.append(state.det_cum)
     state.step_ms.append((time.perf_counter() - t0) * 1e3)

@@ -47,3 +47,7 @@ class StepFailed(SeqDoptError):
 
     def __str__(self) -> str:
         return f"step {self.step} failed: {self.reason}"
+
+
+class ConfigError(SeqDoptError, ValueError):
+    """A run configuration breaks a rule; the message names the field."""

@@ -290,24 +290,22 @@ def _nls_data(kind: NlrKind, x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def nls_fit(kind: NlrKind, x, y, interval: ExperimentInterval | None = None,
-            init=None, n_starts: int = 3) -> FitResult:
-    """Least-squares fit of a growth model, warm-started at `init` when given.
+def nls_fit(kind: NlrKind, x, y, interval: ExperimentInterval | None = None) -> FitResult:
+    """Cold least-squares fit of a growth model (no previous estimate).
 
-    Without a warm start, M1/M2 start from a log-linear regression and M3
-    runs the change-point profile search before the final polish.
+    M1/M2 start from a log-linear regression and M3 runs the change-point
+    profile search; a multi-start simplex then polishes the start.
     """
     x, y = _nls_data(kind, x, y)
     interval = interval or ExperimentInterval()
     bounds = _nls_bounds(kind, interval)
     rss = _rss_fn(kind, x, y)
-    if init is None:
-        if kind.tag == "M3":
-            init = _profile_fit_m3(x, y, interval)
-        else:
-            init = _cold_init_exp(x, y)
+    if kind.tag == "M3":
+        init = _profile_fit_m3(x, y, interval)
+    else:
+        init = _cold_init_exp(x, y)
     init = np.clip(np.asarray(init, dtype=float), bounds[0], bounds[1])
-    return local_minimize(rss, init, bounds=bounds, n_starts=n_starts)
+    return local_minimize(rss, init, bounds=bounds)
 
 
 def nls_refit(kind: NlrKind, x, y, init,

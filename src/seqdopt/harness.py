@@ -4,16 +4,18 @@ Replications run in a process pool (one rng stream per replication, seeded
 as base seed + replication index), so results are independent of execution
 order and worker count.  All output files except the timing report are pure
 functions of the run configuration; wall-clock measurements are inherently
-non-reproducible and live only in ``timing.json``.
+non-reproducible and live only in ``timing.json``.  The point columns of
+``trajectories.csv`` and the study aggregate (allocation or density) come
+from the model's entry in the model table.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -21,7 +23,6 @@ from . import metrics
 from .config import RunConfig, validate_config
 from .engine import Trajectory, run
 from .errors import ConfigMismatch
-from .logistic import LEVEL_POINTS
 
 __all__ = ["ReplicationSummary", "run_experiment", "compare_methods", "write_outputs"]
 
@@ -37,10 +38,12 @@ class ReplicationSummary:
     total_ms: list[float]
     final_theta_mean: np.ndarray
     final_theta_cov: np.ndarray
-    allocation: np.ndarray | None          # GLM: pooled adaptive proportions
-    density: metrics.DensityHistogram | None  # growth models: pooled histogram
     stop_indices: list[int | None] | None
     failures: list[tuple[int, int, str]]   # (replication, seed, message)
+    # the model's study aggregate: pooled adaptive cell proportions of a
+    # logistic model, or the pooled histogram of a growth model
+    allocation: np.ndarray | None = None
+    density: metrics.DensityHistogram | None = None
 
 
 def _replicate(args) -> tuple[int, Trajectory | None, str | None]:
@@ -88,6 +91,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
             f"first failure: {failures[0]}")
 
     model = config.to_model()
+    aggregate_field, aggregate, _ = model.family.aggregate
     i_star = metrics.true_fisher_info(model)
     curves = [metrics.relative_efficiency(t, i_star) for t in trajectories]
     min_len = min(len(c.steps) for c in curves)
@@ -108,11 +112,10 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
         total_ms=total_ms,
         final_theta_mean=finals.mean(axis=0),
         final_theta_cov=np.atleast_2d(theta_cov),
-        allocation=metrics.glm_allocation(trajectories) if model.is_glm else None,
-        density=None if model.is_glm else metrics.sequential_density(trajectories),
         stop_indices=([t.stop_index for t in trajectories]
                       if config.delta_stop is not None else None),
         failures=failures,
+        **{aggregate_field: aggregate(trajectories)},
     )
     if out_dir is not None:
         write_outputs(summary, out_dir)
@@ -127,44 +130,38 @@ def _write_trajectories_csv(summary: ReplicationSummary, path):
     """
     model = summary.config.to_model()
     d = model.dim
-    xcols = ["x1", "x2"] if model.is_glm else ["x"]
-    header = (["replication", "step"] + xcols + ["y"]
+    header = (["replication", "step", *model.family.columns, "y"]
               + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
     unestimated = [""] * (d + 1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for rep, traj in enumerate(summary.trajectories):
-            if model.is_glm:
-                xs = [LEVEL_POINTS[c] for c in traj.x.tolist()]
-            else:
-                xs = [(x,) for x in traj.x.tolist()]
-            estimates = np.column_stack([traj.theta_hat, traj.det_cum_info]).tolist()
-            rows = [[rep, k + 1, *x, y, *(est if k >= traj.n1 - 1 else unestimated)]
-                    for k, (x, y, est) in enumerate(zip(xs, traj.y.tolist(), estimates))]
-            writer.writerows(rows)
+
+    def rows(rep, traj):
+        xs = model.family.csv_points(traj.x)
+        estimates = np.column_stack([traj.theta_hat, traj.det_cum_info]).tolist()
+        return [[rep, k + 1, *x, y, *(est if k >= traj.n1 - 1 else unestimated)]
+                for k, (x, y, est) in enumerate(zip(xs, traj.y.tolist(), estimates))]
+
+    metrics.write_csv(path, header, itertools.chain.from_iterable(
+        rows(rep, traj) for rep, traj in enumerate(summary.trajectories)))
+
+
+def _write_json(path, doc):
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def write_outputs(summary: ReplicationSummary, out_dir: str):
     """Write the artifact tree: deterministic CSV/JSON plus timing.json."""
     os.makedirs(out_dir, exist_ok=True)
-    model = summary.config.to_model()
+    name, _, write = summary.config.to_model().family.aggregate
 
     _write_trajectories_csv(summary, os.path.join(out_dir, "trajectories.csv"))
     metrics.efficiency_to_csv(summary.mean_curve,
                               os.path.join(out_dir, "mean_efficiency.csv"))
-    if model.is_glm:
-        with open(os.path.join(out_dir, "allocation.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x1", "x2", "proportion"])
-            for point, p in zip(LEVEL_POINTS, summary.allocation):
-                writer.writerow([point[0], point[1], repr(float(p))])
-    else:
-        metrics.histogram_to_csv(summary.density,
-                                 os.path.join(out_dir, "density.csv"))
+    write(getattr(summary, name), os.path.join(out_dir, f"{name}.csv"))
 
     doc = {
-        "config": summary.config.as_dict(),
+        "config": asdict(summary.config),
         "replications_succeeded": len(summary.trajectories),
         "failures": [list(f) for f in summary.failures],
         "final_theta_mean": [float(v) for v in summary.final_theta_mean],
@@ -175,18 +172,12 @@ def write_outputs(summary: ReplicationSummary, out_dir: str):
     }
     if summary.allocation is not None:
         doc["allocation"] = [float(v) for v in summary.allocation]
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    timing = {
+    _write_json(os.path.join(out_dir, "summary.json"), doc)
+    _write_json(os.path.join(out_dir, "timing.json"), {
         "median_total_ms": summary.median_total_ms,
         "total_ms": summary.total_ms,
         "stage1_ms": [t.stage1_ms for t in summary.trajectories],
-    }
-    with open(os.path.join(out_dir, "timing.json"), "w") as fh:
-        json.dump(timing, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
 
 
 def compare_methods(configs: list[RunConfig], workers: int | None = None,

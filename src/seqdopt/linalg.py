@@ -14,12 +14,6 @@ from .errors import SingularMatrix
 CHOLESKY_PIVOT_TOL = 1e-12
 
 
-def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Mirror the upper triangle onto the lower one (exact symmetry)."""
-    a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
-
-
 def det_sym(a: np.ndarray) -> float:
     """Determinant of a 2x2 or 3x3 matrix via the cofactor formula."""
     a = np.asarray(a, dtype=float)
@@ -69,21 +63,6 @@ def cholesky_spd(a: np.ndarray, tol: float = CHOLESKY_PIVOT_TOL) -> np.ndarray:
             else:
                 lower[i, j] = s / lower[j, j]
     return lower
-
-
-def solve_spd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b for symmetric positive definite a via Cholesky."""
-    lower = cholesky_spd(a)
-    b = np.asarray(b, dtype=float)
-    n = lower.shape[0]
-    # forward then backward substitution
-    y = np.zeros(n)
-    for i in range(n):
-        y[i] = (b[i] - lower[i, :i] @ y[:i]) / lower[i, i]
-    x = np.zeros(n)
-    for i in range(n - 1, -1, -1):
-        x[i] = (y[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
 
 
 def central_diff_gradient(f, theta, h: float | None = None) -> np.ndarray:

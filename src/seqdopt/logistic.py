@@ -45,13 +45,9 @@ def _sigmoid(eta):
     return out
 
 
-def cell_etas(beta) -> np.ndarray:
-    """Linear predictors b0 + b1*x1 + b2*x2 for the four cells."""
-    return X_CELLS @ np.asarray(beta, dtype=float)
-
-
 def cell_probs(beta) -> np.ndarray:
-    return _sigmoid(cell_etas(beta))
+    """Success probabilities at the linear predictors b0 + b1*x1 + b2*x2."""
+    return _sigmoid(X_CELLS @ np.asarray(beta, dtype=float))
 
 
 def cell_weights(beta) -> np.ndarray:

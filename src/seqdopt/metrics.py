@@ -11,15 +11,17 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .designs import d_criterion
-from .engine import Trajectory
 from .errors import DegenerateInformation
 from .linalg import cholesky_spd, det_sym
-from .logistic import fisher_from_counts
-from .modelspec import ModelSpec, closed_form_design, fisher_point
+from .logistic import LEVEL_POINTS
+
+if TYPE_CHECKING:  # the model table refers to this module's aggregates
+    from .engine import Trajectory
+    from .modelspec import ModelSpec
 
 
 @dataclass
@@ -63,18 +65,12 @@ class DensityHistogram:
 
 
 def true_fisher_info(model: ModelSpec, theta=None) -> np.ndarray:
-    """Information at the true optimal design, integrated over its measure.
-
-    For the factorial logistic models this collapses to the 4x3 design
-    matrix sandwich with cell weights w*_c p*_c; for the growth models it is
-    the weighted sum of the single-point informations over the closed-form
-    support.
-    """
+    """Information at the true optimal design: the weighted sum of the
+    single-point informations over the closed-form support."""
     theta = model.theta_star if theta is None else theta
-    measure = closed_form_design(model, theta)
-    if model.is_glm:
-        return fisher_from_counts(np.asarray(measure.weights), theta)
-    return sum(w * fisher_point(model, theta, x)
+    family = model.family
+    measure = family.closed_form(model, theta)
+    return sum(w * family.fisher_point(model, theta, x)
                for x, w in zip(measure.support, measure.weights))
 
 
@@ -109,15 +105,12 @@ def crossing_step(curve: EfficiencyCurve, target: float) -> int | None:
     return int(curve.steps[hits[0]]) if hits.size else None
 
 
-def sequential_density(trajectories: list[Trajectory], bins: int = 100,
-                       x_min: float | None = None,
-                       x_max: float | None = None) -> DensityHistogram:
-    """Normalized histogram of all adaptive-stage points, pooled over runs."""
+def sequential_density(trajectories: list[Trajectory], bins: int = 100) -> DensityHistogram:
+    """Normalized histogram of all adaptive-stage points, pooled over runs,
+    on the model's interval."""
     model = trajectories[0].model
-    x_min = model.x_min if x_min is None else x_min
-    x_max = model.x_max if x_max is None else x_max
-    pooled = np.concatenate([t.stage2_xs() for t in trajectories])
-    hist, edges = np.histogram(pooled, bins=bins, range=(x_min, x_max))
+    pooled = np.concatenate([t.x[t.n1:] for t in trajectories])
+    hist, edges = np.histogram(pooled, bins=bins, range=(model.x_min, model.x_max))
     return DensityHistogram(edges=edges, mass=hist / hist.sum())
 
 
@@ -143,30 +136,38 @@ def normality_diagnostic(theta_hats, theta_star, cum_infos) -> dict:
 
 def glm_allocation(trajectories: list[Trajectory]) -> np.ndarray:
     """Pooled adaptive-stage cell proportions in the fixed row order."""
-    counts = np.bincount(np.concatenate([t.stage2_xs() for t in trajectories]),
+    counts = np.bincount(np.concatenate([t.x[t.n1:] for t in trajectories]),
                          minlength=4)
     return counts / counts.sum()
 
 
-def efficiency_to_csv(curve: EfficiencyCurve, path):
+def write_csv(path, header, rows):
+    """A header line, then the rows (any iterable of lists)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["step", "value"])
-        for s, v in zip(curve.steps, curve.values):
-            writer.writerow([int(s), repr(float(v))])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def efficiency_to_csv(curve: EfficiencyCurve, path):
+    write_csv(path, ["step", "value"],
+              ([int(s), repr(float(v))] for s, v in zip(curve.steps, curve.values)))
+
+
+def allocation_to_csv(allocation: np.ndarray, path):
+    write_csv(path, ["x1", "x2", "proportion"],
+              ([*point, repr(float(p))] for point, p in zip(LEVEL_POINTS, allocation)))
 
 
 def histogram_to_csv(hist: DensityHistogram, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_left", "bin_right", "mass"])
-        for left, right, m in zip(hist.edges[:-1], hist.edges[1:], hist.mass):
-            writer.writerow([repr(float(left)), repr(float(right)), repr(float(m))])
+    write_csv(path, ["bin_left", "bin_right", "mass"],
+              ([repr(float(v)) for v in row]
+               for row in zip(hist.edges[:-1], hist.edges[1:], hist.mass)))
 
 
 __all__ = [
     "EfficiencyCurve", "DensityHistogram", "true_fisher_info",
     "relative_efficiency", "mean_efficiency", "crossing_step",
     "sequential_density", "normality_diagnostic", "glm_allocation",
-    "efficiency_to_csv", "histogram_to_csv", "d_criterion",
+    "write_csv", "allocation_to_csv", "efficiency_to_csv", "histogram_to_csv",
 ]

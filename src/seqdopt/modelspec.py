@@ -1,37 +1,31 @@
-"""Concrete model specifications and the per-model dispatch used by the
-sequential engines, metrics and the experiment harness.
+"""The model table: every per-model fact of the five models, in one place.
 
-Five models are supported: the growth families M1/M2/M3 on a scalar input
-interval, and the factorial logistic cases GLM_C1 (equal coefficients) and
-GLM_C2 (zero two-factor coefficient, matched signs).
+``MODELS`` maps the growth models M1/M2/M3 (scalar input interval) and the
+2x2 factorial logistic models GLM_C1 (equal coefficients) and GLM_C2 (zero
+two-factor coefficient, matched signs) to their entries; the growth/logistic
+split is written once, as the two entry classes.  An entry holds the run
+defaults and config rules, the closed form, fit and simulation, the
+information from the engine's sufficient statistics, the point encoding
+and CSV columns, the study aggregate and the grid oracle.  The rest of the
+package asks the entry (``model.family``), never which model it runs; the
+engine calls ``fit``, ``simulate`` and ``closed_form_design`` through this
+module, so a tracer can wrap them.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import designs, fitting, growth, logistic
-
-MODEL_NAMES = ("M1", "M2", "M3", "GLM_C1", "GLM_C2")
-
-#: simulation-study truths: growth parameters, change point and noise level,
-#: and the two logistic parameter vectors satisfying their admissibility rules
-DEFAULT_TRUE_PARAMS = {
-    "M1": (32.11, 105.65),
-    "M2": (32.11, 105.65),
-    "M3": (32.11, 105.65, 86.67),
-    "GLM_C1": (0.7125, 0.7125, 0.7125),
-    "GLM_C2": (1.5, 0.5, 0.0),
-}
-DEFAULT_X0_KNOWN = 86.67
-DEFAULT_SIGMA2 = 0.086
+from . import designs, fitting, growth, logistic, metrics
 
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the five concrete models with its simulation truth."""
+    """One of the five concrete models with its simulation truth; its rules
+    are checked by ``config.validate_config``."""
 
     name: str
     theta_star: tuple
@@ -40,27 +34,17 @@ class ModelSpec:
     x_max: float = 210.0
     x0_known: float | None = None    # M2 only
 
-    def __post_init__(self):
-        if self.name not in MODEL_NAMES:
-            raise ValueError(f"unknown model {self.name!r}")
-        if self.is_glm:
-            if len(self.theta_star) != 3:
-                raise ValueError("logistic models take three coefficients")
-        else:
-            if self.sigma2 is None or self.sigma2 < 0.0:
-                raise ValueError("growth models need sigma2 >= 0")
-            if len(self.theta_star) != self.dim:
-                raise ValueError(f"{self.name} takes {self.dim} parameters")
-        if self.name == "M2" and self.x0_known is None:
-            raise ValueError("M2 requires x0_known")
+    @property
+    def family(self) -> _Growth | _Logistic:
+        return MODELS[self.name]
 
     @property
     def is_glm(self) -> bool:
-        return self.name.startswith("GLM")
+        return isinstance(self.family, _Logistic)
 
     @property
     def dim(self) -> int:
-        return 2 if self.name in ("M1", "M2") else 3
+        return self.family.dim
 
     @property
     def interval(self) -> growth.ExperimentInterval:
@@ -68,83 +52,198 @@ class ModelSpec:
 
     @property
     def nlr_kind(self) -> growth.NlrKind:
-        if self.is_glm:
-            raise ValueError(f"{self.name} is not a growth model")
-        return growth.NlrKind(self.name, self.x0_known if self.name == "M2" else None)
+        return growth.NlrKind(self.name, self.x0_known)
+
+
+class _Growth:
+    """Growth curve on [x_min, x_max]: Gaussian responses, least-squares
+    fits on the point and response lists, points stored as floats, and the
+    pooled density of the adaptive points as the study aggregate."""
+
+    methods = ("cm", "pics", "balanced_pics")
+    initial_designs = ("uniform", "three_point")
+    columns = ("x",)
+    aggregate = ("density", metrics.sequential_density, metrics.histogram_to_csv)
+
+    def __init__(self, dim, true_params, closed_form, oracle, rules=(), **defaults):
+        self.dim = dim
+        self.defaults = {"n1": 40, "n": 100, "initial_design": "uniform",
+                         "true_params": true_params, "sigma2": 0.086, **defaults}
+        self.closed_form = closed_form   # (model, theta) -> DesignMeasure
+        self._oracle = oracle            # (gradient function, interval) -> DesignMeasure
+        self.rules = (("sigma2", lambda c: c.sigma2 is not None and c.sigma2 > 0.0,
+                       "growth models need sigma2 > 0"),
+                      ("x_min", lambda c: 0.0 < c.x_min < c.x_max, "need 0 < x_min < x_max"),
+                      *rules)
+
+    def initial_points(self, model, initial_design, n1, rng) -> list:
+        if initial_design == "uniform":
+            return [float(rng.uniform(model.x_min, model.x_max)) for _ in range(n1)]
+        mid = (model.x_min + model.x_max) / 2.0   # three_point
+        xi0 = designs.DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
+        return [designs.draw_point(xi0, rng) for _ in range(n1)]
+
+    def new_cell_table(self):
+        return None, None
+
+    def observe(self, x, y, counts, successes):
+        return x
+
+    def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
+        if init is None:
+            return fitting.nls_fit(model.nlr_kind, xs, ys, interval=model.interval)
+        return fitting.nls_refit(model.nlr_kind, xs, ys, init, interval=model.interval)
+
+    def cumulative_info(self, model, theta, xs, counts) -> np.ndarray:
+        return growth.cumulative_fisher_nlr(model.nlr_kind, theta, xs, model.sigma2)
+
+    def fisher_point(self, model, theta, x) -> np.ndarray:
+        return growth.fisher_info_nlr(model.nlr_kind, theta, x, model.sigma2)
+
+    def simulate(self, model, x, rng):
+        return growth.simulate_response_nlr(model.nlr_kind, model.theta_star, x,
+                                            model.sigma2, rng)
+
+    def decode(self, x: np.ndarray) -> list:
+        return x.tolist()
+
+    def csv_points(self, x: np.ndarray) -> list[tuple]:
+        return [(v,) for v in x.tolist()]
+
+    def oracle(self, model, theta) -> designs.DesignMeasure:
+        return self._oracle(lambda xs: growth.growth_grad(model.nlr_kind, theta, xs),
+                            model.interval)
+
+
+class _Logistic:
+    """2x2 factorial logistic model: binary responses, exact constrained fits
+    from the cell table, points stored as cell indices into ``LEVEL_POINTS``,
+    and the pooled cell allocation as the study aggregate.  There is no
+    ``balanced_pics``: the scheduler serves weights on a 1/12 grid, and the
+    closed-form weights are irrational."""
+
+    methods = ("cm", "pics")
+    initial_designs = ("four_point",)
+    columns = ("x1", "x2")
+    aggregate = ("allocation", metrics.glm_allocation, metrics.allocation_to_csv)
+    rules = (("n1", lambda c: c.n1 % 4 == 0, "four_point design needs 4 | n1, got {c.n1}"),)
+    dim = 3
+
+    def __init__(self, true_params, mle, closed_form):
+        self.defaults = {"n1": 80, "n": 800, "initial_design": "four_point",
+                         "true_params": true_params}
+        self._mle = mle
+        self.closed_form = closed_form   # (model, theta) -> DesignMeasure
+
+    def initial_points(self, model, initial_design, n1, rng) -> list:
+        cells = np.repeat(np.arange(4), n1 // 4)   # four_point: n1/4 per cell
+        rng.shuffle(cells)
+        return [logistic.LEVEL_POINTS[c] for c in cells]
+
+    def new_cell_table(self):
+        return np.zeros(4), np.zeros(4)
+
+    def observe(self, x, y, counts, successes) -> int:
+        """Tally the trial in the cell table; the point is stored as its cell."""
+        c = logistic.cell_index(x)
+        counts[c] += 1.0
+        successes[c] += float(y)
+        return c
+
+    def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
+        return self._mle(counts=counts, successes=successes)
+
+    def cumulative_info(self, model, theta, xs, counts) -> np.ndarray:
+        return logistic.fisher_from_counts(counts, theta)
+
+    def fisher_point(self, model, theta, x) -> np.ndarray:
+        return logistic.fisher_info_glm(theta, x)
+
+    def simulate(self, model, x, rng) -> int:
+        return logistic.simulate_binary(model.theta_star, x, rng)
+
+    def decode(self, x: np.ndarray) -> list[tuple]:
+        return [logistic.LEVEL_POINTS[c] for c in x.tolist()]
+
+    csv_points = decode
+
+    def oracle(self, model, theta) -> designs.DesignMeasure:
+        return designs.grid_oracle_glm(theta)
+
+
+#: the table, at the simulation study's true values
+MODELS: dict[str, _Growth | _Logistic] = {
+    "M1": _Growth(2, (32.11, 105.65),
+                  lambda m, theta: designs.optimal_design_m1(theta, m.interval),
+                  designs.grid_oracle_two_point),
+    "M2": _Growth(2, (32.11, 105.65),
+                  lambda m, theta: designs.optimal_design_m2(theta, m.x0_known, m.interval),
+                  designs.grid_oracle_two_point, x0_known=86.67,
+                  rules=[("x0_known", lambda c: c.x0_known is not None
+                          and c.x_min < c.x0_known < c.x_max,
+                          "known change point must lie inside the interval")]),
+    "M3": _Growth(3, (32.11, 105.65, 86.67),
+                  lambda m, theta: designs.optimal_design_m3(theta, m.interval),
+                  designs.grid_oracle_three_point),
+    "GLM_C1": _Logistic((0.7125, 0.7125, 0.7125), fitting.logistic_mle_c1,
+                        lambda m, theta: designs.mandal_c1(theta)),
+    "GLM_C2": _Logistic((1.5, 0.5, 0.0), fitting.logistic_mle_c2,
+                        lambda m, theta: designs.mandal_c2(theta)),
+}
+MODEL_NAMES = tuple(MODELS)
 
 
 def default_model(name: str, **overrides) -> ModelSpec:
-    """ModelSpec preloaded with the simulation-study true values."""
-    kwargs = {"name": name, "theta_star": DEFAULT_TRUE_PARAMS[name]}
-    if not name.startswith("GLM"):
-        kwargs["sigma2"] = DEFAULT_SIGMA2
-    if name == "M2":
-        kwargs["x0_known"] = DEFAULT_X0_KNOWN
-    kwargs.update(overrides)
-    return ModelSpec(**kwargs)
+    """ModelSpec of `name` at the table's true values, sigma2 and x0_known,
+    replaced by `overrides`; sigma2 and x0_known reach only the models whose
+    defaults hold them."""
+    defaults = MODELS[name].defaults
+    values = {"theta_star": defaults["true_params"], "sigma2": defaults.get("sigma2"),
+              "x0_known": defaults.get("x0_known")}
+    values.update((k, v) for k, v in overrides.items()
+                  if k not in ("sigma2", "x0_known") or k in defaults)
+    return ModelSpec(name=name, **values)
 
 
 def closed_form_design(model: ModelSpec, theta) -> designs.DesignMeasure:
     """Locally D-optimal design at `theta` for the model's family."""
-    if model.name == "M1":
-        return designs.optimal_design_m1(theta, model.interval)
-    if model.name == "M2":
-        return designs.optimal_design_m2(theta, model.x0_known, model.interval)
-    if model.name == "M3":
-        return designs.optimal_design_m3(theta, model.interval)
-    if model.name == "GLM_C1":
-        return designs.mandal_c1(theta)
-    return designs.mandal_c2(theta)
-
-
-def project_admissible(model: ModelSpec, theta) -> np.ndarray:
-    """Project an estimate onto the closed form's admissible set.
-
-    The constrained MLEs keep estimates admissible by construction, so this
-    is a safety net for drift: the equal-coefficient case clamps the common
-    value, the matched-sign case floors magnitudes away from zero.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if model.name == "GLM_C1":
-        b = float(np.clip(theta[0], -fitting.C1_EDGE, fitting.C1_EDGE))
-        return np.array([b, b, b])
-    if model.name == "GLM_C2":
-        sign = 1.0 if theta[0] >= 0.0 else -1.0
-        b0 = sign * max(abs(theta[0]), 1e-6)
-        b1 = sign * max(abs(theta[1]), 1e-6)
-        return np.array([b0, b1, 0.0])
-    return theta  # growth-model estimates are admissible via the fit bounds
+    return model.family.closed_form(model, theta)
 
 
 def fisher_point(model: ModelSpec, theta, x) -> np.ndarray:
     """Single-trial information matrix at design point x under `theta`."""
-    if model.is_glm:
-        return logistic.fisher_info_glm(theta, x)
-    return growth.fisher_info_nlr(model.nlr_kind, theta, x, model.sigma2)
+    return model.family.fisher_point(model, theta, x)
 
 
 def simulate(model: ModelSpec, x, rng: np.random.Generator):
     """One response draw at x under the model's simulation truth."""
-    if model.is_glm:
-        return logistic.simulate_binary(model.theta_star, x, rng)
-    return growth.simulate_response_nlr(model.nlr_kind, model.theta_star, x,
-                                        model.sigma2, rng)
+    return model.family.simulate(model, x, rng)
 
 
 def fit(model: ModelSpec, xs, ys, init=None, *, cell_counts=None,
         cell_successes=None) -> fitting.FitResult:
     """Constrained MLE for the model; growth fits are least squares.
 
-    The logistic fits are exact and ignore `init`.  A growth fit given
-    `init` (a sequential refit from the previous estimate) runs
-    Levenberg-Marquardt from it; without one it runs the cold multi-start
-    simplex search.
+    The logistic fits are exact functions of the cell table and ignore
+    `xs`, `ys` and `init`.  A growth fit given `init` (a sequential refit
+    from the previous estimate) runs Levenberg-Marquardt from it; without
+    one it runs the cold multi-start simplex search.
     """
-    if model.is_glm:
-        if cell_counts is None:
-            cell_counts, cell_successes = fitting.cells_from_pairs(zip(xs, ys))
-        mle = fitting.logistic_mle_c1 if model.name == "GLM_C1" else fitting.logistic_mle_c2
-        return mle(counts=cell_counts, successes=cell_successes)
-    if init is None:
-        return fitting.nls_fit(model.nlr_kind, xs, ys, interval=model.interval)
-    return fitting.nls_refit(model.nlr_kind, xs, ys, init, interval=model.interval)
+    return model.family.fit(model, xs, ys, init, cell_counts, cell_successes)
+
+
+def oracle_check(model: ModelSpec) -> dict:
+    """The closed form at the true values against the family's brute-force
+    grid oracle: both designs, their D-criteria, and the oracle's relative
+    excess, which stays below 1e-3 where the closed form is optimal."""
+    theta = np.asarray(model.theta_star)
+    closed = closed_form_design(model, theta)
+    oracle = model.family.oracle(model, theta)
+    fisher = lambda x: fisher_point(model, theta, x)
+    val_closed = designs.d_criterion(closed, fisher)
+    val_oracle = designs.d_criterion(oracle, fisher)
+    return {"closed_form": json.loads(closed.to_json()),
+            "oracle": json.loads(oracle.to_json()),
+            "criterion_closed_form": val_closed,
+            "criterion_oracle": val_oracle,
+            "oracle_excess": val_oracle / val_closed - 1.0}

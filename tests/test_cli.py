@@ -77,3 +77,18 @@ def test_config_file_plus_flags(tmp_path, capsys):
     doc = json.loads((out / "summary.json").read_text())
     assert doc["config"]["n"] == 55
     assert doc["config"]["seed"] == 1
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["oracle", "--model", "M2", "--x0-known", "300"], "'x0_known'"),
+    (["design", "--model", "M3", "--theta", "1,2"], "'true_params'"),
+])
+def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
+    # the same defaults and rules as `run`, reported as one line, no traceback
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"seqdopt: error: config field {field}: ")
+    assert captured.err.count("\n") == 1

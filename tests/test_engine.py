@@ -13,7 +13,8 @@ from seqdopt.engine import (
     run_static_stage,
     stopping_check,
 )
-from seqdopt.errors import DegenerateInformation, StepFailed
+from seqdopt.errors import ConstraintViolated, DegenerateInformation, StepFailed
+from seqdopt.fitting import FitResult
 from seqdopt.harness import run_experiment
 from seqdopt.growth import fisher_info_nlr
 from seqdopt.linalg import det_sym
@@ -139,15 +140,27 @@ def test_balanced_pics_cycle_covers_support():
     assert len(set(np.round(block, 6))) == 3
 
 
-def test_pics_projects_inadmissible_estimate(caplog):
-    import logging
-
+def test_pics_inadmissible_estimate_fails_the_step(monkeypatch):
+    # the exact fits only return admissible estimates (see the property tests
+    # in test_fitting.py); an injected inadmissible one is an error, not
+    # something to project
     state = _fresh_state("GLM_C1", method="pics", n1=80, n=800, init="four_point")
     state.theta_hat = np.array([0.9, 0.9, 0.9])  # outside |b| < 0.8314
-    with caplog.at_level(logging.WARNING, logger="seqdopt.engine"):
+    with pytest.raises(ConstraintViolated):
         pics_step(state)
-    assert any("inadmissible" in m for m in caplog.messages)
-    assert state.step == 81
+    assert state.step == 80
+
+    from seqdopt import modelspec
+
+    def inadmissible_fit(*args, **kwargs):
+        return FitResult(np.array([0.9, 0.9, 0.9]), 0.0, True, 0)
+
+    monkeypatch.setattr(modelspec, "fit", inadmissible_fit)
+    cfg = parse_config(model="GLM_C1", method="pics", n1=80, n=120, seed=1)
+    with pytest.raises(StepFailed) as info:
+        run(cfg)
+    assert info.value.step == 81
+    assert isinstance(info.value.__cause__, ConstraintViolated)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from seqdopt.config import parse_config
 from seqdopt.engine import run
@@ -9,6 +11,7 @@ from seqdopt.errors import InsufficientData
 from seqdopt.fitting import (
     C1_EDGE,
     C2_UBOUND,
+    _nls_bounds,
     cells_from_pairs,
     golden_section_min,
     local_minimize,
@@ -22,7 +25,7 @@ from seqdopt.growth import ExperimentInterval, NlrKind, growth_mean
 from seqdopt.linalg import central_diff_gradient
 from seqdopt.logistic import LEVEL_POINTS, simulate_binary
 from seqdopt.metrics import true_fisher_info
-from seqdopt.modelspec import default_model, fit
+from seqdopt.modelspec import closed_form_design, default_model, fit
 
 OMEGA = ExperimentInterval(0.5, 210.0)
 THETA = np.array([32.11, 105.65])
@@ -100,17 +103,6 @@ def test_nls_insufficient_data():
         nls_fit(kind, [100.0] * 8, [5.0] * 8, interval=OMEGA)
 
 
-def test_nls_warm_start_never_worse_than_init():
-    rng = np.random.default_rng(0)
-    kind = NlrKind("M1")
-    x = rng.uniform(1.0, 210.0, 40)
-    y = growth_mean(kind, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), 40)
-    init = THETA * 1.07
-    res = nls_fit(kind, x, y, interval=OMEGA, init=init, n_starts=1)
-    rss_init = float(np.sum((y - growth_mean(kind, init, x)) ** 2))
-    assert res.objective <= rss_init + 1e-12
-
-
 @pytest.mark.parametrize("name,init", [("M1", "uniform"), ("M2", "three_point"),
                                        ("M3", "uniform")])
 def test_lm_refit_never_worse_than_simplex_refit(name, init):
@@ -185,7 +177,7 @@ def test_nls_m1_within_three_standard_errors():
         half = n // 2
         x = np.array([70.288] * half + [210.0] * half)
         y = growth_mean(kind, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), n)
-        res = nls_fit(kind, x, y, interval=OMEGA, n_starts=1)
+        res = nls_fit(kind, x, y, interval=OMEGA)
         if np.all(np.abs(res.theta - THETA) <= 3.0 * se):
             hits += 1
     assert hits >= 95
@@ -387,3 +379,43 @@ def test_c2_warm_sign_restriction_matches_full_fit():
     warm = fit(default_model("GLM_C2"), None, None, init=np.array([1.4, 0.6, 0.0]),
                cell_counts=counts, cell_successes=succ)
     assert np.allclose(full.theta, warm.theta, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# every estimate a fit can return admits the closed form (the plug-in step
+# draws from it with no fallback)
+# ---------------------------------------------------------------------------
+
+def _assert_probability_measure(measure):
+    assert min(measure.weights) >= 0.0
+    assert math.fsum(measure.weights) == pytest.approx(1.0, abs=1e-12)
+
+
+@st.composite
+def cell_tables(draw):
+    counts = [draw(st.integers(0, 50)) for _ in range(4)]
+    successes = [draw(st.integers(0, n)) for n in counts]
+    return np.array(counts, dtype=float), np.array(successes, dtype=float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cell_tables())
+@example((np.zeros(4), np.zeros(4)))                            # no data at all
+@example((np.full(4, 50.0), np.array([50.0, 50.0, 0.0, 0.0])))  # rows separated
+@example((np.full(4, 50.0), np.array([0.0, 0.0, 50.0, 50.0])))
+@example((np.full(4, 50.0), np.array([50.0, 0.0, 50.0, 0.0])))  # columns separated
+def test_logistic_fit_of_any_table_admits_the_closed_form(table):
+    counts, successes = table
+    for name in ("GLM_C1", "GLM_C2"):
+        model = default_model(name)
+        res = fit(model, None, None, cell_counts=counts, cell_successes=successes)
+        _assert_probability_measure(closed_form_design(model, res.theta))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["M1", "M2", "M3"]), st.data())
+def test_growth_fit_box_admits_the_closed_form(name, data):
+    model = default_model(name)
+    lo, hi = _nls_bounds(model.nlr_kind, model.interval)
+    theta = [data.draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)]
+    _assert_probability_measure(closed_form_design(model, theta))

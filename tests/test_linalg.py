@@ -7,8 +7,6 @@ from seqdopt.linalg import (
     cholesky_spd,
     det_sym,
     det_sym_batch,
-    solve_spd,
-    symmetrize,
 )
 
 
@@ -48,34 +46,16 @@ def test_det_batch_matches_scalar():
         assert batch[k] == pytest.approx(det_sym(mats[k]), rel=1e-12)
 
 
-def test_solve_spd_identity_and_diagonal():
-    assert np.allclose(solve_spd(np.eye(2), [5.0, 7.0]), [5.0, 7.0])
-    assert np.allclose(solve_spd(np.diag([4.0, 9.0]), [8.0, 27.0]), [2.0, 3.0])
-
-
-def test_solve_spd_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        solve_spd(np.array([[1.0, 2.0], [2.0, 4.0]]), [1.0, 1.0])
-
-
-def test_solve_spd_recovers_solution_on_random_spd():
-    rng = np.random.default_rng(7)
-    for dim in (2, 3):
-        for _ in range(25):
-            # bounded condition number via eigenvalues in [1e-3, 1e3]
-            q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
-            eig = 10.0 ** rng.uniform(-3, 3, size=dim)
-            m = symmetrize(q @ np.diag(eig) @ q.T)
-            x = rng.normal(size=dim)
-            got = solve_spd(m, m @ x)
-            assert np.allclose(got, x, rtol=1e-10, atol=1e-10 * np.abs(x).max())
-
-
 def test_cholesky_factor_reconstructs():
     m = np.array([[4.0, 2.0, 0.5], [2.0, 5.0, 1.0], [0.5, 1.0, 3.0]])
     lower = cholesky_spd(m)
     assert np.allclose(lower @ lower.T, m)
     assert np.allclose(np.triu(lower, 1), 0.0)
+
+
+def test_cholesky_rejects_rank_one():
+    with pytest.raises(SingularMatrix):
+        cholesky_spd(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_central_diff_simple_functions():
