@@ -49,9 +49,9 @@ def validate_config(config: RunConfig) -> RunConfig:
     cross-field rules of every run; raises ConfigError naming the field."""
     if config.model not in modelspec.MODELS:
         _fail("model", f"must be one of {modelspec.MODEL_NAMES}")
+    if config.method not in METHODS:
+        _fail("method", f"must be one of {METHODS}")
     family = modelspec.MODELS[config.model]
-    if config.method not in family.methods:
-        _fail("method", f"{config.model} takes one of {family.methods}")
     if config.initial_design not in family.initial_designs:
         _fail("initial_design", f"{config.model} takes one of {family.initial_designs}")
     if len(config.true_params) != family.dim:

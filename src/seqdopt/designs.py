@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolated, DegenerateDesign, WeightNotRational
+from .errors import ConstraintViolated, DegenerateDesign
 from .growth import ExperimentInterval
 from .linalg import det_sym, det_sym_batch
 from .logistic import (LEVEL_POINTS, XXT_CELLS, cell_weights, log_weight_at_eta,
@@ -25,8 +25,8 @@ from .logistic import (LEVEL_POINTS, XXT_CELLS, cell_weights, log_weight_at_eta,
 #: admissibility bound on the common coefficient in the equal-beta logistic case
 MANDAL_C0 = 0.8314
 
-#: largest common denominator the balanced scheduler will snap weights to
-SCHEDULER_MAX_DENOM = 12
+#: longest cycle the balanced scheduler apportions a design to
+MAX_CYCLE = 20
 
 #: distinct-support guard used by the closed forms
 _COINCIDENT_TOL = 1e-9
@@ -175,25 +175,42 @@ def draw_point(measure: DesignMeasure, rng: np.random.Generator):
     return measure.support[-1]
 
 
-def balanced_cycle_counts(weights, max_denom: int = SCHEDULER_MAX_DENOM,
-                          tol: float = 1e-6) -> list[int]:
-    """Per-point copies in one balanced cycle, snapping weights to q/max_denom."""
-    counts12 = []
-    for w in weights:
-        q = round(float(w) * max_denom)
-        if abs(w - q / max_denom) > tol:
-            raise WeightNotRational(
-                f"weight {w!r} not expressible over denominator {max_denom}")
-        counts12.append(q)
-    if sum(counts12) != max_denom:
-        raise WeightNotRational(f"snapped weights sum to {sum(counts12)}/{max_denom}")
-    g = math.gcd(*counts12, max_denom)
-    return [q // g for q in counts12]
+def balanced_cycle_counts(weights) -> list[int]:
+    """Per-point copies in one balanced cycle: the efficient apportionment
+    (Pukelsheim & Rieder, Biometrika 1992) of the weights.
+
+    For the l points of positive weight and each cycle length N from l to
+    MAX_CYCLE: n_i = ceil((N - l/2) w_i), then while sum n_i > N a copy
+    comes off the largest (n_i - 1)/w_i, and while sum n_i < N one goes to
+    the smallest n_i/w_i.  The N with the smallest max |n_i/N - w_i| wins,
+    the shortest on ties, and an exact fit ends the search.  Points of zero
+    weight get no copies.
+    """
+    w = [v for v in weights if v > 0.0]
+    ell = len(w)
+    # at N = l the rule gives every point one copy
+    best, best_err = [1] * ell, max([abs(1.0 / ell - wi) for wi in w])
+    n_cycle = ell
+    while best_err > 0.0 and n_cycle < MAX_CYCLE:
+        n_cycle += 1
+        counts = [math.ceil((n_cycle - ell / 2) * wi) for wi in w]
+        while sum(counts) > n_cycle:
+            counts[max(range(ell), key=lambda i: (counts[i] - 1) / w[i])] -= 1
+        while sum(counts) < n_cycle:
+            counts[min(range(ell), key=lambda i: counts[i] / w[i])] += 1
+        err = max([abs(c / n_cycle - wi) for c, wi in zip(counts, w)])
+        if err < best_err:
+            best, best_err = counts, err
+    if ell == len(weights):
+        return best
+    copies = iter(best)
+    return [next(copies) if v > 0.0 else 0 for v in weights]
 
 
 class BalancedScheduler:
-    """Serves support points so that each cycle covers the expanded support
-    exactly once in a fresh random order.
+    """Serves support points in cycles: each cycle serves every point its
+    ``balanced_cycle_counts`` copies, in a fresh random order, so a cycle
+    of an equal-weight measure covers the support exactly once.
 
     The measure backing a cycle is frozen for the whole cycle; a measure from
     an updated estimate only takes effect at the next cycle boundary.

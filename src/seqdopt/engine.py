@@ -9,8 +9,8 @@ adds one trial at a time using one of three methods:
   logistic models).
 * ``pics`` -- plug the current estimate into the family's closed-form
   optimal design and draw the next point from that measure.
-* ``balanced_pics`` -- same plug-in, but served in randomized cycles that
-  cover the (weight-expanded) support exactly once per cycle.
+* ``balanced_pics`` -- same plug-in, served in randomized cycles of each
+  point's apportioned copies (one each when the weights are equal).
 
 Every step refits the constrained MLE (for the growth models, Levenberg-
 Marquardt steps from the incumbent estimate; the logistic MLEs are exact)
@@ -121,7 +121,6 @@ class EngineState:
     model: ModelSpec
     method: str
     n1: int
-    n: int
     rng: np.random.Generator
     xs: list = field(default_factory=list)
     ys: list = field(default_factory=list)
@@ -175,10 +174,10 @@ def _observe(state: EngineState, x):
     state.ys.append(y)
 
 
-def run_static_stage(model: ModelSpec, method: str, n1: int, n: int,
-                     initial_design: str, rng: np.random.Generator) -> EngineState:
+def run_static_stage(model: ModelSpec, method: str, n1: int, initial_design: str,
+                     rng: np.random.Generator) -> EngineState:
     """Draw the static design, observe responses and fit the initial MLE."""
-    state = EngineState(model=model, method=method, n1=n1, n=n, rng=rng)
+    state = EngineState(model=model, method=method, n1=n1, rng=rng)
     state.cell_counts, state.cell_successes = model.family.new_cell_table()
 
     t0 = time.perf_counter()
@@ -214,7 +213,8 @@ def _cm_select_interval(state: EngineState) -> float:
 
 
 def _cm_select_cells(state: EngineState):
-    """Exact argmax over the four level combinations (lexicographic ties)."""
+    """Exact argmax over the four level combinations, tried in lexicographic
+    order; ``det_sym``'s rounding, not that order, decides exact ties."""
     w = cell_weights(state.theta_hat)
     best_point, best_val = None, -np.inf
     for point in sorted(LEVEL_POINTS):
@@ -279,8 +279,7 @@ def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory
     if rng is None:
         rng = np.random.default_rng(config.seed)
     model = config.to_model()
-    state = run_static_stage(model, config.method, config.n1, config.n,
-                             config.initial_design, rng)
+    state = run_static_stage(model, config.method, config.n1, config.initial_design, rng)
     step_fn = cm_step if config.method == "cm" else pics_step
     stop_index = None
     for i in range(config.n1 + 1, config.n + 1):

@@ -21,10 +21,6 @@ class ConstraintViolated(SeqDoptError):
     """Parameter vector violates the admissibility condition of a closed form."""
 
 
-class WeightNotRational(SeqDoptError):
-    """Design weights cannot be expressed over the scheduler's common denominator."""
-
-
 class InsufficientData(SeqDoptError):
     """Too few (or degenerate) observations to attempt an ML fit."""
 

@@ -58,16 +58,6 @@ class NlrKind:
         return 3 if self.tag == "M3" else 2
 
 
-def reduced_linear_coeffs(alpha1: float, alpha2: float, x0: float) -> tuple[float, float]:
-    """Linear-branch coefficients (a, b) making the mean and slope continuous at x0."""
-    if min(alpha1, alpha2, x0) <= 0.0:
-        raise ValueError("alpha1, alpha2 and x0 must all be positive")
-    e = alpha1 * np.exp(-alpha2 / x0)
-    b = e * alpha2 / x0**2
-    a = e * (1.0 - alpha2 / x0)
-    return float(a), float(b)
-
-
 def _check_x(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0):

@@ -6,10 +6,10 @@ two-factor coefficient, matched signs) to their entries; the growth/logistic
 split is written once, as the two entry classes.  An entry holds the run
 defaults and config rules, the closed form, fit and simulation, the
 information from the engine's sufficient statistics, the point encoding
-and CSV columns, the study aggregate and the grid oracle.  The rest of the
-package asks the entry (``model.family``), never which model it runs; the
-engine calls ``fit``, ``simulate`` and ``closed_form_design`` through this
-module, so a tracer can wrap them.
+and CSV columns, the study aggregate and the grid oracle; every model takes
+every method.  The rest of the package asks the entry (``model.family``),
+never which model it runs; the engine calls ``fit``, ``simulate`` and
+``closed_form_design`` through this module, so a tracer can wrap them.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class _Growth:
     fits on the point and response lists, points stored as floats, and the
     pooled density of the adaptive points as the study aggregate."""
 
-    methods = ("cm", "pics", "balanced_pics")
     initial_designs = ("uniform", "three_point")
     columns = ("x",)
     aggregate = ("density", metrics.sequential_density, metrics.histogram_to_csv)
@@ -124,11 +123,8 @@ class _Growth:
 class _Logistic:
     """2x2 factorial logistic model: binary responses, exact constrained fits
     from the cell table, points stored as cell indices into ``LEVEL_POINTS``,
-    and the pooled cell allocation as the study aggregate.  There is no
-    ``balanced_pics``: the scheduler serves weights on a 1/12 grid, and the
-    closed-form weights are irrational."""
+    and the pooled cell allocation as the study aggregate."""
 
-    methods = ("cm", "pics")
     initial_designs = ("four_point",)
     columns = ("x1", "x2")
     aggregate = ("allocation", metrics.glm_allocation, metrics.allocation_to_csv)

@@ -1,9 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt import modelspec
 from seqdopt.designs import (
     MANDAL_C0,
+    MAX_CYCLE,
     BalancedScheduler,
     DesignMeasure,
     balanced_cycle_counts,
@@ -19,7 +24,7 @@ from seqdopt.designs import (
     optimal_design_m2,
     optimal_design_m3,
 )
-from seqdopt.errors import ConstraintViolated, DegenerateDesign, WeightNotRational
+from seqdopt.errors import ConstraintViolated, DegenerateDesign
 from seqdopt.growth import ExperimentInterval, growth_grad
 from seqdopt.logistic import LEVEL_POINTS
 
@@ -212,10 +217,31 @@ def test_balanced_cycle_counts():
     assert balanced_cycle_counts((0.5, 0.5)) == [1, 1]
     assert balanced_cycle_counts((1 / 3, 1 / 3, 1 / 3)) == [1, 1, 1]
     assert balanced_cycle_counts((0.25, 0.5, 0.25)) == [1, 2, 1]
-    with pytest.raises(WeightNotRational):
-        balanced_cycle_counts((0.3, 0.3, 0.4))
-    with pytest.raises(WeightNotRational):
-        balanced_cycle_counts((0.0992, 0.3003, 0.3003, 0.3002))
+    assert balanced_cycle_counts((0.3, 0.3, 0.4)) == [3, 3, 4]
+    assert balanced_cycle_counts((0.0, 0.5, 0.5)) == [0, 1, 1]
+    # the irrational Mandal weights at the true values: GLM_C1's
+    # (0.0992, 0.3003, 0.3003, 0.3003) and GLM_C2's (0.2143, 0.2143, 0.2857, 0.2857)
+    assert balanced_cycle_counts(mandal_c1((0.7125,) * 3).weights) == [1, 3, 3, 3]
+    assert balanced_cycle_counts(mandal_c2((1.5, 0.5, 0.0)).weights) == [3, 3, 4, 4]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(n_cycle=st.integers(1, MAX_CYCLE), cuts=st.lists(st.integers(0, MAX_CYCLE), max_size=5))
+def test_balanced_cycle_counts_returns_grid_weights_in_their_shortest_cycle(n_cycle, cuts):
+    # weights k_i / N, zeros allowed, come back exactly as k_i / gcd(k)
+    edges = [0, *sorted(min(c, n_cycle) for c in cuts), n_cycle]
+    parts = [b - a for a, b in zip(edges, edges[1:])]
+    g = math.gcd(*parts)
+    assert balanced_cycle_counts([k / n_cycle for k in parts]) == [k // g for k in parts]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=6))
+def test_balanced_cycle_counts_serves_every_positive_weight(raw):
+    weights = [v / sum(raw) for v in raw]
+    counts = balanced_cycle_counts(weights)
+    assert len(counts) == len(weights)
+    assert min(counts) >= 1 and sum(counts) <= MAX_CYCLE
 
 
 def test_scheduler_cycle_covers_support_exactly_once():

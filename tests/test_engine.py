@@ -3,7 +3,9 @@ import pickle
 import numpy as np
 import pytest
 
+from seqdopt import modelspec
 from seqdopt.config import parse_config
+from seqdopt.designs import MAX_CYCLE, balanced_cycle_counts
 from seqdopt.engine import (
     EngineState,
     _cm_select_cells,
@@ -22,10 +24,10 @@ from seqdopt.logistic import LEVEL_POINTS, XXT_CELLS, cell_weights, fisher_from_
 from seqdopt.modelspec import default_model
 
 
-def _fresh_state(name="M1", method="pics", n1=40, n=100, init="uniform", seed=0):
+def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
     model = default_model(name)
     rng = np.random.default_rng(seed)
-    return run_static_stage(model, method, n1, n, init, rng)
+    return run_static_stage(model, method, n1, init, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -41,12 +43,12 @@ def test_static_stage_uniform_points_in_interval():
 
 
 def test_static_stage_four_point_exact_allocation():
-    state = _fresh_state("GLM_C1", n1=80, n=800, init="four_point")
+    state = _fresh_state("GLM_C1", n1=80, init="four_point")
     assert state.cell_counts.tolist() == [20.0, 20.0, 20.0, 20.0]
 
 
 def test_static_stage_three_point_support():
-    state = _fresh_state("M2", n1=60, n=200, init="three_point")
+    state = _fresh_state("M2", n1=60, init="three_point")
     assert set(state.xs) <= {0.5, 210.0, (0.5 + 210.0) / 2.0}
 
 
@@ -70,7 +72,7 @@ def test_static_stage_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_cm_step_glm_matches_exhaustive_candidate_evaluation():
-    state = _fresh_state("GLM_C1", method="cm", n1=80, n=800, init="four_point")
+    state = _fresh_state("GLM_C1", method="cm", n1=80, init="four_point")
     # force gross imbalance: pile extra trials onto cell (+1,+1)
     state.cell_counts = np.array([300.0, 20.0, 20.0, 20.0])
     state.cum_info = fisher_from_counts(state.cell_counts, state.theta_hat)
@@ -84,7 +86,7 @@ def test_cm_step_glm_matches_exhaustive_candidate_evaluation():
 
 
 def test_cm_step_appends_record_and_increases_det():
-    state = _fresh_state("M1", method="cm", n1=40, n=100)
+    state = _fresh_state("M1", method="cm", n1=40)
     theta_before = state.theta_hat.copy()
     det_before = det_sym(state.cum_info)
     cm_step(state)
@@ -101,8 +103,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
     measure = optimal_design_m1(theta, model.interval)
-    state = EngineState(model=model, method="cm", n1=40, n=100,
-                        rng=np.random.default_rng(0))
+    state = EngineState(model=model, method="cm", n1=40, rng=np.random.default_rng(0))
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
     state.theta_hat = theta
@@ -132,7 +133,7 @@ def test_pics_step_draws_from_closed_form_support():
 
 
 def test_balanced_pics_cycle_covers_support():
-    state = _fresh_state("M3", method="balanced_pics", n1=60, n=200, seed=3)
+    state = _fresh_state("M3", method="balanced_pics", n1=60, seed=3)
     for _ in range(3):
         pics_step(state)
     block = state.xs[60:63]
@@ -144,7 +145,7 @@ def test_pics_inadmissible_estimate_fails_the_step(monkeypatch):
     # the exact fits only return admissible estimates (see the property tests
     # in test_fitting.py); an injected inadmissible one is an error, not
     # something to project
-    state = _fresh_state("GLM_C1", method="pics", n1=80, n=800, init="four_point")
+    state = _fresh_state("GLM_C1", method="pics", n1=80, init="four_point")
     state.theta_hat = np.array([0.9, 0.9, 0.9])  # outside |b| < 0.8314
     with pytest.raises(ConstraintViolated):
         pics_step(state)
@@ -168,7 +169,7 @@ def test_pics_inadmissible_estimate_fails_the_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_stopping_never_fires_before_n1_plus_2():
-    state = _fresh_state("M1", n1=40, n=100, seed=5)
+    state = _fresh_state("M1", n1=40, seed=5)
     pics_step(state)  # step 41
     assert stopping_check(state, 1e18) is False
     pics_step(state)  # step 42
@@ -203,7 +204,7 @@ def test_stopping_monotone_in_delta():
 
 
 def test_stopping_degenerate_information_raises():
-    state = _fresh_state("M1", n1=40, n=100)
+    state = _fresh_state("M1", n1=40)
     pics_step(state)
     pics_step(state)
     state.dets[-2] = 0.0
@@ -355,7 +356,7 @@ def test_trajectory_columns_round_trip(name, n1, n):
             assert r.det_cum_info == traj.det_cum_info[k]
 
 
-@pytest.mark.parametrize("method", ["pics", "cm"])
+@pytest.mark.parametrize("method", ["pics", "cm", "balanced_pics"])
 @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
 def test_edge_configs_run_without_failed_steps(name, method):
     # the smallest static stage validation accepts, high noise, and an M2
@@ -367,3 +368,24 @@ def test_edge_configs_run_without_failed_steps(name, method):
         traj = run(cfg)
         assert len(traj) == 20
         assert np.all(np.isfinite(traj.theta_hat[cfg.n1 - 1:]))
+
+
+@pytest.mark.parametrize("name", ["GLM_C1", "GLM_C2"])
+def test_glm_balanced_cycles_serve_the_apportioned_counts(name):
+    # replay the run: each cycle starts from the measure at the estimate of
+    # the step before it, and a completed cycle tallies that measure's
+    # apportioned counts; a failed step raises StepFailed
+    for seed in range(5):
+        cfg = parse_config(model=name, method="balanced_pics", n1=8, n=200, seed=seed)
+        traj = run(cfg)
+        start, cycles = cfg.n1, 0
+        while True:
+            measure = modelspec.closed_form_design(cfg.to_model(), traj.theta_hat[start - 1])
+            assert measure.support == LEVEL_POINTS
+            counts = balanced_cycle_counts(measure.weights)
+            end = start + sum(counts)
+            if end > cfg.n:
+                break
+            assert np.bincount(traj.x[start:end], minlength=4).tolist() == counts
+            start, cycles = end, cycles + 1
+        assert cycles >= (cfg.n - cfg.n1) // MAX_CYCLE

@@ -11,7 +11,6 @@ from seqdopt.growth import (
     fisher_info_nlr,
     growth_grad,
     growth_mean,
-    reduced_linear_coeffs,
     simulate_response_nlr,
 )
 from seqdopt.linalg import central_diff_gradient, det_sym
@@ -46,29 +45,41 @@ def test_interval_validation():
         ExperimentInterval(5.0, 5.0)
 
 
-def test_reduced_coeffs_vanishing_intercept():
+def _linear_branch(kind, theta, x0):
+    """Intercept and slope of the mean's linear branch, read off the mean
+    at two points past the change point."""
+    lo, hi = growth_mean(kind, theta, x0), growth_mean(kind, theta, x0 + 1.0)
+    return lo - (hi - lo) * x0, hi - lo
+
+
+def test_linear_branch_intercept_vanishes_when_a2_equals_x0():
     # the (1 - a2/x0) factor vanishes exactly when a2 == x0
-    a, b = reduced_linear_coeffs(1.0, 50.0, 50.0)
-    assert a == 0.0
-    assert b == pytest.approx(np.exp(-1.0) / 50.0, rel=1e-12)
+    for kind, theta in ((NlrKind("M2", x0_known=50.0), (1.0, 50.0)),
+                        (M3, (1.0, 50.0, 50.0))):
+        a, b = _linear_branch(kind, theta, 50.0)
+        assert a == pytest.approx(0.0, abs=1e-15)
+        assert b == pytest.approx(np.exp(-1.0) / 50.0, rel=1e-12)
 
 
-def test_reduced_coeffs_continuity_of_value_and_slope():
-    a, b = reduced_linear_coeffs(32.11, 105.65, X0)
-    left_val = growth_mean(M1, THETA, X0)  # exponential branch value at x0
-    assert abs(left_val - (a + b * X0)) < 1e-10
-    # slope oracle: central difference of the exponential branch at x0
+def test_mean_value_and_slope_continuous_at_change_point():
     eps = 1e-5
+    # exponential branch value and slope at x0 (M1 is that branch everywhere)
+    left_val = growth_mean(M1, THETA, X0)
     left_slope = (growth_mean(M1, THETA, X0 + eps) - growth_mean(M1, THETA, X0 - eps)) / (2 * eps)
-    assert abs(left_slope - b) < 1e-8
+    for kind, theta in ((M2, THETA), (M3, THETA3)):
+        a, b = _linear_branch(kind, theta, X0)
+        assert abs(left_val - (a + b * X0)) < 1e-10
+        assert abs(left_slope - b) < 1e-8
 
 
-def test_reduced_coeffs_join_identity():
+def test_linear_branch_joins_exponential_at_change_point():
     rng = np.random.default_rng(1)
     for _ in range(20):
         a1, a2, x0 = rng.uniform(0.5, 200, size=3)
-        a, b = reduced_linear_coeffs(a1, a2, x0)
-        assert a + b * x0 == pytest.approx(a1 * np.exp(-a2 / x0), rel=1e-12)
+        expo = a1 * np.exp(-a2 / x0)   # exponential branch at x0, and its slope
+        assert growth_mean(M3, (a1, a2, x0), x0) == pytest.approx(expo, rel=1e-12)
+        _, b = _linear_branch(M3, (a1, a2, x0), x0)
+        assert b == pytest.approx(expo * a2 / x0**2, rel=1e-6)
 
 
 def test_mean_m1_unit_exponent():

@@ -51,9 +51,10 @@ def test_validation_errors_name_the_field():
         parse_config(model="M1", replications=0)
     with pytest.raises(ValueError, match="'delta_stop'"):
         parse_config(model="M1", delta_stop=-1.0)
-    for name in ("GLM_C1", "GLM_C2"):
-        with pytest.raises(ValueError, match="config field 'method'"):
-            parse_config(model=name, method="balanced_pics")
+    with pytest.raises(ValueError, match="config field 'method'"):
+        parse_config(model="GLM_C1", method="bogus")
+    for name in ("GLM_C1", "GLM_C2"):   # every model takes every method
+        assert parse_config(model=name, method="balanced_pics").method == "balanced_pics"
     with pytest.raises(ValueError, match="unknown config fields"):
         parse_config(model="M1", bogus=3)
 
