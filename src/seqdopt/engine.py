@@ -13,11 +13,12 @@ adds one trial at a time using one of three methods:
   point's apportioned copies (one each when the weights are equal).
 
 Every step refits the constrained MLE (for the growth models, Levenberg-
-Marquardt steps from the incumbent estimate; the logistic MLEs are exact)
-and rebuilds the cumulative information under the new estimate; per-step
-wall time covers exactly that compute (selection + response + refit +
-information rebuild).  Both methods share this refit, so the cm/pics
-compute gap is the cost of cm's criterion maximization.
+Marquardt steps from the incumbent estimate, whose last Jacobian gives the
+information; the logistic MLEs are exact) and rebuilds the cumulative
+information under the new estimate; per-step wall time covers exactly that
+compute (selection + response + refit + information rebuild).  Both
+methods share this refit, so the cm/pics compute gap is the cost of cm's
+criterion maximization.
 
 The engine does not ask which model it runs: the model's entry in
 ``modelspec.MODELS`` draws the static design, stores each point (and
@@ -41,7 +42,7 @@ from . import modelspec
 from .config import RunConfig
 from .designs import BalancedScheduler, draw_point
 from .errors import DegenerateInformation, StepFailed
-from .fitting import local_minimize
+from .fitting import FitResult, local_minimize
 from .growth import fisher_info_nlr
 from .linalg import det_sym
 from .logistic import LEVEL_POINTS, XXT_CELLS, cell_index, cell_weights
@@ -115,7 +116,8 @@ class EngineState:
 
     The per-trial history grows as parallel lists (``xs``, ``ys``,
     ``thetas``, ``dets``, ``step_ms``), one entry per finished trial;
-    logistic points are kept as cell indices.
+    logistic points are kept as cell indices.  ``fit`` is the latest fit,
+    whose estimate is ``theta_hat``.
     """
 
     model: ModelSpec
@@ -127,6 +129,7 @@ class EngineState:
     thetas: list = field(default_factory=list)
     dets: list = field(default_factory=list)
     step_ms: list = field(default_factory=list)
+    fit: FitResult | None = None
     theta_hat: np.ndarray | None = None
     cum_info: np.ndarray | None = None
     det_cum: float | None = None
@@ -155,15 +158,23 @@ def _refit(state: EngineState):
     growth models, stage 1 has no estimate yet and runs the cold fit; every
     later refit takes Levenberg-Marquardt steps from the incumbent estimate.
     """
-    state.theta_hat = modelspec.fit(state.model, state.xs, state.ys, init=state.theta_hat,
-                                    cell_counts=state.cell_counts,
-                                    cell_successes=state.cell_successes).theta
+    state.fit = modelspec.fit(state.model, state.xs, state.ys, init=state.theta_hat,
+                              cell_counts=state.cell_counts,
+                              cell_successes=state.cell_successes)
+    state.theta_hat = state.fit.theta
     _rebuild_cum_info(state)
 
 
 def _rebuild_cum_info(state: EngineState):
-    state.cum_info = state.model.family.cumulative_info(
-        state.model, state.theta_hat, state.xs, state.cell_counts)
+    """Cumulative information at the new estimate, and its determinant.
+
+    The model's entry builds it from the fit: a growth fit's normal matrix
+    J^T J (the Jacobian the refit last accepted) over sigma2, so the data's
+    gradients are not evaluated again, or the logistic cell table's
+    information at the estimate.
+    """
+    state.cum_info = state.model.family.cumulative_info(state.model, state.fit,
+                                                        state.cell_counts)
     state.det_cum = det_sym(state.cum_info)
 
 

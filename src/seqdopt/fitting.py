@@ -62,11 +62,18 @@ _C2_BOX = (math.exp(-C2_UBOUND), math.exp(C2_UBOUND))
 
 @dataclass
 class FitResult:
+    """A fit's estimate, objective (RSS or negative log-likelihood) and
+    iteration count.  ``normal`` is J^T J of the residual Jacobian at
+    ``theta`` for the growth least-squares fits, which ``nls_refit`` already
+    holds when it stops; divided by sigma2 it is the cumulative information.
+    The logistic fits leave it None."""
+
     theta: np.ndarray
     objective: float
     converged: bool
     iterations: int
     boundary: bool = False
+    normal: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +196,7 @@ def _nls_data(kind: NlrKind, x, y) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=float)
     if x.size < kind.dim + 1:
         raise InsufficientData(f"need at least {kind.dim + 1} observations, got {x.size}")
-    if np.unique(x).size < 2:
+    if not x.min() < x.max():
         raise InsufficientData("all design points identical")
     return x, y
 
@@ -293,7 +300,9 @@ def nls_refit(kind: NlrKind, x, y, init,
     the analytic growth_grad Jacobian apply.  Steps are projected onto the
     parameter box and kept only when they lower the RSS, so the result is
     never worse than `init`.  Stops once a proposed step moves every
-    coordinate by at most LM_XTOL * (1 + |theta|).
+    coordinate by at most LM_XTOL * (1 + |theta|).  The normal matrix
+    J^T J is formed once per accepted point, so the result carries it at
+    the returned theta (``FitResult.normal``) at no extra cost.
     """
     x, y = _nls_data(kind, x, y)
     lo, hi = _nls_bounds(kind, interval or ExperimentInterval())
@@ -305,29 +314,33 @@ def nls_refit(kind: NlrKind, x, y, init,
         r = y - theta[0] * jac[:, 0]
         return r, float(r @ r), jac
 
-    theta = np.clip(np.asarray(init, dtype=float), lo, hi)
+    theta = np.minimum(np.maximum(np.asarray(init, dtype=float), lo), hi)
     r, rss, jac = residuals_and_jacobian(theta)
+    jtj, jtr = jac.T @ jac, jac.T @ r
     lam = LM_LAMBDA0
     converged = False
     it = 0
     while it < LM_MAX_ITER:
         it += 1
-        jtj = jac.T @ jac
         # Marquardt scaling; the floor keeps a flat direction (an M3 change
         # point above every data point) from making the system singular
-        scale = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj)))
-        step = np.linalg.solve(jtj + lam * np.diag(scale), jac.T @ r)
-        cand = np.clip(theta + step, lo, hi)
-        if np.all(np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))):
+        diag = jtj.diagonal()
+        damped = jtj.copy()
+        damped.flat[::kind.dim + 1] += lam * np.maximum(diag, 1e-12 * diag.max())
+        step = np.linalg.solve(damped, jtr)
+        cand = np.minimum(np.maximum(theta + step, lo), hi)
+        if (np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))).all():
             converged = True
             break
         r_cand, rss_cand, jac_cand = residuals_and_jacobian(cand)
         if rss_cand < rss:
             theta, r, rss, jac = cand, r_cand, rss_cand, jac_cand
+            jtj, jtr = jac.T @ jac, jac.T @ r
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
         else:  # more damping shortens the step until it descends
             lam *= 10.0
-    return FitResult(theta=theta, objective=rss, converged=converged, iterations=it)
+    return FitResult(theta=theta, objective=rss, converged=converged, iterations=it,
+                     normal=jtj)
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ class NlrKind:
 
 def _check_x(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0):
+    if (x <= 0.0).any():
         raise DomainError("design points must be strictly positive")
     return x
 
@@ -91,32 +91,39 @@ def growth_mean(kind: NlrKind, theta, x):
 def growth_grad(kind: NlrKind, theta, x):
     """Analytic gradient of growth_mean w.r.t. the reduced parameters.
 
-    Returns shape (d,) for scalar x and x.shape + (d,) for arrays.  For M3
-    the change-point component is identically zero on the exponential
-    branch.  At x == x0 exactly, the linear-branch (right) derivative is
-    used, matching the branch rule of growth_mean.
+    Returns shape (d,) for scalar x and x.shape + (d,) for arrays, filled
+    in place: the exponential-branch columns on every point, then the
+    linear-branch columns over the points with x >= x0 only.  For M3 the
+    change-point component is identically zero on the exponential branch.
+    At x == x0 exactly, the linear-branch (right) derivative is used,
+    matching the branch rule of growth_mean.  The rows of a least-squares
+    Jacobian are these gradients, so its normal matrix J^T J divided by
+    sigma2 is the cumulative information (``cumulative_fisher_nlr``).
     """
     x = _check_x(x)
     a1, a2, x0 = _split_x0(kind, theta)
+    g = np.empty(x.shape + (kind.dim,))
     e_x = np.exp(-a2 / x)
-    d_a1_expo = e_x
-    d_a2_expo = -a1 * e_x / x
+    g[..., 0] = e_x
+    g[..., 1] = -a1 * e_x / x
     if kind.tag == "M1":
-        return np.stack(np.broadcast_arrays(d_a1_expo, d_a2_expo), axis=-1)
-
+        return g
+    if kind.tag == "M3":
+        g[..., 2] = 0.0
+    on_lin = x >= x0
+    if x.ndim:
+        x = x[on_lin]
+    elif on_lin:
+        on_lin = ...   # a scalar on the linear branch fills the whole row
+    else:
+        return g
     e0 = np.exp(-a2 / x0)
     phi = 1.0 - a2 / x0 + a2 * x / x0**2
-    d_a1_lin = e0 * phi
-    d_a2_lin = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
-    on_lin = x >= x0
-    comps = [
-        np.where(on_lin, d_a1_lin, d_a1_expo),
-        np.where(on_lin, d_a2_lin, d_a2_expo),
-    ]
+    g[on_lin, 0] = e0 * phi
+    g[on_lin, 1] = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
     if kind.tag == "M3":
-        d_x0_lin = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
-        comps.append(np.where(on_lin, d_x0_lin, 0.0))
-    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+        g[on_lin, 2] = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
+    return g
 
 
 def fisher_info_nlr(kind: NlrKind, theta, x: float, sigma2: float) -> np.ndarray:

@@ -22,9 +22,31 @@ import numpy as np
 from . import metrics
 from .config import RunConfig, validate_config
 from .engine import Trajectory, run
-from .errors import ConfigMismatch
+from .errors import ConfigMismatch, StepFailed
 
-__all__ = ["ReplicationSummary", "run_experiment", "compare_methods", "write_outputs"]
+__all__ = ["ReplicationFailure", "ReplicationSummary", "run_experiment",
+           "compare_methods", "write_outputs"]
+
+
+@dataclass(frozen=True)
+class ReplicationFailure:
+    """One failed replication: its index and seed, the step that raised
+    (None outside the sequential stage), and the class and message of the
+    error behind it (a failed step's cause, not the ``StepFailed`` wrapper)."""
+
+    replication: int
+    seed: int
+    step: int | None
+    cause: str
+    message: str
+
+    @classmethod
+    def from_exception(cls, replication: int, seed: int, exc: Exception):
+        if isinstance(exc, StepFailed):
+            step, cause = exc.step, exc.__cause__ or exc
+        else:
+            step, cause = None, exc
+        return cls(replication, seed, step, type(cause).__name__, str(cause))
 
 
 @dataclass
@@ -39,20 +61,21 @@ class ReplicationSummary:
     final_theta_mean: np.ndarray
     final_theta_cov: np.ndarray
     stop_indices: list[int | None] | None
-    failures: list[tuple[int, int, str]]   # (replication, seed, message)
+    failures: list[ReplicationFailure]
     # the model's study aggregate: pooled adaptive cell proportions of a
     # logistic model, or the pooled histogram of a growth model
     allocation: np.ndarray | None = None
     density: metrics.DensityHistogram | None = None
 
 
-def _replicate(args) -> tuple[int, Trajectory | None, str | None]:
+def _replicate(args) -> tuple[int, Trajectory | None, ReplicationFailure | None]:
     config, r = args
     rng = np.random.default_rng(config.seed + r)
     try:
         return r, run(config, rng=rng), None
     except Exception as exc:  # recorded per replication, budgeted by the caller
-        return r, None, f"{type(exc).__name__}: {exc}"
+        # built here: the cause of a StepFailed does not survive pickling
+        return r, None, ReplicationFailure.from_exception(r, config.seed + r, exc)
 
 
 def _run_replications(config: RunConfig, workers: int | None):
@@ -79,12 +102,12 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     results = _run_replications(config, workers)
 
     trajectories: list[Trajectory] = []
-    failures: list[tuple[int, int, str]] = []
-    for r, traj, err in results:
-        if err is None:
+    failures: list[ReplicationFailure] = []
+    for _, traj, failure in results:
+        if failure is None:
             trajectories.append(traj)
         else:
-            failures.append((r, config.seed + r, err))
+            failures.append(failure)
     if len(failures) > 0.10 * config.replications:
         raise RuntimeError(
             f"{len(failures)}/{config.replications} replications failed; "
@@ -163,7 +186,7 @@ def write_outputs(summary: ReplicationSummary, out_dir: str):
     doc = {
         "config": asdict(summary.config),
         "replications_succeeded": len(summary.trajectories),
-        "failures": [list(f) for f in summary.failures],
+        "failures": [asdict(f) for f in summary.failures],
         "final_theta_mean": [float(v) for v in summary.final_theta_mean],
         "final_theta_cov": [[float(v) for v in row]
                             for row in summary.final_theta_cov],

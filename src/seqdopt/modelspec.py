@@ -5,7 +5,7 @@
 two-factor coefficient, matched signs) to their entries; the growth/logistic
 split is written once, as the two entry classes.  An entry holds the run
 defaults and config rules, the closed form, fit and simulation, the
-information from the engine's sufficient statistics, the point encoding
+information from the fit or the engine's cell table, the point encoding
 and CSV columns, the study aggregate and the grid oracle; every model takes
 every method.  The rest of the package asks the entry (``model.family``),
 never which model it runs; the engine calls ``fit``, ``simulate`` and
@@ -56,6 +56,12 @@ class ModelSpec:
     def nlr_kind(self) -> growth.NlrKind:
         return growth.NlrKind(self.name, self.x0_known)
 
+    @cached_property
+    def success_probs(self) -> list[float]:
+        """Logistic models: P(Y=1) at theta_star in each cell, which every
+        simulated trial reads."""
+        return logistic.cell_probs(self.theta_star).tolist()
+
     def __getstate__(self) -> dict:
         # only the fields are pickled; the cached objects are rebuilt on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -99,8 +105,10 @@ class _Growth:
             return fitting.nls_fit(model.nlr_kind, xs, ys, interval=model.interval)
         return fitting.nls_refit(model.nlr_kind, xs, ys, init, interval=model.interval)
 
-    def cumulative_info(self, model, theta, xs, counts) -> np.ndarray:
-        return growth.cumulative_fisher_nlr(model.nlr_kind, theta, xs, model.sigma2)
+    def cumulative_info(self, model, fit, counts) -> np.ndarray:
+        # the fit's J^T J holds the gradients of every data point at its
+        # estimate: the same g^T g as growth.cumulative_fisher_nlr
+        return fit.normal / model.sigma2
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
         return growth.fisher_info_nlr(model.nlr_kind, theta, x, model.sigma2)
@@ -155,14 +163,16 @@ class _Logistic:
     def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
         return self._mle(counts=counts, successes=successes)
 
-    def cumulative_info(self, model, theta, xs, counts) -> np.ndarray:
-        return logistic.fisher_from_counts(counts, theta)
+    def cumulative_info(self, model, fit, counts) -> np.ndarray:
+        return logistic.fisher_from_counts(counts, fit.theta)
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
         return logistic.fisher_info_glm(theta, x)
 
     def simulate(self, model, x, rng) -> int:
-        return logistic.simulate_binary(model.theta_star, x, rng)
+        # the draw of logistic.simulate_binary at theta_star, against the
+        # spec's cached cell probabilities
+        return int(rng.random() < model.success_probs[logistic.cell_index(x)])
 
     def decode(self, x: np.ndarray) -> list[tuple]:
         return [logistic.LEVEL_POINTS[c] for c in x.tolist()]

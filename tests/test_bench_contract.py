@@ -33,7 +33,7 @@ STEPS = ("engine.cm_step", "engine.pics_step")
 @pytest.fixture(scope="module")
 def spans():
     """(name, parent name, count) of every span of the traced runs, plus
-    the cm_select counts by model."""
+    the rows of each run by (model, method)."""
     sys.path.insert(0, str(BENCH))
     try:
         from tracing import Tracer
@@ -46,17 +46,13 @@ def spans():
         for kwargs in CONFIGS:
             start = len(tracer.name)
             engine.run(parse_config(seed=3, **kwargs))
-            runs.append((kwargs["model"], start, len(tracer.name)))
+            runs.append(((kwargs["model"], kwargs["method"]), start, len(tracer.name)))
     finally:
         tracer.uninstall()
     names = [tracer.names[i] for i in tracer.name]
     rows = [(nm, names[p] if p >= 0 else None, c)
             for nm, p, c in zip(names, tracer.parent, tracer.count)]
-    select_counts = {}
-    for model, start, end in runs:
-        select_counts.setdefault(model, []).extend(
-            c for nm, _, c in rows[start:end] if nm == "engine.cm_select")
-    return rows, select_counts
+    return rows, {key: rows[start:end] for key, start, end in runs}
 
 
 @pytest.mark.parametrize("name, parents", [
@@ -81,10 +77,28 @@ def test_uninstall_restores_the_package(spans):
     assert not hasattr(engine.det_sym, "__wrapped__")
 
 
+@pytest.mark.parametrize("run", [("M3", "pics"), ("GLM_C2", "pics")])
+def test_every_step_fits_and_rebuilds_the_information_through_the_spans(spans, run):
+    # per model, not over all runs: a growth step whose information skips
+    # engine._rebuild_cum_info would leave engine.info without samples
+    _, by_run = spans
+    config = next(c for c in CONFIGS if (c["model"], c["method"]) == run)
+    steps = config["n"] - config["n1"]
+    for name, parents, count in (("engine.info", STEPS, steps),
+                                 ("fitting.fit", STEPS, steps),
+                                 ("fitting.fit", ("engine.stage1",), 1)):
+        assert sum(nm == name and parent in parents
+                   for nm, parent, _ in by_run[run]) == count, (name, parents)
+
+
 def test_cm_select_counts_determinant_evaluations(spans):
-    _, counts = spans
+    _, by_run = spans
+
+    def counts(run):
+        return np.array([c for nm, _, c in by_run[run] if nm == "engine.cm_select"])
     # the cell selector scores each of the four cells once per step
-    assert counts["GLM_C1"] and set(counts["GLM_C1"]) == {4}
+    glm = counts(("GLM_C1", "cm"))
+    assert glm.size and set(glm) == {4}
     # the interval selector evaluates the criterion along a simplex search
-    m3 = np.array(counts["M3"])
+    m3 = counts(("M3", "cm"))
     assert m3.size == 10 and np.all((m3 > 0) & (m3 <= 200))

@@ -306,6 +306,32 @@ def test_run_with_n_equal_n1_is_pure_static():
     assert traj.final_theta is not None
 
 
+def test_growth_step_evaluates_the_data_gradients_only_in_the_refit(monkeypatch):
+    # one array gradient per residual evaluation of the Levenberg-Marquardt
+    # refits (the start, then each candidate): the step's information comes
+    # from the last accepted Jacobian, with no extra pass over the data
+    from seqdopt import fitting, growth
+
+    growth_grad, nls_refit = growth.growth_grad, fitting.nls_refit
+    array_calls, fits = [0], []
+
+    def counting_grad(kind, theta, x):
+        array_calls[0] += np.ndim(x) > 0
+        return growth_grad(kind, theta, x)
+
+    def recording_refit(*args, **kwargs):
+        res = nls_refit(*args, **kwargs)
+        fits.append((res.iterations, res.converged))  # the cold fit adds to res
+        return res
+
+    for module in (growth, fitting):
+        monkeypatch.setattr(module, "growth_grad", counting_grad)
+    monkeypatch.setattr(fitting, "nls_refit", recording_refit)
+    traj = run(parse_config(model="M3", method="pics", n1=60, n=120, seed=3))
+    assert len(fits) == len(traj) - traj.n1 + 1   # the cold fit's polish included
+    assert array_calls[0] == sum(1 + it - converged for it, converged in fits)
+
+
 def test_failed_step_raises_typed_error_with_cause(monkeypatch):
     from seqdopt import engine
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqdopt import fitting
 from seqdopt.config import parse_config
 from seqdopt.engine import run
 from seqdopt.errors import InsufficientData
@@ -12,6 +13,11 @@ from seqdopt.fitting import (
     ALPHA_BOUNDS,
     C1_EDGE,
     C2_UBOUND,
+    LM_LAMBDA0,
+    LM_LAMBDA_MIN,
+    LM_MAX_ITER,
+    LM_XTOL,
+    FitResult,
     _amplitude_profile,
     _nls_bounds,
     local_minimize,
@@ -21,7 +27,7 @@ from seqdopt.fitting import (
     nls_fit,
     nls_refit,
 )
-from seqdopt.growth import ExperimentInterval, NlrKind, growth_mean
+from seqdopt.growth import ExperimentInterval, NlrKind, cumulative_fisher_nlr, growth_grad, growth_mean
 from seqdopt.linalg import central_diff_gradient
 from seqdopt.logistic import LEVEL_POINTS, simulate_binary
 from seqdopt.metrics import true_fisher_info
@@ -187,6 +193,90 @@ def test_nls_m3_profile_cold_start():
     res = nls_fit(kind, x, y, interval=OMEGA)
     assert np.allclose(res.theta[:2], THETA3[:2], rtol=0.1)
     assert abs(res.theta[2] - THETA3[2]) < 10.0
+
+
+# ---------------------------------------------------------------------------
+# the Levenberg-Marquardt refit against the loop it replaced
+# ---------------------------------------------------------------------------
+
+def _oracle_nls_refit(kind, x, y, init, interval):
+    """The replaced refit loop: np.diag damping, np.clip projection, the
+    normal equations formed afresh on every iteration, and no normal matrix
+    in the result."""
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    lo, hi = _nls_bounds(kind, interval)
+
+    def residuals_and_jacobian(theta):
+        jac = growth_grad(kind, theta, x)
+        r = y - theta[0] * jac[:, 0]
+        return r, float(r @ r), jac
+
+    theta = np.clip(np.asarray(init, dtype=float), lo, hi)
+    r, rss, jac = residuals_and_jacobian(theta)
+    lam, converged, it = LM_LAMBDA0, False, 0
+    while it < LM_MAX_ITER:
+        it += 1
+        jtj = jac.T @ jac
+        scale = np.maximum(np.diag(jtj), 1e-12 * np.max(np.diag(jtj)))
+        step = np.linalg.solve(jtj + lam * np.diag(scale), jac.T @ r)
+        cand = np.clip(theta + step, lo, hi)
+        if np.all(np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))):
+            converged = True
+            break
+        r_cand, rss_cand, jac_cand = residuals_and_jacobian(cand)
+        if rss_cand < rss:
+            theta, r, rss, jac = cand, r_cand, rss_cand, jac_cand
+            lam = max(lam / 10.0, LM_LAMBDA_MIN)
+        else:
+            lam *= 10.0
+    return FitResult(theta=theta, objective=rss, converged=converged, iterations=it)
+
+
+@pytest.fixture(scope="module")
+def recorded_refits():
+    """(kind, x, y, init, interval) of every Levenberg-Marquardt refit of
+    short M1/M2/M3 cm and pics runs, the cold fits' final polish included,
+    and of the high-noise edge configs, whose M3 refits exhaust LM_MAX_ITER."""
+    calls, original = [], fitting.nls_refit
+
+    def recorder(kind, x, y, init, interval=None):
+        calls.append((kind, np.array(x, dtype=float), np.array(y, dtype=float),
+                      np.array(init, dtype=float), interval))
+        return original(kind, x, y, init, interval=interval)
+
+    fitting.nls_refit = recorder
+    try:
+        for name in ("M1", "M2", "M3"):
+            for method in ("cm", "pics"):
+                run(parse_config(model=name, method=method, n1=20, n=40, seed=5))
+            extra = {"x0_known": 5.0} if name == "M2" else {}
+            run(parse_config(model=name, method="pics", n1=default_model(name).dim + 2,
+                             n=20, sigma2=10.0, seed=0, **extra))
+    finally:
+        fitting.nls_refit = original
+    return calls
+
+
+def test_refit_equals_the_replaced_loop_bit_for_bit(recorded_refits):
+    unconverged = 0
+    for kind, x, y, init, interval in recorded_refits:
+        new = nls_refit(kind, x, y, init, interval=interval)
+        old = _oracle_nls_refit(kind, x, y, init, interval)
+        assert np.array_equal(new.theta, old.theta)
+        assert new.objective == old.objective
+        assert (new.iterations, new.converged) == (old.iterations, old.converged)
+        unconverged += not new.converged
+    assert len(recorded_refits) > 150 and unconverged > 0
+
+
+@pytest.mark.parametrize("sigma2", [SIGMA2, 10.0])
+def test_refit_normal_matrix_is_the_cumulative_information(recorded_refits, sigma2):
+    # the engine's information: the same g^T g / sigma2, bit for bit, also
+    # when the refit stopped on its iteration budget right after a step
+    for kind, x, y, init, interval in recorded_refits:
+        res = nls_refit(kind, x, y, init, interval=interval)
+        assert np.array_equal(res.normal / sigma2,
+                              cumulative_fisher_nlr(kind, res.theta, x, sigma2))
 
 
 # ---------------------------------------------------------------------------

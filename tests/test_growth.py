@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt.errors import DomainError
 from seqdopt.growth import (
@@ -155,6 +157,57 @@ def test_grad_vectorized_matches_scalar():
     stacked = growth_grad(M3, THETA3, xs)
     for k, x in enumerate(xs):
         assert np.allclose(stacked[k], growth_grad(M3, THETA3, x))
+
+
+def _oracle_growth_grad(kind, theta, x):
+    """The replaced gradient: both branches on every point, joined by
+    np.where and stacked."""
+    x = np.asarray(x, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    a1, a2 = theta[0], theta[1]
+    x0 = theta[2] if kind.tag == "M3" else (float(kind.x0_known) if kind.tag == "M2"
+                                             else np.inf)
+    e_x = np.exp(-a2 / x)
+    d_a1_expo = e_x
+    d_a2_expo = -a1 * e_x / x
+    if kind.tag == "M1":
+        return np.stack(np.broadcast_arrays(d_a1_expo, d_a2_expo), axis=-1)
+    e0 = np.exp(-a2 / x0)
+    phi = 1.0 - a2 / x0 + a2 * x / x0**2
+    d_a1_lin = e0 * phi
+    d_a2_lin = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
+    on_lin = x >= x0
+    comps = [np.where(on_lin, d_a1_lin, d_a1_expo), np.where(on_lin, d_a2_lin, d_a2_expo)]
+    if kind.tag == "M3":
+        d_x0_lin = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
+        comps.append(np.where(on_lin, d_x0_lin, 0.0))
+    return np.stack(np.broadcast_arrays(*comps), axis=-1)
+
+
+@st.composite
+def grad_inputs(draw):
+    """A kind, theta in the fit box, and points as a float or a 1-D or 2-D
+    array, some of them exactly at the change point."""
+    kind = draw(st.sampled_from([M1, M2, M3]))
+    theta = [draw(st.floats(1e-3, 1e3)) for _ in range(2)]
+    if kind.tag == "M3":
+        theta.append(draw(st.floats(1.5, 209.0)))
+    x0 = theta[2] if kind.tag == "M3" else X0
+    shape = draw(st.sampled_from([(), (1,), (12,), (3, 4), (5, 1)]))
+    points = draw(st.lists(st.one_of(st.just(x0), st.floats(0.5, 210.0)),
+                           min_size=max(1, int(np.prod(shape))),
+                           max_size=max(1, int(np.prod(shape)))))
+    x = points[0] if shape == () else np.reshape(points, shape)
+    return kind, np.array(theta), x
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(grad_inputs())
+def test_grad_equals_the_replaced_gradient_bit_for_bit(inputs):
+    kind, theta, x = inputs
+    new, old = growth_grad(kind, theta, x), _oracle_growth_grad(kind, theta, x)
+    assert new.shape == old.shape == np.shape(x) + (kind.dim,)
+    assert np.array_equal(new, old)
 
 
 def test_fisher_m1_off_diagonal_pattern():

@@ -1,11 +1,12 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from seqdopt.config import RunConfig, parse_config, validate_config
 from seqdopt.errors import ConfigMismatch
-from seqdopt.harness import compare_methods, run_experiment
+from seqdopt.harness import ReplicationFailure, compare_methods, run_experiment
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +143,10 @@ def test_failure_budget_enforced(monkeypatch):
         run_experiment(cfg, workers=1)
 
 
-def test_failures_recorded_when_under_budget(monkeypatch):
+def test_failures_recorded_when_under_budget(monkeypatch, tmp_path):
     import seqdopt.harness as harness_mod
 
     orig = harness_mod.run
-
-    def flaky_run(config, rng=None):
-        # fail exactly the replication seeded with base + 3
-        traj = orig(config, rng=rng)
-        return traj
-
     calls = {"n": 0}
 
     def failing_third(config, rng=None):
@@ -162,10 +157,40 @@ def test_failures_recorded_when_under_budget(monkeypatch):
 
     monkeypatch.setattr(harness_mod, "run", failing_third)
     cfg = _small_cfg(replications=30)
-    summary = run_experiment(cfg, workers=1)
-    assert len(summary.failures) == 1
+    summary = run_experiment(cfg, out_dir=str(tmp_path), workers=1)
     assert len(summary.trajectories) == 29
-    assert "synthetic failure" in summary.failures[0][2]
+    # outside a sequential step the failure has no step, and its cause is
+    # the error itself
+    assert summary.failures == [ReplicationFailure(
+        replication=2, seed=cfg.seed + 2, step=None, cause="ValueError",
+        message="synthetic failure")]
+    doc = json.loads((tmp_path / "summary.json").read_text())
+    assert doc["failures"] == [{"replication": 2, "seed": cfg.seed + 2, "step": None,
+                                "cause": "ValueError", "message": "synthetic failure"}]
+
+
+def test_failed_step_recorded_with_step_and_cause(monkeypatch):
+    from seqdopt import engine
+
+    original = engine._rebuild_cum_info
+
+    def failing_rebuild(state):
+        # only the replication seeded base + 1 draws this first point
+        if len(state.xs) == 45 and state.xs[0] == first_point:
+            raise FloatingPointError("synthetic")
+        original(state)
+
+    cfg = _small_cfg(replications=12)
+    first_point = engine.run(cfg, rng=np.random.default_rng(cfg.seed + 1)).x[0]
+    monkeypatch.setattr(engine, "_rebuild_cum_info", failing_rebuild)
+    summary = run_experiment(cfg, workers=1)
+    assert summary.failures == [ReplicationFailure(
+        replication=1, seed=cfg.seed + 1, step=45, cause="FloatingPointError",
+        message="synthetic")]
+    assert len(summary.trajectories) == 11
+    # a StepFailed loses its cause when pickled, so the record is built where
+    # the replication ran, and it crosses a process boundary intact
+    assert pickle.loads(pickle.dumps(summary.failures)) == summary.failures
 
 
 def test_stop_indices_collected_with_delta():

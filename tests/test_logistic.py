@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from seqdopt.logistic import (
     X_CELLS,
     bernoulli_weight,
     cell_index,
+    cell_probs,
     cell_weights,
     fisher_from_counts,
     fisher_info_glm,
@@ -14,6 +17,7 @@ from seqdopt.logistic import (
     success_prob,
     weight_at_eta,
 )
+from seqdopt.modelspec import default_model, simulate
 
 BETA_C1 = (0.7125, 0.7125, 0.7125)
 BETA_C2 = (1.5, 0.5, 0.0)
@@ -136,3 +140,18 @@ def test_simulate_reproducible():
     seqs = [[simulate_binary(BETA_C1, (1, -1), np.random.default_rng(3))
              for _ in range(5)] for _ in range(2)]
     assert seqs[0] == seqs[1]
+
+
+@pytest.mark.parametrize("name", ["GLM_C1", "GLM_C2"])
+def test_model_simulate_draws_against_cached_probabilities(name):
+    model = default_model(name)
+    assert model.success_probs is model.success_probs
+    assert model.success_probs == cell_probs(model.theta_star).tolist()
+    # the same draws as simulate_binary at the truth, from the same stream
+    ra, rb = np.random.default_rng(4), np.random.default_rng(4)
+    points = [LEVEL_POINTS[c] for c in np.random.default_rng(5).integers(0, 4, 400)]
+    assert ([simulate(model, p, ra) for p in points]
+            == [simulate_binary(model.theta_star, p, rb) for p in points])
+    # the cache neither travels in a pickle nor enters equality
+    assert "success_probs" not in pickle.loads(pickle.dumps(model)).__dict__
+    assert pickle.loads(pickle.dumps(model)) == model
