@@ -28,8 +28,7 @@ def main():
     thetas, infos = [], []
     for traj in summary.trajectories:
         thetas.append(traj.final_theta)
-        infos.append(cumulative_fisher_nlr(model.nlr_kind, traj.final_theta,
-                                           traj.x, model.sigma2))
+        infos.append(cumulative_fisher_nlr(model, traj.final_theta, traj.x))
     diag = normality_diagnostic(thetas, model.theta_star, infos)
 
     print(f"{REPS} replications of the plug-in run at n={cfg.n}")

@@ -19,7 +19,6 @@ from .designs import (
     optimal_design_m3,
 )
 from .engine import Trajectory, run
-from .growth import ExperimentInterval, NlrKind
 from .harness import ReplicationSummary, compare_methods, run_experiment
 from .metrics import relative_efficiency, sequential_density, true_fisher_info
 from .modelspec import ModelSpec, closed_form_design, default_model
@@ -32,7 +31,6 @@ __all__ = [
     "optimal_design_m1", "optimal_design_m2", "optimal_design_m3",
     "mandal_c1", "mandal_c2",
     "Trajectory", "run",
-    "ExperimentInterval", "NlrKind",
     "ReplicationSummary", "compare_methods", "run_experiment",
     "relative_efficiency", "sequential_density", "true_fisher_info",
     "ModelSpec", "closed_form_design", "default_model",

@@ -31,7 +31,7 @@ def _add_config_flags(p: argparse.ArgumentParser, run_flags: bool):
         p.add_argument("--n1", type=int)
         p.add_argument("--n", type=int)
         p.add_argument("--initial-design", dest="initial_design",
-                       choices=("uniform", "three_point", "four_point"))
+                       help="static-stage design, one of the model's (default: its first)")
         p.add_argument("--delta-stop", dest="delta_stop", type=float)
         p.add_argument("--seed", type=int, required=True)
         p.add_argument("--reps", type=int, required=True)

@@ -52,6 +52,9 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.method not in METHODS:
         _fail("method", f"must be one of {METHODS}")
     family = modelspec.MODELS[config.model]
+    for name in ("sigma2", "x0_known"):   # the optional fields a model may not take
+        if getattr(config, name) is not None and name not in family.defaults:
+            _fail(name, f"{config.model} takes no {name}")
     if config.initial_design not in family.initial_designs:
         _fail("initial_design", f"{config.model} takes one of {family.initial_designs}")
     if len(config.true_params) != family.dim:

@@ -4,7 +4,10 @@ A design is a finite-support probability measure on the experiment space.
 For each of the five model families there is a closed-form optimal design
 as a function of the parameter vector; brute-force grid oracles are
 provided to validate those closed forms and are used only in tests and the
-``oracle`` CLI subcommand.
+``oracle`` CLI subcommand.  The growth closed forms and grid oracles take
+``(model, theta)``, the signature of the model table's closed form, and
+read the design interval and M2's known change point from the
+``ModelSpec``.
 """
 
 from __future__ import annotations
@@ -13,14 +16,18 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConstraintViolated, DegenerateDesign
-from .growth import ExperimentInterval
+from .growth import growth_grad
 from .linalg import det_sym, det_sym_batch
 from .logistic import (LEVEL_POINTS, XXT_CELLS, cell_weights, log_weight_at_eta,
                        weight_at_eta)
+
+if TYPE_CHECKING:
+    from .modelspec import ModelSpec
 
 #: admissibility bound on the common coefficient in the equal-beta logistic case
 MANDAL_C0 = 0.8314
@@ -69,13 +76,13 @@ def d_criterion(measure: DesignMeasure, fisher_fn) -> float:
 # closed forms, nonlinear growth models
 # ---------------------------------------------------------------------------
 
-def optimal_design_m1(theta, interval: ExperimentInterval) -> DesignMeasure:
+def optimal_design_m1(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced two-point design {max(a2*xmax/(a2+xmax), xmin), xmax}."""
     a1, a2 = float(theta[0]), float(theta[1])
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("alpha1 and alpha2 must be positive")
-    x1 = max(a2 * interval.x_max / (a2 + interval.x_max), interval.x_min)
-    x2 = interval.x_max
+    x1 = max(a2 * model.x_max / (a2 + model.x_max), model.x_min)
+    x2 = model.x_max
     if abs(x1 - x2) < _COINCIDENT_TOL:
         raise DegenerateDesign("two-point support collapsed")
     return DesignMeasure((x1, x2), (0.5, 0.5))
@@ -91,28 +98,28 @@ def m2_tau(alpha2: float, x0: float, x_max: float) -> float:
     return alpha2 / denom
 
 
-def optimal_design_m2(theta, x0_known: float, interval: ExperimentInterval) -> DesignMeasure:
+def optimal_design_m2(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced two-point design {max(tau, xmin), xmax} for the known change point."""
     a2 = float(theta[1])
     if float(theta[0]) <= 0.0 or a2 <= 0.0:
         raise ValueError("alpha1 and alpha2 must be positive")
-    tau = m2_tau(a2, float(x0_known), interval.x_max)
-    x1 = max(tau, interval.x_min)
-    x2 = interval.x_max
+    tau = m2_tau(a2, float(model.x0_known), model.x_max)
+    x1 = max(tau, model.x_min)
+    x2 = model.x_max
     if abs(x1 - x2) < _COINCIDENT_TOL or x1 > x2:
         raise DegenerateDesign("two-point support collapsed")
     return DesignMeasure((x1, x2), (0.5, 0.5))
 
 
-def optimal_design_m3(theta, interval: ExperimentInterval) -> DesignMeasure:
+def optimal_design_m3(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced three-point design {max(a2*x0/(a2+x0), xmin), x0, xmax}."""
     a1, a2, x0 = (float(v) for v in theta)
     if a1 <= 0.0 or a2 <= 0.0:
         raise ValueError("alpha1 and alpha2 must be positive")
-    if not interval.x_min < x0 < interval.x_max:
-        raise ValueError(f"x0={x0} outside ({interval.x_min}, {interval.x_max})")
-    x1 = max(a2 * x0 / (a2 + x0), interval.x_min)
-    pts = (x1, x0, interval.x_max)
+    if not model.x_min < x0 < model.x_max:
+        raise ValueError(f"x0={x0} outside ({model.x_min}, {model.x_max})")
+    x1 = max(a2 * x0 / (a2 + x0), model.x_min)
+    pts = (x1, x0, model.x_max)
     if min(abs(p - q) for p, q in itertools.combinations(pts, 2)) < _COINCIDENT_TOL:
         raise DegenerateDesign("three-point support has coincident points")
     third = 1.0 / 3.0
@@ -259,17 +266,16 @@ def _pair_best(grads: np.ndarray, chunk: int = 512) -> tuple[int, int]:
     return best
 
 
-def grid_oracle_two_point(grad_fn, interval: ExperimentInterval,
-                          step: float = 0.05) -> DesignMeasure:
+def grid_oracle_two_point(model: ModelSpec, theta, step: float = 0.05) -> DesignMeasure:
     """Exhaustive search over balanced two-point designs on a uniform grid.
 
     The balanced two-point D-criterion for rank-one informations reduces to
     the squared cross product of the two gradients, which lets the pair
     search run on the gradient table without forming any matrices.
     """
-    xs = np.arange(interval.x_min, interval.x_max + step / 2.0, step)
-    xs[-1] = interval.x_max
-    grads = np.atleast_2d(grad_fn(xs))
+    xs = np.arange(model.x_min, model.x_max + step / 2.0, step)
+    xs[-1] = model.x_max
+    grads = growth_grad(model, theta, xs)
     i, j = _pair_best(grads)
     pts = sorted((float(xs[i]), float(xs[j])))
     return DesignMeasure(tuple(pts), (0.5, 0.5))
@@ -280,7 +286,7 @@ def _triple_best(grads: np.ndarray, triples: np.ndarray) -> int:
     return int(np.argmax(np.abs(det_sym_batch(g))))
 
 
-def grid_oracle_three_point(grad_fn, interval: ExperimentInterval,
+def grid_oracle_three_point(model: ModelSpec, theta,
                             steps: tuple[float, ...] = (2.0, 0.25, 0.01)) -> DesignMeasure:
     """Staged exhaustive search over balanced three-point designs.
 
@@ -290,21 +296,21 @@ def grid_oracle_three_point(grad_fn, interval: ExperimentInterval,
     of three rank-one terms equals det(G)^2 for the 3x3 gradient matrix G,
     so each stage is one batched determinant.
     """
-    xs = np.arange(interval.x_min, interval.x_max + steps[0] / 2.0, steps[0])
-    xs[-1] = interval.x_max
-    grads = np.atleast_2d(grad_fn(xs))
+    xs = np.arange(model.x_min, model.x_max + steps[0] / 2.0, steps[0])
+    xs[-1] = model.x_max
+    grads = growth_grad(model, theta, xs)
     triples = np.array(list(itertools.combinations(range(len(xs)), 3)))
     best = np.sort(xs[triples[_triple_best(grads, triples)]])
 
     for prev_step, step in zip(steps, steps[1:]):
         axes = []
         for center in best:
-            lo = max(interval.x_min, center - prev_step)
-            hi = min(interval.x_max, center + prev_step)
+            lo = max(model.x_min, center - prev_step)
+            hi = min(model.x_max, center + prev_step)
             ax = np.arange(lo, hi + step / 2.0, step)
             axes.append(np.append(ax, center))  # keep the incumbent reachable
         pts = np.array(np.meshgrid(*axes, indexing="ij")).reshape(3, -1).T
-        g = np.stack([np.atleast_2d(grad_fn(pts[:, k])) for k in range(3)], axis=1)
+        g = np.stack([growth_grad(model, theta, pts[:, k]) for k in range(3)], axis=1)
         k = int(np.argmax(np.abs(det_sym_batch(g))))
         best = np.sort(pts[k])
 

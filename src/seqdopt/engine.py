@@ -212,10 +212,10 @@ def _cm_select_interval(state: EngineState) -> float:
     optimal support point), so the search returns a local maximizer.
     """
     model, theta = state.model, state.theta_hat
-    kind, sigma2, cum = model.nlr_kind, model.sigma2, state.cum_info
+    cum = state.cum_info
 
     def neg_criterion(x) -> float:
-        return -det_sym(cum + fisher_info_nlr(kind, theta, float(x[0]), sigma2))
+        return -det_sym(cum + fisher_info_nlr(model, theta, float(x[0])))
 
     x0 = np.array([(model.x_min + model.x_max) / 2.0])
     bounds = (np.array([model.x_min]), np.array([model.x_max]))

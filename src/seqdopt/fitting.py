@@ -1,13 +1,15 @@
 """Maximum-likelihood subsolvers shared by the sequential engines.
 
-Gaussian growth models are fitted by least squares.  The amplitude a1
-enters every growth mean linearly, so a cold fit (no previous estimate)
-projects it out (variable projection): the profiled RSS over the rate and,
-for M3, the change point is scanned on a grid in one numpy pass, a simplex
-polishes the best nodes, and Levenberg-Marquardt finishes.  Sequential
-refits take projected Levenberg-Marquardt steps from the incumbent estimate
-on the analytic Jacobian: every mean is C^1 in its parameters, the change
-point included, because the two branches meet in value and slope at x0.
+Gaussian growth models are fitted by least squares, on the ``ModelSpec``:
+its name, M2's known change point and, for M3's change-point box, its
+design interval.  The amplitude a1 enters every growth mean linearly, so a
+cold fit (no previous estimate) projects it out (variable projection): the
+profiled RSS over the rate and, for M3, the change point is scanned on a
+grid in one numpy pass, a simplex polishes the best nodes, and
+Levenberg-Marquardt finishes.  Sequential refits take projected
+Levenberg-Marquardt steps from the incumbent estimate on the analytic
+Jacobian: every mean is C^1 in its parameters, the change point included,
+because the two branches meet in value and slope at x0.
 
 The factorial logistic cases are fitted exactly under their admissibility
 constraints: a safeguarded Newton iteration on the concave scalar
@@ -20,13 +22,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .designs import MANDAL_C0
 from .errors import InsufficientData
-from .growth import ExperimentInterval, NlrKind, growth_grad
+from .growth import growth_grad
 from .logistic import sigmoid_scalar
+
+if TYPE_CHECKING:
+    from .modelspec import ModelSpec
 
 #: box for the growth-curve amplitude and rate parameters
 ALPHA_BOUNDS = (1e-3, 1e3)
@@ -182,20 +188,20 @@ def local_minimize(f, x0, bounds=None, n_starts: int = 3, perturb: float = 0.05,
 # nonlinear least squares for the growth models
 # ---------------------------------------------------------------------------
 
-def _nls_bounds(kind: NlrKind, interval: ExperimentInterval):
+def _nls_bounds(model: ModelSpec):
     lo = [ALPHA_BOUNDS[0], ALPHA_BOUNDS[0]]
     hi = [ALPHA_BOUNDS[1], ALPHA_BOUNDS[1]]
-    if kind.tag == "M3":
-        lo.append(interval.x_min + 1.0)
-        hi.append(interval.x_max - 1.0)
+    if model.name == "M3":
+        lo.append(model.x_min + 1.0)
+        hi.append(model.x_max - 1.0)
     return np.asarray(lo), np.asarray(hi)
 
 
-def _nls_data(kind: NlrKind, x, y) -> tuple[np.ndarray, np.ndarray]:
+def _nls_data(model: ModelSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    if x.size < kind.dim + 1:
-        raise InsufficientData(f"need at least {kind.dim + 1} observations, got {x.size}")
+    if x.size < model.dim + 1:
+        raise InsufficientData(f"need at least {model.dim + 1} observations, got {x.size}")
     if not x.min() < x.max():
         raise InsufficientData("all design points identical")
     return x, y
@@ -246,7 +252,7 @@ def _amplitude_profile(x: np.ndarray, y: np.ndarray):
     return grid, at
 
 
-def nls_fit(kind: NlrKind, x, y, interval: ExperimentInterval | None = None) -> FitResult:
+def nls_fit(model: ModelSpec, x, y) -> FitResult:
     """Cold least-squares fit of a growth model (no previous estimate).
 
     Variable projection (Golub & Pereyra 1973): the amplitude a1 is solved
@@ -260,13 +266,12 @@ def nls_fit(kind: NlrKind, x, y, interval: ExperimentInterval | None = None) -> 
     C^2 in x0 at the data points, over which LM from a grid node crawls.
     Iterations count the simplex and LM iterations together.
     """
-    x, y = _nls_data(kind, x, y)
-    interval = interval or ExperimentInterval()
-    lo, hi = _nls_bounds(kind, interval)
+    x, y = _nls_data(model, x, y)
+    lo, hi = _nls_bounds(model)
     grid, at = _amplitude_profile(x, y)
-    m3 = kind.tag == "M3"
+    m3 = model.name == "M3"
     x0s = np.linspace(lo[2], hi[2], VP_X0_NODES) if m3 else \
-        np.array([kind.x0_known if kind.tag == "M2" else np.inf])
+        np.array([model.x0_known if model.name == "M2" else np.inf])
     log_a2s = np.linspace(math.log(lo[1]), math.log(hi[1]), VP_RATE_NODES)
 
     rss = grid(np.exp(log_a2s), x0s)[1]
@@ -286,13 +291,12 @@ def nls_fit(kind: NlrKind, x, y, interval: ExperimentInterval | None = None) -> 
                             bounds=u_bounds, xtol=VP_XTOL) for j in minima]
     best = min(polished, key=lambda res: res.objective)
     theta = np.r_[profile(best.theta)[0], math.exp(best.theta[0]), best.theta[1:]]
-    fit = nls_refit(kind, x, y, theta, interval=interval)
+    fit = nls_refit(model, x, y, theta)
     fit.iterations += sum(res.iterations for res in polished)
     return fit
 
 
-def nls_refit(kind: NlrKind, x, y, init,
-              interval: ExperimentInterval | None = None) -> FitResult:
+def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
     """Projected Levenberg-Marquardt least squares from a warm start.
 
     The growth means are C^1 in theta, the change point included (the
@@ -304,13 +308,13 @@ def nls_refit(kind: NlrKind, x, y, init,
     J^T J is formed once per accepted point, so the result carries it at
     the returned theta (``FitResult.normal``) at no extra cost.
     """
-    x, y = _nls_data(kind, x, y)
-    lo, hi = _nls_bounds(kind, interval or ExperimentInterval())
+    x, y = _nls_data(model, x, y)
+    lo, hi = _nls_bounds(model)
 
     def residuals_and_jacobian(theta):
         # every growth mean is a1 times its a1-derivative, so one gradient
         # evaluation yields both the Jacobian and the residuals
-        jac = growth_grad(kind, theta, x)
+        jac = growth_grad(model, theta, x)
         r = y - theta[0] * jac[:, 0]
         return r, float(r @ r), jac
 
@@ -326,7 +330,7 @@ def nls_refit(kind: NlrKind, x, y, init,
         # point above every data point) from making the system singular
         diag = jtj.diagonal()
         damped = jtj.copy()
-        damped.flat[::kind.dim + 1] += lam * np.maximum(diag, 1e-12 * diag.max())
+        damped.flat[::theta.size + 1] += lam * np.maximum(diag, 1e-12 * diag.max())
         step = np.linalg.solve(damped, jtr)
         cand = np.minimum(np.maximum(theta + step, lo), hi)
         if (np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))).all():

@@ -10,6 +10,9 @@ and CSV columns, the study aggregate and the grid oracle; every model takes
 every method.  The rest of the package asks the entry (``model.family``),
 never which model it runs; the engine calls ``fit``, ``simulate`` and
 ``closed_form_design`` through this module, so a tracer can wrap them.
+The growth functions (means, fits, closed forms, grid oracles) take the
+``ModelSpec`` itself and read its name, interval, change point and sigma2,
+so those facts are held only by the spec.
 """
 
 from __future__ import annotations
@@ -47,15 +50,6 @@ class ModelSpec:
     def dim(self) -> int:
         return self.family.dim
 
-    # built and validated once per spec; a growth step reads both several times
-    @cached_property
-    def interval(self) -> growth.ExperimentInterval:
-        return growth.ExperimentInterval(self.x_min, self.x_max)
-
-    @cached_property
-    def nlr_kind(self) -> growth.NlrKind:
-        return growth.NlrKind(self.name, self.x0_known)
-
     @cached_property
     def success_probs(self) -> list[float]:
         """Logistic models: P(Y=1) at theta_star in each cell, which every
@@ -63,7 +57,7 @@ class ModelSpec:
         return logistic.cell_probs(self.theta_star).tolist()
 
     def __getstate__(self) -> dict:
-        # only the fields are pickled; the cached objects are rebuilt on use
+        # only the fields are pickled; success_probs is rebuilt on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -81,7 +75,7 @@ class _Growth:
         self.defaults = {"n1": 40, "n": 100, "initial_design": "uniform",
                          "true_params": true_params, "sigma2": 0.086, **defaults}
         self.closed_form = closed_form   # (model, theta) -> DesignMeasure
-        self._oracle = oracle            # (gradient function, interval) -> DesignMeasure
+        self.oracle = oracle             # (model, theta) -> DesignMeasure
         self.rules = (("sigma2", lambda c: c.sigma2 is not None and c.sigma2 > 0.0,
                        "growth models need sigma2 > 0"),
                       ("x_min", lambda c: 0.0 < c.x_min < c.x_max, "need 0 < x_min < x_max"),
@@ -102,8 +96,8 @@ class _Growth:
 
     def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
         if init is None:
-            return fitting.nls_fit(model.nlr_kind, xs, ys, interval=model.interval)
-        return fitting.nls_refit(model.nlr_kind, xs, ys, init, interval=model.interval)
+            return fitting.nls_fit(model, xs, ys)
+        return fitting.nls_refit(model, xs, ys, init)
 
     def cumulative_info(self, model, fit, counts) -> np.ndarray:
         # the fit's J^T J holds the gradients of every data point at its
@@ -111,21 +105,16 @@ class _Growth:
         return fit.normal / model.sigma2
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
-        return growth.fisher_info_nlr(model.nlr_kind, theta, x, model.sigma2)
+        return growth.fisher_info_nlr(model, theta, x)
 
     def simulate(self, model, x, rng):
-        return growth.simulate_response_nlr(model.nlr_kind, model.theta_star, x,
-                                            model.sigma2, rng)
+        return growth.simulate_response_nlr(model, model.theta_star, x, rng)
 
     def decode(self, x: np.ndarray) -> list:
         return x.tolist()
 
     def csv_points(self, x: np.ndarray) -> list[tuple]:
         return [(v,) for v in x.tolist()]
-
-    def oracle(self, model, theta) -> designs.DesignMeasure:
-        return self._oracle(lambda xs: growth.growth_grad(model.nlr_kind, theta, xs),
-                            model.interval)
 
 
 class _Logistic:
@@ -185,17 +174,14 @@ class _Logistic:
 
 #: the table, at the simulation study's true values
 MODELS: dict[str, _Growth | _Logistic] = {
-    "M1": _Growth(2, (32.11, 105.65),
-                  lambda m, theta: designs.optimal_design_m1(theta, m.interval),
+    "M1": _Growth(2, (32.11, 105.65), designs.optimal_design_m1,
                   designs.grid_oracle_two_point),
-    "M2": _Growth(2, (32.11, 105.65),
-                  lambda m, theta: designs.optimal_design_m2(theta, m.x0_known, m.interval),
+    "M2": _Growth(2, (32.11, 105.65), designs.optimal_design_m2,
                   designs.grid_oracle_two_point, x0_known=86.67,
                   rules=[("x0_known", lambda c: c.x0_known is not None
                           and c.x_min < c.x0_known < c.x_max,
                           "known change point must lie inside the interval")]),
-    "M3": _Growth(3, (32.11, 105.65, 86.67),
-                  lambda m, theta: designs.optimal_design_m3(theta, m.interval),
+    "M3": _Growth(3, (32.11, 105.65, 86.67), designs.optimal_design_m3,
                   designs.grid_oracle_three_point),
     "GLM_C1": _Logistic((0.7125, 0.7125, 0.7125), fitting.logistic_mle_c1,
                         lambda m, theta: designs.mandal_c1(theta)),
@@ -207,13 +193,11 @@ MODEL_NAMES = tuple(MODELS)
 
 def default_model(name: str, **overrides) -> ModelSpec:
     """ModelSpec of `name` at the table's true values, sigma2 and x0_known,
-    replaced by `overrides`; sigma2 and x0_known reach only the models whose
-    defaults hold them."""
+    replaced by `overrides`.  ``config.validate_config`` rejects a sigma2 or
+    x0_known on a model whose defaults do not hold one."""
     defaults = MODELS[name].defaults
     values = {"theta_star": defaults["true_params"], "sigma2": defaults.get("sigma2"),
-              "x0_known": defaults.get("x0_known")}
-    values.update((k, v) for k, v in overrides.items()
-                  if k not in ("sigma2", "x0_known") or k in defaults)
+              "x0_known": defaults.get("x0_known"), **overrides}
     return ModelSpec(name=name, **values)
 
 

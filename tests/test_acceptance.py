@@ -43,13 +43,11 @@ def test_acceptance_1_closed_form_vs_oracle():
         model = modelspec.default_model(name)
         theta = np.asarray(model.theta_star)
         closed = modelspec.closed_form_design(model, theta)
-        grad_fn = lambda xs: growth_grad(model.nlr_kind, theta, xs)
         if name == "M3":
-            oracle = grid_oracle_three_point(grad_fn, model.interval,
-                                             steps=(2.0, 0.25, 0.01))
+            oracle = grid_oracle_three_point(model, theta, steps=(2.0, 0.25, 0.01))
             support_tol = 0.25
         else:
-            oracle = grid_oracle_two_point(grad_fn, model.interval, step=0.05)
+            oracle = grid_oracle_two_point(model, theta, step=0.05)
             support_tol = 0.1
         fisher = lambda x: modelspec.fisher_point(model, theta, x)
         excess = d_criterion(oracle, fisher) / d_criterion(closed, fisher) - 1.0
@@ -168,8 +166,7 @@ def test_acceptance_5_normality_diagnostic(normality_battery):
         xs = np.array([r.x for r in traj.records])
         theta = traj.final_theta
         thetas.append(theta)
-        infos.append(cumulative_fisher_nlr(model.nlr_kind, theta, xs,
-                                           model.sigma2))
+        infos.append(cumulative_fisher_nlr(model, theta, xs))
     diag = normality_diagnostic(thetas, model.theta_star, infos)
     mean, cov = diag["mean"], diag["cov"]
     diag_ok = np.all((np.diag(cov) >= 0.7) & (np.diag(cov) <= 1.3))
@@ -211,7 +208,6 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
     worst = 0.0
     for name in ("M1", "M2", "M3"):
         model = modelspec.default_model(name)
-        kind = model.nlr_kind
         theta_star = np.asarray(model.theta_star, dtype=float)
         done = 0
         while done < 20:
@@ -221,8 +217,8 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
             t = theta_star * rng.uniform(0.8, 1.2, size=theta_star.size)
             if name == "M3":
                 t[2] = float(np.clip(t[2], 5.0, 205.0))
-            analytic = growth_grad(kind, t, x)
-            numeric = central_diff_gradient(lambda v: growth_mean(kind, v, x), t)
+            analytic = growth_grad(model, t, x)
+            numeric = central_diff_gradient(lambda v: growth_mean(model, v, x), t)
             denom = np.maximum(np.abs(numeric), 1e-8)
             worst = max(worst, float(np.max(np.abs(analytic - numeric) / denom)))
             done += 1

@@ -82,6 +82,9 @@ def test_config_file_plus_flags(tmp_path, capsys):
 @pytest.mark.parametrize("argv, field", [
     (["oracle", "--model", "M2", "--x0-known", "300"], "'x0_known'"),
     (["design", "--model", "M3", "--theta", "1,2"], "'true_params'"),
+    (["design", "--model", "M1", "--x0-known", "50"], "'x0_known'"),
+    (["run", "--model", "M1", "--initial-design", "bogus", "--seed", "1",
+      "--reps", "1", "--out-dir", "never-written"], "'initial_design'"),
 ])
 def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
     # the same defaults and rules as `run`, reported as one line, no traceback

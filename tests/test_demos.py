@@ -18,7 +18,11 @@ def test_closed_form_designs_demo_runs(capsys):
 
 @pytest.mark.parametrize("name", ["change_point_density", "estimator_normality",
                                   "factorial_allocation", "sequential_efficiency"])
-def test_demo_imports(name):
-    # the studies themselves take minutes; importing checks every name they use
+def test_demo_imports(name, capsys):
+    # the whole study at two replications: main() uses every name it needs
     module = runpy.run_path(str(DEMOS / f"{name}.py"), run_name="demo")
-    assert callable(module["main"])
+    main = module["main"]
+    assert "REPS" in main.__globals__
+    main.__globals__["REPS"] = 2
+    main()
+    assert capsys.readouterr().out

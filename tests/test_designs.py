@@ -25,13 +25,12 @@ from seqdopt.designs import (
     optimal_design_m3,
 )
 from seqdopt.errors import ConstraintViolated, DegenerateDesign
-from seqdopt.growth import ExperimentInterval, growth_grad
 from seqdopt.logistic import LEVEL_POINTS
 
 THETA = (32.11, 105.65)
 THETA3 = (32.11, 105.65, 86.67)
 X0 = 86.67
-OMEGA = ExperimentInterval(0.5, 210.0)
+M1, M2, M3 = (modelspec.default_model(name) for name in ("M1", "M2", "M3"))
 
 
 def test_measure_validation():
@@ -48,7 +47,7 @@ def test_measure_validation():
 def test_measure_json_roundtrip():
     import json
 
-    m = optimal_design_m1(THETA, OMEGA)
+    m = optimal_design_m1(M1, THETA)
     doc = json.loads(m.to_json())
     assert doc["weights"] == [0.5, 0.5]
     assert doc["support"][1] == 210.0
@@ -62,7 +61,7 @@ def test_measure_json_roundtrip():
 # ---------------------------------------------------------------------------
 
 def test_m1_design_at_true_parameters():
-    m = optimal_design_m1(THETA, OMEGA)
+    m = optimal_design_m1(M1, THETA)
     assert m.weights == (0.5, 0.5)
     assert m.support[0] == pytest.approx(105.65 * 210.0 / (105.65 + 210.0), rel=1e-12)
     assert m.support[0] == pytest.approx(70.29, abs=0.01)
@@ -70,8 +69,8 @@ def test_m1_design_at_true_parameters():
 
 
 def test_m1_design_clamps_to_x_min():
-    m = optimal_design_m1((1.0, 1e-6), OMEGA)
-    assert m.support[0] == OMEGA.x_min
+    m = optimal_design_m1(M1, (1.0, 1e-6))
+    assert m.support[0] == M1.x_min
 
 
 def test_m2_tau_frozen_value():
@@ -79,7 +78,7 @@ def test_m2_tau_frozen_value():
 
 
 def test_m2_design_at_true_parameters():
-    m = optimal_design_m2(THETA, X0, OMEGA)
+    m = optimal_design_m2(M2, THETA)
     assert m.weights == (0.5, 0.5)
     assert m.support[0] == pytest.approx(66.67, abs=0.01)
     assert m.support[1] == 210.0
@@ -87,8 +86,8 @@ def test_m2_design_at_true_parameters():
 
 def test_m2_design_clamps_to_x_min():
     # small a2 drives tau below x_min
-    m = optimal_design_m2((5.0, 0.05), X0, OMEGA)
-    assert m.support[0] == OMEGA.x_min
+    m = optimal_design_m2(M2, (5.0, 0.05))
+    assert m.support[0] == M2.x_min
 
 
 def test_m2_tau_always_interior_for_admissible_inputs():
@@ -110,7 +109,7 @@ def test_m2_degenerate_denominator_guard():
 
 
 def test_m3_design_at_true_parameters():
-    m = optimal_design_m3(THETA3, OMEGA)
+    m = optimal_design_m3(M3, THETA3)
     assert m.weights == (1 / 3, 1 / 3, 1 / 3)
     assert m.support[0] == pytest.approx(47.61, abs=0.01)
     assert m.support[1] == X0
@@ -122,7 +121,7 @@ def test_m3_first_point_below_change_point():
     for _ in range(20):
         a2 = rng.uniform(1.0, 500.0)
         x0 = rng.uniform(1.0, 209.0)
-        m = optimal_design_m3((10.0, a2, x0), OMEGA)
+        m = optimal_design_m3(M3, (10.0, a2, x0))
         assert m.support[0] < m.support[1]
 
 
@@ -199,7 +198,7 @@ def test_draw_point_single_support():
 
 
 def test_draw_point_frequencies():
-    m = optimal_design_m1(THETA, OMEGA)
+    m = optimal_design_m1(M1, THETA)
     rng = np.random.default_rng(4)
     draws = [draw_point(m, rng) for _ in range(10_000)]
     freq = np.mean([d == m.support[0] for d in draws])
@@ -207,7 +206,7 @@ def test_draw_point_frequencies():
 
 
 def test_draw_point_reproducible():
-    m = optimal_design_m3(THETA3, OMEGA)
+    m = optimal_design_m3(M3, THETA3)
     a = [draw_point(m, np.random.default_rng(5)) for _ in range(4)]
     b = [draw_point(m, np.random.default_rng(5)) for _ in range(4)]
     assert a == b
@@ -245,7 +244,7 @@ def test_balanced_cycle_counts_serves_every_positive_weight(raw):
 
 
 def test_scheduler_cycle_covers_support_exactly_once():
-    m = optimal_design_m3(THETA3, OMEGA)
+    m = optimal_design_m3(M3, THETA3)
     sched = BalancedScheduler(m, np.random.default_rng(6))
     for _ in range(10):
         block = [sched.next_point(m) for _ in range(3)]
@@ -280,16 +279,11 @@ def test_scheduler_updates_support_only_at_cycle_boundary():
 # grid oracles vs closed forms (fast spot checks; full sweep in acceptance)
 # ---------------------------------------------------------------------------
 
-def _nlr_model(name):
-    return modelspec.default_model(name)
-
-
 def test_oracle_agrees_with_closed_form_m1():
-    model = _nlr_model("M1")
+    model = M1
     theta = np.asarray(model.theta_star)
-    oracle = grid_oracle_two_point(lambda xs: growth_grad(model.nlr_kind, theta, xs),
-                                   OMEGA, step=0.1)
-    closed = optimal_design_m1(theta, OMEGA)
+    oracle = grid_oracle_two_point(model, theta, step=0.1)
+    closed = optimal_design_m1(model, theta)
     assert abs(oracle.support[0] - closed.support[0]) <= 0.1
     assert abs(oracle.support[1] - closed.support[1]) <= 0.1
 
@@ -300,11 +294,10 @@ def test_oracle_glm_zero_beta_uniform():
 
 
 def test_oracle_three_point_agrees_with_closed_form():
-    model = _nlr_model("M3")
+    model = M3
     theta = np.asarray(model.theta_star)
-    oracle = grid_oracle_three_point(
-        lambda xs: growth_grad(model.nlr_kind, theta, xs), OMEGA)
-    closed = optimal_design_m3(theta, OMEGA)
+    oracle = grid_oracle_three_point(model, theta)
+    closed = optimal_design_m3(model, theta)
     for a, b in zip(oracle.support, closed.support):
         assert abs(a - b) <= 0.25
 
@@ -327,13 +320,12 @@ def test_closed_form_criterion_dominates_oracle_random_parameters():
             closed = modelspec.closed_form_design(model, theta)
         except DegenerateDesign:
             continue
-        if name == "M2" and not OMEGA.x_min < closed.support[0] < model.x0_known:
+        if name == "M2" and not model.x_min < closed.support[0] < model.x0_known:
             continue  # closed form derived for an interior lower point
-        grad_fn = lambda xs: growth_grad(model.nlr_kind, theta, xs)
         if name == "M3":
-            oracle = grid_oracle_three_point(grad_fn, OMEGA, steps=(4.0, 0.5, 0.05))
+            oracle = grid_oracle_three_point(model, theta, steps=(4.0, 0.5, 0.05))
         else:
-            oracle = grid_oracle_two_point(grad_fn, OMEGA, step=0.25)
+            oracle = grid_oracle_two_point(model, theta, step=0.25)
         fisher = lambda x: modelspec.fisher_point(model, theta, x)
         assert d_criterion(closed, fisher) >= (1.0 - 1e-3) * d_criterion(oracle, fisher)
         checked[name] += 1
@@ -363,15 +355,15 @@ def test_support_continuity_in_theta():
     # plug-in continuity: small parameter perturbations move the support a
     # proportionally small amount
     base3 = np.asarray(THETA3)
-    m_base = optimal_design_m3(base3, OMEGA)
+    m_base = optimal_design_m3(M3, base3)
     for delta in (1e-4, 1e-3, 1e-2):
-        m_pert = optimal_design_m3(base3 * (1.0 + delta), OMEGA)
+        m_pert = optimal_design_m3(M3, base3 * (1.0 + delta))
         moves = np.abs(np.array(m_pert.support) - np.array(m_base.support))
         assert np.all(moves <= 300.0 * delta * np.abs(base3).max() / 32.0)
     base = np.asarray(THETA)
-    m_base = optimal_design_m2(base, X0, OMEGA)
+    m_base = optimal_design_m2(M2, base)
     for delta in (1e-4, 1e-3):
-        m_pert = optimal_design_m2(base * (1.0 + delta), X0, OMEGA)
+        m_pert = optimal_design_m2(M2, base * (1.0 + delta))
         moves = np.abs(np.array(m_pert.support) - np.array(m_base.support))
         assert np.all(moves <= 300.0 * delta * np.abs(base).max() / 32.0)
 

@@ -93,8 +93,7 @@ def test_cm_step_appends_record_and_increases_det():
     assert state.step == 41
     # determinant under the frozen previous estimate can only grow
     xs = np.array(state.xs)
-    info = sum(fisher_info_nlr(state.model.nlr_kind, theta_before, x,
-                               state.model.sigma2) for x in xs)
+    info = sum(fisher_info_nlr(state.model, theta_before, x) for x in xs)
     assert det_sym(info) >= det_before - 1e-12
 
 
@@ -102,14 +101,13 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     model = default_model("M1")
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
-    measure = optimal_design_m1(theta, model.interval)
+    measure = optimal_design_m1(model, theta)
     state = EngineState(model=model, method="cm", n1=40, rng=np.random.default_rng(0))
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
     state.theta_hat = theta
     from seqdopt.growth import cumulative_fisher_nlr
-    state.cum_info = cumulative_fisher_nlr(model.nlr_kind, theta,
-                                           np.array(state.xs), model.sigma2)
+    state.cum_info = cumulative_fisher_nlr(model, theta, np.array(state.xs))
     from seqdopt.engine import _cm_select_interval
     x = _cm_select_interval(state)
     assert min(abs(x - s) for s in measure.support) < 0.5
@@ -123,7 +121,7 @@ def test_pics_step_draws_from_closed_form_support():
     model = default_model("M1")
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
-    support = optimal_design_m1(theta, model.interval).support
+    support = optimal_design_m1(model, theta).support
     for seed in range(5):
         state = _fresh_state("M1", method="pics", seed=seed)
         state.theta_hat = theta  # plug in the truth
@@ -278,8 +276,7 @@ def test_det_nondecreasing_under_fixed_theta():
     theta = np.asarray(model.theta_star)
     xs = [r.x for r in traj.records]
     from seqdopt.growth import cumulative_fisher_nlr
-    dets = [det_sym(cumulative_fisher_nlr(model.nlr_kind, theta,
-                                          np.array(xs[:i]), model.sigma2))
+    dets = [det_sym(cumulative_fisher_nlr(model, theta, np.array(xs[:i])))
             for i in range(5, len(xs) + 1, 5)]
     assert all(b >= a - 1e-12 for a, b in zip(dets, dets[1:]))
 
@@ -315,9 +312,9 @@ def test_growth_step_evaluates_the_data_gradients_only_in_the_refit(monkeypatch)
     growth_grad, nls_refit = growth.growth_grad, fitting.nls_refit
     array_calls, fits = [0], []
 
-    def counting_grad(kind, theta, x):
+    def counting_grad(model, theta, x):
         array_calls[0] += np.ndim(x) > 0
-        return growth_grad(kind, theta, x)
+        return growth_grad(model, theta, x)
 
     def recording_refit(*args, **kwargs):
         res = nls_refit(*args, **kwargs)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,13 +28,12 @@ from seqdopt.fitting import (
     nls_fit,
     nls_refit,
 )
-from seqdopt.growth import ExperimentInterval, NlrKind, cumulative_fisher_nlr, growth_grad, growth_mean
+from seqdopt.growth import cumulative_fisher_nlr, growth_grad, growth_mean
 from seqdopt.linalg import central_diff_gradient
 from seqdopt.logistic import LEVEL_POINTS, simulate_binary
 from seqdopt.metrics import true_fisher_info
 from seqdopt.modelspec import closed_form_design, default_model, fit, simulate
 
-OMEGA = ExperimentInterval(0.5, 210.0)
 THETA = np.array([32.11, 105.65])
 THETA3 = np.array([32.11, 105.65, 86.67])
 SIGMA2 = 0.086
@@ -89,20 +89,19 @@ def test_local_minimize_multistart_returns_best():
 @pytest.mark.parametrize("name,theta", [("M1", THETA), ("M2", THETA), ("M3", THETA3)])
 def test_nls_recovers_noiseless_truth(name, theta):
     model = default_model(name)
-    kind = model.nlr_kind
     x = np.linspace(5.0, 210.0, 10)
-    y = growth_mean(kind, theta, x)
-    res = nls_fit(kind, x, y, interval=OMEGA)
+    y = growth_mean(model, theta, x)
+    res = nls_fit(model, x, y)
     assert np.allclose(res.theta, theta, rtol=1e-4)
     assert res.converged
 
 
 def test_nls_insufficient_data():
-    kind = NlrKind("M1")
+    model = default_model("M1")
     with pytest.raises(InsufficientData):
-        nls_fit(kind, [100.0, 120.0], [5.0, 6.0], interval=OMEGA)
+        nls_fit(model, [100.0, 120.0], [5.0, 6.0])
     with pytest.raises(InsufficientData):
-        nls_fit(kind, [100.0] * 8, [5.0] * 8, interval=OMEGA)
+        nls_fit(model, [100.0] * 8, [5.0] * 8)
 
 
 @pytest.mark.parametrize("name,init", [("M1", "uniform"), ("M2", "three_point"),
@@ -114,10 +113,10 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
     cfg = parse_config(model=name, method="pics", n1=40, n=100,
                        initial_design=init, seed=8)
     traj = run(cfg)
-    kind = traj.model.nlr_kind
+    model = traj.model
     lo, hi = [1e-3, 1e-3], [1e3, 1e3]
     if name == "M3":
-        lo, hi = lo + [OMEGA.x_min + 1.0], hi + [OMEGA.x_max - 1.0]
+        lo, hi = lo + [model.x_min + 1.0], hi + [model.x_max - 1.0]
     bounds = (np.array(lo), np.array(hi))
     xs, ys = traj.x, traj.y
     for i in range(traj.n1, len(traj)):
@@ -125,9 +124,9 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
         x, y = xs[:i + 1], ys[:i + 1]
 
         def rss(t):
-            return float(np.sum((y - growth_mean(kind, t, x)) ** 2))
+            return float(np.sum((y - growth_mean(model, t, x)) ** 2))
 
-        lm = nls_refit(kind, x, y, start, interval=OMEGA)
+        lm = nls_refit(model, x, y, start)
         simplex = local_minimize(rss, start, bounds=bounds, n_starts=1, xtol=1e-5,
                                  init_step=0.01)
         assert lm.converged
@@ -137,26 +136,26 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
 
 def test_lm_refit_stays_in_bounds_and_never_worse_than_init():
     rng = np.random.default_rng(9)
-    kind = NlrKind("M3")
+    model = default_model("M3")
     x = rng.uniform(1.0, 210.0, 60)
-    y = growth_mean(kind, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
+    y = growth_mean(model, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
     for init in ([32.0, 105.0, 209.0], [1e3, 1e-3, 1.0], THETA3 * 1.2):
-        res = nls_refit(kind, x, y, init, interval=OMEGA)
+        res = nls_refit(model, x, y, init)
         start = np.clip(init, [1e-3, 1e-3, 1.5], [1e3, 1e3, 209.0])
         assert np.all(res.theta >= [1e-3, 1e-3, 1.5])
         assert np.all(res.theta <= [1e3, 1e3, 209.0])
-        assert res.objective <= float(np.sum((y - growth_mean(kind, start, x)) ** 2))
+        assert res.objective <= float(np.sum((y - growth_mean(model, start, x)) ** 2))
 
 
 def test_nls_gradient_small_at_optimum():
     rng = np.random.default_rng(1)
-    kind = NlrKind("M1")
+    model = default_model("M1")
     x = rng.uniform(1.0, 210.0, 60)
-    y = growth_mean(kind, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
-    res = nls_fit(kind, x, y, interval=OMEGA)
+    y = growth_mean(model, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
+    res = nls_fit(model, x, y)
 
     def rss(t):
-        return float(np.sum((y - growth_mean(kind, t, x)) ** 2))
+        return float(np.sum((y - growth_mean(model, t, x)) ** 2))
 
     grad = central_diff_gradient(rss, res.theta)
     assert res.converged
@@ -167,7 +166,6 @@ def test_nls_m1_within_three_standard_errors():
     # oracle: asymptotic covariance from the optimal-design information;
     # draws come from the optimal design itself
     model = default_model("M1")
-    kind = model.nlr_kind
     i_star = true_fisher_info(model)
     n = 200
     cov = np.linalg.inv(n * i_star)
@@ -178,8 +176,8 @@ def test_nls_m1_within_three_standard_errors():
         rng = np.random.default_rng(1000 + r)
         half = n // 2
         x = np.array([70.288] * half + [210.0] * half)
-        y = growth_mean(kind, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), n)
-        res = nls_fit(kind, x, y, interval=OMEGA)
+        y = growth_mean(model, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), n)
+        res = nls_fit(model, x, y)
         if np.all(np.abs(res.theta - THETA) <= 3.0 * se):
             hits += 1
     assert hits >= 95
@@ -187,10 +185,10 @@ def test_nls_m1_within_three_standard_errors():
 
 def test_nls_m3_profile_cold_start():
     rng = np.random.default_rng(2)
-    kind = NlrKind("M3")
+    model = default_model("M3")
     x = rng.uniform(1.0, 210.0, 120)
-    y = growth_mean(kind, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 120)
-    res = nls_fit(kind, x, y, interval=OMEGA)
+    y = growth_mean(model, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 120)
+    res = nls_fit(model, x, y)
     assert np.allclose(res.theta[:2], THETA3[:2], rtol=0.1)
     assert abs(res.theta[2] - THETA3[2]) < 10.0
 
@@ -199,15 +197,15 @@ def test_nls_m3_profile_cold_start():
 # the Levenberg-Marquardt refit against the loop it replaced
 # ---------------------------------------------------------------------------
 
-def _oracle_nls_refit(kind, x, y, init, interval):
+def _oracle_nls_refit(model, x, y, init):
     """The replaced refit loop: np.diag damping, np.clip projection, the
     normal equations formed afresh on every iteration, and no normal matrix
     in the result."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lo, hi = _nls_bounds(kind, interval)
+    lo, hi = _nls_bounds(model)
 
     def residuals_and_jacobian(theta):
-        jac = growth_grad(kind, theta, x)
+        jac = growth_grad(model, theta, x)
         r = y - theta[0] * jac[:, 0]
         return r, float(r @ r), jac
 
@@ -234,15 +232,15 @@ def _oracle_nls_refit(kind, x, y, init, interval):
 
 @pytest.fixture(scope="module")
 def recorded_refits():
-    """(kind, x, y, init, interval) of every Levenberg-Marquardt refit of
+    """(model, x, y, init) of every Levenberg-Marquardt refit of
     short M1/M2/M3 cm and pics runs, the cold fits' final polish included,
     and of the high-noise edge configs, whose M3 refits exhaust LM_MAX_ITER."""
     calls, original = [], fitting.nls_refit
 
-    def recorder(kind, x, y, init, interval=None):
-        calls.append((kind, np.array(x, dtype=float), np.array(y, dtype=float),
-                      np.array(init, dtype=float), interval))
-        return original(kind, x, y, init, interval=interval)
+    def recorder(model, x, y, init):
+        calls.append((model, np.array(x, dtype=float), np.array(y, dtype=float),
+                      np.array(init, dtype=float)))
+        return original(model, x, y, init)
 
     fitting.nls_refit = recorder
     try:
@@ -259,9 +257,9 @@ def recorded_refits():
 
 def test_refit_equals_the_replaced_loop_bit_for_bit(recorded_refits):
     unconverged = 0
-    for kind, x, y, init, interval in recorded_refits:
-        new = nls_refit(kind, x, y, init, interval=interval)
-        old = _oracle_nls_refit(kind, x, y, init, interval)
+    for model, x, y, init in recorded_refits:
+        new = nls_refit(model, x, y, init)
+        old = _oracle_nls_refit(model, x, y, init)
         assert np.array_equal(new.theta, old.theta)
         assert new.objective == old.objective
         assert (new.iterations, new.converged) == (old.iterations, old.converged)
@@ -273,23 +271,24 @@ def test_refit_equals_the_replaced_loop_bit_for_bit(recorded_refits):
 def test_refit_normal_matrix_is_the_cumulative_information(recorded_refits, sigma2):
     # the engine's information: the same g^T g / sigma2, bit for bit, also
     # when the refit stopped on its iteration budget right after a step
-    for kind, x, y, init, interval in recorded_refits:
-        res = nls_refit(kind, x, y, init, interval=interval)
+    for model, x, y, init in recorded_refits:
+        res = nls_refit(model, x, y, init)
+        at_sigma2 = dataclasses.replace(model, sigma2=sigma2)
         assert np.array_equal(res.normal / sigma2,
-                              cumulative_fisher_nlr(kind, res.theta, x, sigma2))
+                              cumulative_fisher_nlr(at_sigma2, res.theta, x))
 
 
 # ---------------------------------------------------------------------------
 # the variable-projection cold fit against the simplex cold fit it replaced
 # ---------------------------------------------------------------------------
 
-def _oracle_rss_fn(kind, x, y):
+def _oracle_rss_fn(model, x, y):
     """RSS closure of the replaced cold fit, on the data sorted by x."""
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
     inv_x = 1.0 / xs
 
-    if kind.tag == "M1":
+    if model.name == "M1":
         def rss(theta):
             r = ys - theta[0] * np.exp(-theta[1] * inv_x)
             return float(r @ r)
@@ -300,8 +299,8 @@ def _oracle_rss_fn(kind, x, y):
         r_hi = ys[k:] - a1 * np.exp(-a2 / x0) * (1.0 - a2 / x0 + a2 * xs[k:] / x0**2)
         return float(r_lo @ r_lo + r_hi @ r_hi)
 
-    if kind.tag == "M2":
-        x0 = float(kind.x0_known)
+    if model.name == "M2":
+        x0 = float(model.x0_known)
         k_fixed = int(np.searchsorted(xs, x0, side="left"))
         return lambda theta: branched_rss(theta[0], theta[1], x0, k_fixed)
 
@@ -340,14 +339,14 @@ def _oracle_golden_section(f, lo, hi, xtol):
     return c if fc < fd else d
 
 
-def _oracle_m3_start(x, y, interval):
+def _oracle_m3_start(model, x, y):
     """Change-point profile: (a1, a2) simplex fits warm-chained over 40 nodes,
     then a golden section around the best node."""
-    grid = np.linspace(interval.x_min + 1.0, interval.x_max - 1.0, 40)
+    grid = np.linspace(model.x_min + 1.0, model.x_max - 1.0, 40)
     inner_bounds = (np.full(2, ALPHA_BOUNDS[0]), np.full(2, ALPHA_BOUNDS[1]))
 
     def inner(x0, init):
-        rss = _oracle_rss_fn(NlrKind("M2", x0_known=float(x0)), x, y)
+        rss = _oracle_rss_fn(default_model("M2", x0_known=float(x0)), x, y)
         return local_minimize(rss, init, bounds=inner_bounds, n_starts=1,
                               xtol=1e-4, max_iter=80)
 
@@ -364,13 +363,13 @@ def _oracle_m3_start(x, y, interval):
     return np.append(inner(x0_star, warm).theta, x0_star)
 
 
-def _oracle_cold_fit(kind, x, y, interval):
+def _oracle_cold_fit(model, x, y):
     """The replaced cold fit: a start (log-linear, or the M3 profile), then a
     3-start box-projected simplex."""
-    bounds = _nls_bounds(kind, interval)
-    init = _oracle_m3_start(x, y, interval) if kind.tag == "M3" else _oracle_exp_start(x, y)
+    bounds = _nls_bounds(model)
+    init = _oracle_m3_start(model, x, y) if model.name == "M3" else _oracle_exp_start(x, y)
     init = np.clip(init, bounds[0], bounds[1])
-    return local_minimize(_oracle_rss_fn(kind, x, y), init, bounds=bounds)
+    return local_minimize(_oracle_rss_fn(model, x, y), init, bounds=bounds)
 
 
 def _stage1_data(name, design, n1, seed):
@@ -388,16 +387,15 @@ def test_amplitude_profile_matches_direct_rss(name):
     # the prefix-sum grid and the scalar path both equal the RSS of
     # growth_mean at the projected amplitude, ties at x0 included
     model, x, y = _stage1_data(name, "uniform" if name != "M2" else "three_point", 30, 4)
-    kind = model.nlr_kind
     x0s = np.array([x[3], 50.0, 150.0]) if name == "M3" else \
-        np.array([kind.x0_known if name == "M2" else np.inf])
+        np.array([model.x0_known if name == "M2" else np.inf])
     a2s = np.array([1e-3, 20.0, 105.65, 900.0])
     grid, at = _amplitude_profile(x, y)
     a1, rss = grid(a2s, x0s)
     for i, a2 in enumerate(a2s):
         for j, x0 in enumerate(x0s):
-            theta = [a1[i, j], a2, x0][:kind.dim]
-            r = y - growth_mean(kind, theta, x)
+            theta = [a1[i, j], a2, x0][:model.dim]
+            r = y - growth_mean(model, theta, x)
             assert rss[i, j] == pytest.approx(float(r @ r), rel=1e-9)
             assert at(a2, x0) == pytest.approx((a1[i, j], rss[i, j]), rel=1e-12)
             assert ALPHA_BOUNDS[0] <= a1[i, j] <= ALPHA_BOUNDS[1]
@@ -411,10 +409,9 @@ def test_amplitude_profile_matches_direct_rss(name):
 def test_cold_fit_never_worse_than_simplex_oracle(name, design, n1):
     for seed in range(ORACLE_SEEDS[name]):
         model, x, y = _stage1_data(name, design, n1, seed)
-        kind = model.nlr_kind
-        res = nls_fit(kind, x, y, interval=model.interval)
-        oracle = _oracle_cold_fit(kind, x, y, model.interval)
-        r = y - growth_mean(kind, res.theta, x)
+        res = nls_fit(model, x, y)
+        oracle = _oracle_cold_fit(model, x, y)
+        r = y - growth_mean(model, res.theta, x)
         assert res.objective == pytest.approx(float(r @ r), rel=1e-12)
         assert res.objective <= oracle.objective * (1.0 + 1e-9), (seed, res.theta,
                                                                    oracle.theta)
@@ -426,10 +423,10 @@ def test_cold_fit_never_worse_than_simplex_oracle(name, design, n1):
 def test_cold_fit_recovers_noise_free_m3(n1, log2_scale, x0, seed):
     # a1 and a2 within a factor 2 of the truth, points uniform on the interval
     theta = [THETA3[0] * 2.0 ** log2_scale[0], THETA3[1] * 2.0 ** log2_scale[1], x0]
-    kind = NlrKind("M3")
-    x = np.random.default_rng(seed).uniform(OMEGA.x_min, OMEGA.x_max, n1)
-    y = growth_mean(kind, theta, x)
-    res = nls_fit(kind, x, y, interval=OMEGA)
+    model = default_model("M3")
+    x = np.random.default_rng(seed).uniform(model.x_min, model.x_max, n1)
+    y = growth_mean(model, theta, x)
+    res = nls_fit(model, x, y)
     assert res.objective <= 1e-10 * float(y @ y), res.theta
 
 
@@ -649,6 +646,6 @@ def test_logistic_fit_of_any_table_admits_the_closed_form(table):
 @given(st.sampled_from(["M1", "M2", "M3"]), st.data())
 def test_growth_fit_box_admits_the_closed_form(name, data):
     model = default_model(name)
-    lo, hi = _nls_bounds(model.nlr_kind, model.interval)
+    lo, hi = _nls_bounds(model)
     theta = [data.draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)]
     _assert_probability_measure(closed_form_design(model, theta))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqdopt.config import RunConfig, parse_config, validate_config
-from seqdopt.errors import ConfigMismatch
+from seqdopt.errors import ConfigError, ConfigMismatch
 from seqdopt.harness import ReplicationFailure, compare_methods, run_experiment
 
 
@@ -58,6 +58,22 @@ def test_validation_errors_name_the_field():
         assert parse_config(model=name, method="balanced_pics").method == "balanced_pics"
     with pytest.raises(ValueError, match="unknown config fields"):
         parse_config(model="M1", bogus=3)
+    # fields a model does not take are rejected, not silently dropped
+    for name in ("M1", "M3"):
+        with pytest.raises(ConfigError, match="'x0_known'"):
+            parse_config(model=name, x0_known=50.0)
+    for name in ("GLM_C1", "GLM_C2"):
+        with pytest.raises(ConfigError, match="'sigma2'"):
+            parse_config(model=name, sigma2=0.086)
+    # the interval and the known change point
+    with pytest.raises(ConfigError, match="'x0_known'"):
+        validate_config(RunConfig(model="M2", x0_known=None, sigma2=0.086,
+                                  true_params=(32.11, 105.65)))
+    for x_min in (0.0, -1.0):
+        with pytest.raises(ConfigError, match="'x_min'"):
+            parse_config(model="M1", x_min=x_min)
+    with pytest.raises(ConfigError, match="'x_min'"):
+        parse_config(model="M3", x_min=150.0, x_max=150.0)
 
 
 def test_parse_config_from_json_file(tmp_path):

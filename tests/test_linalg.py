@@ -66,10 +66,11 @@ def test_central_diff_simple_functions():
 
 
 def test_central_diff_matches_analytic_growth_gradient():
-    from seqdopt.growth import NlrKind, growth_grad, growth_mean
+    from seqdopt.growth import growth_grad, growth_mean
+    from seqdopt.modelspec import default_model
 
-    kind = NlrKind("M1")
+    model = default_model("M1")
     theta = np.array([32.11, 105.65])
-    numeric = central_diff_gradient(lambda t: growth_mean(kind, t, 100.0), theta)
-    analytic = growth_grad(kind, theta, 100.0)
+    numeric = central_diff_gradient(lambda t: growth_mean(model, t, 100.0), theta)
+    analytic = growth_grad(model, theta, 100.0)
     assert np.allclose(numeric, analytic, rtol=1e-6)

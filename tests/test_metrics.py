@@ -63,8 +63,7 @@ def _toy_trajectory(model, xs, theta):
     thetas[n1 - 1:] = theta
     dets = np.full(n, np.nan)
     for i in range(n1, n + 1):
-        dets[i - 1] = det_sym(cumulative_fisher_nlr(model.nlr_kind, theta, x[:i],
-                                                    model.sigma2))
+        dets[i - 1] = det_sym(cumulative_fisher_nlr(model, theta, x[:i]))
     return Trajectory(model=model, method="pics", n1=n1, x=x, y=np.zeros(n),
                       theta_hat=thetas, det_cum_info=dets, step_ms=np.zeros(n),
                       stage1_ms=0.0)
@@ -83,8 +82,7 @@ def _recomputed_efficiency(traj, i_star):
             counts = np.bincount(traj.x[:i], minlength=4)
             info = fisher_from_counts(counts, theta_i) / i
         else:
-            info = cumulative_fisher_nlr(model.nlr_kind, theta_i, traj.x[:i],
-                                         model.sigma2) / i
+            info = cumulative_fisher_nlr(model, theta_i, traj.x[:i]) / i
         values[k] = 1.0 - abs(det_sym(info) - det_star) / det_star
     return steps, values
 
@@ -113,7 +111,7 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
 def test_efficiency_one_when_information_matches():
     model = default_model("M1")
     theta = np.asarray(model.theta_star)
-    measure = optimal_design_m1(theta, model.interval)
+    measure = optimal_design_m1(model, theta)
     # alternate the two support points: the empirical average equals I*
     xs = list(measure.support) * 30
     traj = _toy_trajectory(model, xs, theta)
@@ -180,7 +178,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
     i = 50
     theta_i = traj.records[i - 1].theta_hat
     xs = np.array([r.x for r in traj.records[:i]])
-    info = cumulative_fisher_nlr(model.nlr_kind, theta_i, xs, model.sigma2) / i
+    info = cumulative_fisher_nlr(model, theta_i, xs) / i
     expected = 1.0 - abs(det_sym(info) - det_sym(i_star)) / det_sym(i_star)
     assert curve.at(i) == pytest.approx(expected, rel=1e-10)
     assert curve.steps[0] == 40 and curve.steps[-1] == 60
@@ -190,7 +188,7 @@ def test_efficiency_iid_optimal_draws_approach_one():
     # law of large numbers with the truth plugged in throughout
     model = default_model("M1")
     theta = np.asarray(model.theta_star)
-    measure = optimal_design_m1(theta, model.interval)
+    measure = optimal_design_m1(model, theta)
     rng = np.random.default_rng(11)
     xs = [draw_point(measure, rng) for _ in range(2000)]
     traj = _toy_trajectory(model, xs, theta)
