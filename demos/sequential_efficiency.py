@@ -19,11 +19,9 @@ REPS = 15  # enough to see the effect; the tests use 50
 
 
 def main():
-    configs = [parse_config(model="M2", method=m, n1=60, n=200,
-                            initial_design="three_point", seed=7,
-                            replications=REPS)
-               for m in ("cm", "pics")]
-    report, summaries = compare_methods(configs, eff_target=0.6)
+    config = parse_config(model="M2", n1=60, n=200, initial_design="three_point",
+                          seed=7, replications=REPS)
+    report, summaries = compare_methods(config, ("cm", "pics"), eff_target=0.6)
 
     for method in ("cm", "pics"):
         summary = summaries[method]

@@ -2,7 +2,7 @@
 
 Subcommands:
   run      one configuration, writes the artifact tree to --out-dir
-  compare  method sweep over otherwise-identical configurations
+  compare  one configuration under several methods
   design   print the closed-form optimal design at a parameter vector
   oracle   check a closed form against the brute-force grid oracle
 """
@@ -38,14 +38,13 @@ def _add_config_flags(p: argparse.ArgumentParser, run_flags: bool):
         p.add_argument("--workers", type=int)
 
 
-def _config_from_args(args, **extra):
+def _config_from_args(args):
     """Validated config from any subcommand's flags (and --config file)."""
     flags = vars(args)
     overrides = {k: v for k, v in flags.items() if k in RunConfig.__dataclass_fields__}
     overrides["replications"] = flags.get("reps")
     if args.theta is not None:
         overrides["true_params"] = tuple(float(v) for v in args.theta.split(","))
-    overrides.update(extra)
     return parse_config(flags.get("config"), **overrides)
 
 
@@ -61,10 +60,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    methods = args.methods.split(",")
-    configs = [_config_from_args(args, method=m) for m in methods]
-    report, _ = harness.compare_methods(configs, workers=args.workers,
-                                        eff_target=args.eff_target)
+    report, _ = harness.compare_methods(_config_from_args(args), args.methods.split(","),
+                                        workers=args.workers, eff_target=args.eff_target)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:
         with open(args.out, "w") as fh:

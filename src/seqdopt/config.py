@@ -27,8 +27,8 @@ class RunConfig:
     initial_design: str = "uniform"
     true_params: tuple = ()
     sigma2: float | None = None
-    x_min: float = 0.5
-    x_max: float = 210.0
+    x_min: float | None = None
+    x_max: float | None = None
     x0_known: float | None = None
     seed: int = 0
     replications: int = 1
@@ -52,9 +52,10 @@ def validate_config(config: RunConfig) -> RunConfig:
     if config.method not in METHODS:
         _fail("method", f"must be one of {METHODS}")
     family = modelspec.MODELS[config.model]
-    for name in ("sigma2", "x0_known"):   # the optional fields a model may not take
-        if getattr(config, name) is not None and name not in family.defaults:
-            _fail(name, f"{config.model} takes no {name}")
+    for name in modelspec.OPTIONAL_FIELDS:   # set exactly when the model takes it
+        takes = name in family.defaults
+        if (getattr(config, name) is None) == takes:
+            _fail(name, f"{config.model} {'needs' if takes else 'takes no'} {name}")
     if config.initial_design not in family.initial_designs:
         _fail("initial_design", f"{config.model} takes one of {family.initial_designs}")
     if len(config.true_params) != family.dim:

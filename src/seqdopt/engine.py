@@ -4,9 +4,9 @@ Stage 1 draws a static design and fits the initial estimate.  Stage 2 then
 adds one trial at a time using one of three methods:
 
 * ``cm`` -- pick the point maximizing the determinant of the updated total
-  information under the current estimate (numerical search over the
-  interval; exact enumeration over the four factorial cells for the
-  logistic models).
+  information under the current estimate (exact enumeration over the
+  cells when the run keeps a cell table, as the logistic models do;
+  numerical search over the interval otherwise).
 * ``pics`` -- plug the current estimate into the family's closed-form
   optimal design and draw the next point from that measure.
 * ``balanced_pics`` -- same plug-in, served in randomized cycles of each
@@ -24,10 +24,10 @@ The engine does not ask which model it runs: the model's entry in
 ``modelspec.MODELS`` draws the static design, stores each point (and
 tallies the logistic cell table), and builds the information, while the
 fit, the response and the closed form go through ``modelspec`` functions.
-The one model-specific choice is cm's selector.  A run returns its history
-as a columnar ``Trajectory`` (points, responses, estimates, the determinant
-of the cumulative information at each step's estimate, step times); a
-pooled replication sends back only these arrays.
+cm ranges over the run's cell table if it keeps one.  A run returns its
+history as a columnar ``Trajectory`` (points, responses, estimates, the
+determinant of the cumulative information at each step's estimate, step
+times); a pooled replication sends back only these arrays.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ def _cm_select_cells(state: EngineState):
 def cm_step(state: EngineState) -> EngineState:
     """One criterion-maximizing trial: select, observe, refit, record."""
     t0 = time.perf_counter()
-    x = _cm_select_cells(state) if state.model.is_glm else _cm_select_interval(state)
+    x = (_cm_select_interval if state.cell_counts is None else _cm_select_cells)(state)
     _finish_step(state, x, t0)
     return state
 

@@ -29,10 +29,6 @@ class DegenerateInformation(SeqDoptError):
     """Cumulative information determinant too small for a relative comparison."""
 
 
-class ConfigMismatch(SeqDoptError):
-    """Method-comparison configs differ in fields other than the method."""
-
-
 class StepFailed(SeqDoptError):
     """A sequential step raised; the original error is the ``__cause__``."""
 

@@ -1,10 +1,11 @@
 """Maximum-likelihood subsolvers shared by the sequential engines.
 
 Gaussian growth models are fitted by least squares, on the ``ModelSpec``:
-its name, M2's known change point and, for M3's change-point box, its
-design interval.  The amplitude a1 enters every growth mean linearly, so a
-cold fit (no previous estimate) projects it out (variable projection): the
-profiled RSS over the rate and, for M3, the change point is scanned on a
+its dimension (three when the change point is free, M3), its known change
+point (``growth.fixed_change_point``) and, for a free change point's box,
+its design interval.  The amplitude a1 enters every growth mean linearly,
+so a cold fit (no previous estimate) projects it out (variable projection):
+the profiled RSS over the rate and, for M3, the change point is scanned on a
 grid in one numpy pass, a simplex polishes the best nodes, and
 Levenberg-Marquardt finishes.  Sequential refits take projected
 Levenberg-Marquardt steps from the incumbent estimate on the analytic
@@ -28,7 +29,7 @@ import numpy as np
 
 from .designs import MANDAL_C0
 from .errors import InsufficientData
-from .growth import growth_grad
+from .growth import fixed_change_point, growth_grad
 from .logistic import sigmoid_scalar
 
 if TYPE_CHECKING:
@@ -189,12 +190,10 @@ def local_minimize(f, x0, bounds=None, n_starts: int = 3, perturb: float = 0.05,
 # ---------------------------------------------------------------------------
 
 def _nls_bounds(model: ModelSpec):
-    lo = [ALPHA_BOUNDS[0], ALPHA_BOUNDS[0]]
-    hi = [ALPHA_BOUNDS[1], ALPHA_BOUNDS[1]]
-    if model.name == "M3":
-        lo.append(model.x_min + 1.0)
-        hi.append(model.x_max - 1.0)
-    return np.asarray(lo), np.asarray(hi)
+    # (lo, hi) rows: a1 and a2 in ALPHA_BOUNDS, a free change point 1 inside
+    # the interval
+    box = (ALPHA_BOUNDS, ALPHA_BOUNDS, (model.x_min + 1.0, model.x_max - 1.0))
+    return np.array(box[:model.dim]).T
 
 
 def _nls_data(model: ModelSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -269,9 +268,9 @@ def nls_fit(model: ModelSpec, x, y) -> FitResult:
     x, y = _nls_data(model, x, y)
     lo, hi = _nls_bounds(model)
     grid, at = _amplitude_profile(x, y)
-    m3 = model.name == "M3"
-    x0s = np.linspace(lo[2], hi[2], VP_X0_NODES) if m3 else \
-        np.array([model.x0_known if model.name == "M2" else np.inf])
+    free_x0 = model.dim == 3
+    x0s = np.linspace(lo[2], hi[2], VP_X0_NODES) if free_x0 else \
+        np.array([fixed_change_point(model)])
     log_a2s = np.linspace(math.log(lo[1]), math.log(hi[1]), VP_RATE_NODES)
 
     rss = grid(np.exp(log_a2s), x0s)[1]
@@ -283,11 +282,11 @@ def nls_fit(model: ModelSpec, x, y) -> FitResult:
     minima = minima[np.argsort(along[minima], kind="stable")[:VP_BASINS]]
 
     def profile(u):  # u = (log a2[, x0])
-        return at(math.exp(u[0]), u[1] if m3 else x0s[0])
+        return at(math.exp(u[0]), u[1] if free_x0 else x0s[0])
 
     u_bounds = (np.append(math.log(lo[1]), lo[2:]), np.append(math.log(hi[1]), hi[2:]))
     polished = [nelder_mead(lambda u: float(profile(u)[1]),
-                            np.r_[log_a2s[best_a2[j]], x0s[j:j + 1] if m3 else []],
+                            np.r_[log_a2s[best_a2[j]], x0s[j:j + 1] if free_x0 else []],
                             bounds=u_bounds, xtol=VP_XTOL) for j in minima]
     best = min(polished, key=lambda res: res.objective)
     theta = np.r_[profile(best.theta)[0], math.exp(best.theta[0]), best.theta[1:]]

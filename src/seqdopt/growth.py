@@ -1,20 +1,16 @@
 """Nonlinear growth models for the scalar-input experiment.
 
-Three mean functions are supported:
-
-* ``M1`` -- pure exponential growth  a1 * exp(-a2 / x).
-* ``M2`` -- exponential below a *known* change point x0, linear above it,
-  with the linear coefficients pinned by continuity of the mean and its
-  slope at x0, so the model keeps parameters (a1, a2).
-* ``M3`` -- same shape as M2 but the change point is unknown, giving the
-  three-parameter vector (a1, a2, x0).
-
-Every function takes the ``ModelSpec`` and reads from it the model's name,
-M2's known change point and sigma2; ``config.validate_config`` has checked
-them.  Responses are Gaussian around the mean with variance sigma2.  sigma2
-is a nuisance parameter: it drives simulation but cancels from every
-determinant ratio used by the design criteria, and the least-squares
-estimate of the mean parameters does not depend on it.
+M1, M2 and M3 share one mean: exponential growth  a1 * exp(-a2 / x)  below
+a change point x0, linear above it, with the linear coefficients pinned by
+continuity of the mean and its slope at x0.  The change point is theta's
+third entry if it has one (M3, theta = (a1, a2, x0)), else the spec's
+``x0_known`` (M2), else +inf, which puts every x on the exponential branch
+(M1).  Every function takes the ``ModelSpec`` and reads from it that known
+change point and sigma2, never the model's name; ``config.validate_config``
+has checked them.  Responses are Gaussian around the mean with variance
+sigma2.  sigma2 is a nuisance parameter: it drives simulation but cancels
+from every determinant ratio used by the design criteria, and the
+least-squares estimate of the mean parameters does not depend on it.
 """
 
 from __future__ import annotations
@@ -36,13 +32,17 @@ def _check_x(x):
     return x
 
 
+def fixed_change_point(model: ModelSpec) -> float:
+    """The change point of a two-parameter theta: the spec's known one, or
+    +inf (the exponential branch everywhere) when it holds none."""
+    return np.inf if model.x0_known is None else float(model.x0_known)
+
+
 def _split_x0(model: ModelSpec, theta) -> tuple[float, float, float]:
     theta = np.asarray(theta, dtype=float)
-    if model.name == "M3":
+    if theta.size == 3:
         return theta[0], theta[1], theta[2]
-    if model.name == "M2":
-        return theta[0], theta[1], float(model.x0_known)
-    return theta[0], theta[1], np.inf  # M1: exponential branch everywhere
+    return theta[0], theta[1], fixed_change_point(model)
 
 
 def growth_mean(model: ModelSpec, theta, x):
@@ -50,12 +50,9 @@ def growth_mean(model: ModelSpec, theta, x):
     x = _check_x(x)
     a1, a2, x0 = _split_x0(model, theta)
     expo = a1 * np.exp(-a2 / x)
-    if model.name == "M1":
-        out = expo
-    else:
-        # branch rule is x >= x0 -> linear, ties go to the linear side
-        lin = a1 * np.exp(-a2 / x0) * (1.0 - a2 / x0 + a2 * x / x0**2)
-        out = np.where(x >= x0, lin, expo)
+    # branch rule is x >= x0 -> linear, ties go to the linear side
+    lin = a1 * np.exp(-a2 / x0) * (1.0 - a2 / x0 + a2 * x / x0**2)
+    out = np.where(x >= x0, lin, expo)
     return float(out) if out.ndim == 0 else out
 
 
@@ -65,22 +62,21 @@ def growth_grad(model: ModelSpec, theta, x):
     Returns shape (d,) for scalar x and x.shape + (d,) for arrays, with d
     the length of theta, filled in place: the exponential-branch columns on
     every point, then the linear-branch columns over the points with
-    x >= x0 only.  For M3 the change-point component is identically zero on
-    the exponential branch.  At x == x0 exactly, the linear-branch (right)
-    derivative is used, matching the branch rule of growth_mean.  The rows
-    of a least-squares Jacobian are these gradients, so its normal matrix
-    J^T J divided by sigma2 is the cumulative information
-    (``cumulative_fisher_nlr``).
+    x >= x0 only (none when x0 = +inf).  A free change point's component is
+    identically zero on the exponential branch.  At x == x0 exactly, the
+    linear-branch (right) derivative is used, matching the branch rule of
+    growth_mean.  The rows of a least-squares Jacobian are these gradients,
+    so its normal matrix J^T J divided by sigma2 is the cumulative
+    information (``cumulative_fisher_nlr``).
     """
     x = _check_x(x)
     a1, a2, x0 = _split_x0(model, theta)
+    free_x0 = len(theta) == 3
     g = np.empty(x.shape + (len(theta),))
     e_x = np.exp(-a2 / x)
     g[..., 0] = e_x
     g[..., 1] = -a1 * e_x / x
-    if model.name == "M1":
-        return g
-    if model.name == "M3":
+    if free_x0:
         g[..., 2] = 0.0
     on_lin = x >= x0
     if x.ndim:
@@ -93,7 +89,7 @@ def growth_grad(model: ModelSpec, theta, x):
     phi = 1.0 - a2 / x0 + a2 * x / x0**2
     g[on_lin, 0] = e0 * phi
     g[on_lin, 1] = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
-    if model.name == "M3":
+    if free_x0:
         g[on_lin, 2] = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
     return g
 

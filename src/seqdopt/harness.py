@@ -15,14 +15,14 @@ import itertools
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import metrics
 from .config import RunConfig, validate_config
 from .engine import Trajectory, run
-from .errors import ConfigMismatch, StepFailed
+from .errors import ConfigError, StepFailed
 
 __all__ = ["ReplicationFailure", "ReplicationSummary", "run_experiment",
            "compare_methods", "write_outputs"]
@@ -203,28 +203,19 @@ def write_outputs(summary: ReplicationSummary, out_dir: str):
     })
 
 
-def compare_methods(configs: list[RunConfig], workers: int | None = None,
+def compare_methods(config: RunConfig, methods, workers: int | None = None,
                     eff_target: float = 0.6):
-    """Run configs that differ only in method and tabulate the comparison.
+    """Run `config` under each of two or more distinct methods and tabulate
+    the comparison.
 
     Returns (report, summaries): the report maps method name to median total
     compute time, the smallest step whose mean efficiency reaches the
     target, and the final mean efficiency.
     """
-    if len(configs) < 2:
-        raise ConfigMismatch("need at least two configs to compare")
-    base = configs[0]
-    for other in configs[1:]:
-        for name in RunConfig.__dataclass_fields__:
-            if name == "method":
-                continue
-            if getattr(base, name) != getattr(other, name):
-                raise ConfigMismatch(
-                    f"configs differ in '{name}': "
-                    f"{getattr(base, name)!r} vs {getattr(other, name)!r}")
-    methods = [c.method for c in configs]
-    if len(set(methods)) != len(methods):
-        raise ConfigMismatch(f"duplicate methods in comparison: {methods}")
+    if len(methods) < 2 or len(set(methods)) != len(methods):
+        raise ConfigError(f"config field 'method': need two or more distinct "
+                          f"methods to compare, got {methods}")
+    configs = [validate_config(replace(config, method=m)) for m in methods]
 
     report: dict = {"efficiency_target": eff_target}
     summaries: dict[str, ReplicationSummary] = {}

@@ -7,12 +7,12 @@ split is written once, as the two entry classes.  An entry holds the run
 defaults and config rules, the closed form, fit and simulation, the
 information from the fit or the engine's cell table, the point encoding
 and CSV columns, the study aggregate and the grid oracle; every model takes
-every method.  The rest of the package asks the entry (``model.family``),
-never which model it runs; the engine calls ``fit``, ``simulate`` and
-``closed_form_design`` through this module, so a tracer can wrap them.
-The growth functions (means, fits, closed forms, grid oracles) take the
-``ModelSpec`` itself and read its name, interval, change point and sigma2,
-so those facts are held only by the spec.
+every method.  The rest of the package asks the entry (``model.family``)
+or the spec's fields, never which model it runs; the engine calls ``fit``,
+``simulate`` and ``closed_form_design`` through this module, so a tracer
+can wrap them.  The growth functions (means, fits, closed forms, grid
+oracles) take the ``ModelSpec`` and read its interval, known change point
+and sigma2, the fields its entry's defaults hold.
 """
 
 from __future__ import annotations
@@ -34,17 +34,13 @@ class ModelSpec:
     name: str
     theta_star: tuple
     sigma2: float | None = None      # growth models only
-    x_min: float = 0.5
-    x_max: float = 210.0
+    x_min: float | None = None       # growth models only
+    x_max: float | None = None       # growth models only
     x0_known: float | None = None    # M2 only
 
     @property
     def family(self) -> _Growth | _Logistic:
         return MODELS[self.name]
-
-    @property
-    def is_glm(self) -> bool:
-        return isinstance(self.family, _Logistic)
 
     @property
     def dim(self) -> int:
@@ -73,11 +69,11 @@ class _Growth:
     def __init__(self, dim, true_params, closed_form, oracle, rules=(), **defaults):
         self.dim = dim
         self.defaults = {"n1": 40, "n": 100, "initial_design": "uniform",
-                         "true_params": true_params, "sigma2": 0.086, **defaults}
+                         "true_params": true_params, "sigma2": 0.086,
+                         "x_min": 0.5, "x_max": 210.0, **defaults}
         self.closed_form = closed_form   # (model, theta) -> DesignMeasure
         self.oracle = oracle             # (model, theta) -> DesignMeasure
-        self.rules = (("sigma2", lambda c: c.sigma2 is not None and c.sigma2 > 0.0,
-                       "growth models need sigma2 > 0"),
+        self.rules = (("sigma2", lambda c: c.sigma2 > 0.0, "growth models need sigma2 > 0"),
                       ("x_min", lambda c: 0.0 < c.x_min < c.x_max, "need 0 < x_min < x_max"),
                       *rules)
 
@@ -86,7 +82,10 @@ class _Growth:
             return [float(rng.uniform(model.x_min, model.x_max)) for _ in range(n1)]
         mid = (model.x_min + model.x_max) / 2.0   # three_point
         xi0 = designs.DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
-        return [designs.draw_point(xi0, rng) for _ in range(n1)]
+        while True:   # conditioned on two distinct points, which a fit needs
+            points = [designs.draw_point(xi0, rng) for _ in range(n1)]
+            if min(points) < max(points):
+                return points
 
     def new_cell_table(self):
         return None, None
@@ -178,8 +177,7 @@ MODELS: dict[str, _Growth | _Logistic] = {
                   designs.grid_oracle_two_point),
     "M2": _Growth(2, (32.11, 105.65), designs.optimal_design_m2,
                   designs.grid_oracle_two_point, x0_known=86.67,
-                  rules=[("x0_known", lambda c: c.x0_known is not None
-                          and c.x_min < c.x0_known < c.x_max,
+                  rules=[("x0_known", lambda c: c.x_min < c.x0_known < c.x_max,
                           "known change point must lie inside the interval")]),
     "M3": _Growth(3, (32.11, 105.65, 86.67), designs.optimal_design_m3,
                   designs.grid_oracle_three_point),
@@ -190,14 +188,17 @@ MODELS: dict[str, _Growth | _Logistic] = {
 }
 MODEL_NAMES = tuple(MODELS)
 
+#: the spec's fields a model takes only when its defaults hold them
+OPTIONAL_FIELDS = ("sigma2", "x0_known", "x_min", "x_max")
+
 
 def default_model(name: str, **overrides) -> ModelSpec:
-    """ModelSpec of `name` at the table's true values, sigma2 and x0_known,
-    replaced by `overrides`.  ``config.validate_config`` rejects a sigma2 or
-    x0_known on a model whose defaults do not hold one."""
+    """ModelSpec of `name` at the table's true values and optional fields,
+    replaced by `overrides`.  ``config.validate_config`` rejects an optional
+    field on a model whose defaults do not hold it."""
     defaults = MODELS[name].defaults
-    values = {"theta_star": defaults["true_params"], "sigma2": defaults.get("sigma2"),
-              "x0_known": defaults.get("x0_known"), **overrides}
+    values = {"theta_star": defaults["true_params"],
+              **{f: defaults.get(f) for f in OPTIONAL_FIELDS}, **overrides}
     return ModelSpec(name=name, **values)
 
 

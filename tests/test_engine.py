@@ -5,7 +5,7 @@ import pytest
 
 from seqdopt import modelspec
 from seqdopt.config import parse_config
-from seqdopt.designs import MAX_CYCLE, balanced_cycle_counts
+from seqdopt.designs import MAX_CYCLE, DesignMeasure, balanced_cycle_counts, draw_point
 from seqdopt.engine import (
     EngineState,
     _cm_select_cells,
@@ -297,7 +297,7 @@ def test_run_with_n_equal_n1_is_pure_static():
     from seqdopt.config import RunConfig
 
     cfg = RunConfig(model="M1", method="pics", n1=40, n=40, seed=15,
-                    true_params=(32.11, 105.65), sigma2=0.086)
+                    true_params=(32.11, 105.65), sigma2=0.086, x_min=0.5, x_max=210.0)
     traj = run(cfg)
     assert len(traj) == 40
     assert traj.final_theta is not None
@@ -379,15 +379,23 @@ def test_trajectory_columns_round_trip(name, n1, n):
             assert r.det_cum_info == traj.det_cum_info[k]
 
 
-@pytest.mark.parametrize("method", ["pics", "cm", "balanced_pics"])
-@pytest.mark.parametrize("name", ["M1", "M2", "M3"])
-def test_edge_configs_run_without_failed_steps(name, method):
+#: (name, method, initial design); the uniform cases keep their ids
+EDGE_CASES = [pytest.param(name, method, design, id=f"{name}-{method}"
+                           + ("" if design == "uniform" else f"-{design}"))
+              for design in ("uniform", "three_point") for name in ("M1", "M2", "M3")
+              for method in ("balanced_pics", "cm", "pics")]
+
+
+@pytest.mark.parametrize("name,method,initial_design", EDGE_CASES)
+def test_edge_configs_run_without_failed_steps(name, method, initial_design):
     # the smallest static stage validation accepts, high noise, and an M2
-    # change point near the lower end of the interval; a failed step raises
+    # change point near the lower end of the interval; a failed step raises.
+    # At seeds 6 and 24 the first three_point draws all coincide.
     extra = {"x0_known": 5.0} if name == "M2" else {}
-    for seed in range(2):
+    for seed in (0, 1, 6, 24):
         cfg = parse_config(model=name, method=method, n1=default_model(name).dim + 2,
-                           n=20, sigma2=10.0, seed=seed, **extra)
+                           n=20, sigma2=10.0, seed=seed, initial_design=initial_design,
+                           **extra)
         traj = run(cfg)
         assert len(traj) == 20
         assert np.all(np.isfinite(traj.theta_hat[cfg.n1 - 1:]))
@@ -412,3 +420,23 @@ def test_glm_balanced_cycles_serve_the_apportioned_counts(name):
             assert np.bincount(traj.x[start:end], minlength=4).tolist() == counts
             start, cycles = end, cycles + 1
         assert cycles >= (cfg.n - cfg.n1) // MAX_CYCLE
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+def test_three_point_static_design_is_redrawn_only_when_all_points_coincide(name):
+    model = default_model(name)
+    n1 = model.dim + 2
+    mid = (model.x_min + model.x_max) / 2.0
+    xi0 = DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
+    redrawn = 0
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        first = [draw_point(xi0, rng) for _ in range(n1)]
+        points = model.family.initial_points(model, "three_point", n1,
+                                             np.random.default_rng(seed))
+        if min(first) < max(first):
+            assert points == first
+        else:
+            redrawn += 1
+            assert min(points) < max(points)
+    assert redrawn > 0

@@ -245,3 +245,22 @@ def test_simulate_sampling_statistics():
     mean = growth_mean(M1, THETA, 100.0)
     assert abs(draws.mean() - mean) < 3.0 * np.sqrt(SIGMA2) / 100.0
     assert abs(draws.var() - SIGMA2) < 0.1 * SIGMA2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.floats(1e-3, 1e3), st.floats(1e-3, 1e3),
+       st.lists(st.floats(M1.x_min, M1.x_max), min_size=1, max_size=8),
+       st.floats(M1.x_max, 1e6, exclude_min=True),
+       st.floats(M2.x_min, M2.x_max, exclude_min=True, exclude_max=True))
+def test_m1_and_m2_are_m3_at_their_change_points(a1, a2, xs, beyond, x0_known):
+    # M1 is M3 with the change point beyond x_max, and M2 is M3 at
+    # theta_3 = x0_known: the same bits, scalar and array x alike
+    m2 = dataclasses.replace(M2, x0_known=x0_known)
+    for model, x0 in ((M1, beyond), (m2, x0_known)):
+        theta, theta3 = np.array([a1, a2]), np.array([a1, a2, x0])
+        for x in (xs[0], np.array(xs)):
+            assert np.array_equal(growth_mean(model, theta, x), growth_mean(M3, theta3, x))
+            grad3 = growth_grad(M3, theta3, x)
+            assert np.array_equal(growth_grad(model, theta, x), grad3[..., :2])
+            if model is M1:
+                assert np.all(grad3[..., 2] == 0.0)

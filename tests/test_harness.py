@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from seqdopt.config import RunConfig, parse_config, validate_config
-from seqdopt.errors import ConfigError, ConfigMismatch
+from seqdopt.errors import ConfigError
 from seqdopt.harness import ReplicationFailure, compare_methods, run_experiment
 
 
@@ -65,6 +65,14 @@ def test_validation_errors_name_the_field():
     for name in ("GLM_C1", "GLM_C2"):
         with pytest.raises(ConfigError, match="'sigma2'"):
             parse_config(model=name, sigma2=0.086)
+    for name, field in (("GLM_C1", "x_min"), ("GLM_C2", "x_max")):
+        with pytest.raises(ConfigError, match=f"'{field}'"):
+            parse_config(model=name, **{field: 5.0})
+    for name in ("M1", "M2", "M3"):   # the growth entry's interval
+        cfg = parse_config(model=name)
+        assert (cfg.x_min, cfg.x_max) == (0.5, 210.0)
+        assert (cfg.to_model().x_min, cfg.to_model().x_max) == (0.5, 210.0)
+    assert parse_config(model="GLM_C1").to_model().x_min is None
     # the interval and the known change point
     with pytest.raises(ConfigError, match="'x0_known'"):
         validate_config(RunConfig(model="M2", x0_known=None, sigma2=0.086,
@@ -219,20 +227,16 @@ def test_stop_indices_collected_with_delta():
 # method comparison
 # ---------------------------------------------------------------------------
 
-def test_compare_methods_rejects_mismatched_configs():
-    a = _small_cfg(method="cm")
-    b = _small_cfg(method="pics", seed=78)
-    with pytest.raises(ConfigMismatch, match="seed"):
-        compare_methods([a, b])
-    with pytest.raises(ConfigMismatch):
-        compare_methods([a])
-    with pytest.raises(ConfigMismatch, match="duplicate"):
-        compare_methods([a, a])
+def test_compare_methods_rejects_too_few_or_repeated_methods():
+    cfg = _small_cfg()
+    for methods in ([], ["cm"], ["cm", "cm"], ["pics", "cm", "pics"], ["cm", "bogus"]):
+        with pytest.raises(ConfigError, match="'method'"):
+            compare_methods(cfg, methods)
 
 
 def test_compare_methods_report_structure():
-    configs = [_small_cfg(method=m) for m in ("cm", "pics")]
-    report, summaries = compare_methods(configs, workers=2, eff_target=0.3)
+    report, summaries = compare_methods(_small_cfg(), ("cm", "pics"), workers=2,
+                                        eff_target=0.3)
     assert set(summaries) == {"cm", "pics"}
     for m in ("cm", "pics"):
         assert "median_total_ms" in report[m]
@@ -258,7 +262,8 @@ def _reference_trajectories_csv(summary, path):
 
     model = summary.config.to_model()
     d = model.dim
-    xcols = ["x1", "x2"] if model.is_glm else ["x"]
+    is_glm = model.name in ("GLM_C1", "GLM_C2")
+    xcols = ["x1", "x2"] if is_glm else ["x"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replication", "step"] + xcols + ["y"]
@@ -266,7 +271,7 @@ def _reference_trajectories_csv(summary, path):
         for rep, traj in enumerate(summary.trajectories):
             for rec in traj.records:
                 row = [rep, rec.step]
-                row += list(rec.x) if model.is_glm else [repr(float(rec.x))]
+                row += list(rec.x) if is_glm else [repr(float(rec.x))]
                 row.append(repr(float(rec.y)))
                 if rec.theta_hat is None:
                     row += [""] * (d + 1)

@@ -78,7 +78,7 @@ def _recomputed_efficiency(traj, i_star):
     values = np.empty(steps.size)
     for k, i in enumerate(steps):
         theta_i = traj.theta_hat[i - 1]
-        if model.is_glm:
+        if model.name in ("GLM_C1", "GLM_C2"):
             counts = np.bincount(traj.x[:i], minlength=4)
             info = fisher_from_counts(counts, theta_i) / i
         else:
