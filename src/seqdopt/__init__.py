@@ -8,7 +8,7 @@ estimate (optionally in balanced cycles).  Simulation harnesses compare the
 two in estimation efficiency and compute time across five concrete models.
 """
 
-from .config import RunConfig, parse_config, validate_config
+from .config import RunConfig, parse_config
 from .designs import (
     DesignMeasure,
     draw_point,
@@ -26,7 +26,7 @@ from .modelspec import ModelSpec, closed_form_design, default_model
 __version__ = "0.1.0"
 
 __all__ = [
-    "RunConfig", "parse_config", "validate_config",
+    "RunConfig", "parse_config",
     "DesignMeasure", "draw_point",
     "optimal_design_m1", "optimal_design_m2", "optimal_design_m3",
     "mandal_c1", "mandal_c2",

@@ -5,10 +5,6 @@ class SeqDoptError(Exception):
     """Base class for all package-specific errors."""
 
 
-class SingularMatrix(SeqDoptError):
-    """Cholesky factorization hit a pivot at or below tolerance."""
-
-
 class DomainError(SeqDoptError):
     """Design point outside the experiment space (e.g. x <= 0)."""
 

@@ -303,7 +303,8 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
     the analytic growth_grad Jacobian apply.  Steps are projected onto the
     parameter box and kept only when they lower the RSS, so the result is
     never worse than `init`.  Stops once a proposed step moves every
-    coordinate by at most LM_XTOL * (1 + |theta|).  The normal matrix
+    coordinate by at most LM_XTOL * (1 + |theta|), or unconverged when the
+    Jacobian is all zero, so no step exists.  The normal matrix
     J^T J is formed once per accepted point, so the result carries it at
     the returned theta (``FitResult.normal``) at no extra cost.
     """
@@ -330,7 +331,10 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
         diag = jtj.diagonal()
         damped = jtj.copy()
         damped.flat[::theta.size + 1] += lam * np.maximum(diag, 1e-12 * diag.max())
-        step = np.linalg.solve(damped, jtr)
+        try:
+            step = np.linalg.solve(damped, jtr)
+        except np.linalg.LinAlgError:  # only an all-zero Jacobian: no direction
+            break
         cand = np.minimum(np.maximum(theta + step, lo), hi)
         if (np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))).all():
             converged = True

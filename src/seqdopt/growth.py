@@ -6,8 +6,8 @@ continuity of the mean and its slope at x0.  The change point is theta's
 third entry if it has one (M3, theta = (a1, a2, x0)), else the spec's
 ``x0_known`` (M2), else +inf, which puts every x on the exponential branch
 (M1).  Every function takes the ``ModelSpec`` and reads from it that known
-change point and sigma2, never the model's name; ``config.validate_config``
-has checked them.  Responses are Gaussian around the mean with variance
+change point and sigma2, never the model's name; a ``RunConfig`` checks
+them when it is built.  Responses are Gaussian around the mean with variance
 sigma2.  sigma2 is a nuisance parameter: it drives simulation but cancels
 from every determinant ratio used by the design criteria, and the
 least-squares estimate of the mean parameters does not depend on it.

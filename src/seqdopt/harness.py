@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from . import metrics
-from .config import RunConfig, validate_config
+from .config import RunConfig
 from .engine import Trajectory, run
 from .errors import ConfigError, StepFailed
 
@@ -98,7 +98,6 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
     Individual replication failures are recorded and skipped; the experiment
     only fails when more than 10% of replications do.
     """
-    validate_config(config)
     results = _run_replications(config, workers)
 
     trajectories: list[Trajectory] = []
@@ -215,7 +214,7 @@ def compare_methods(config: RunConfig, methods, workers: int | None = None,
     if len(methods) < 2 or len(set(methods)) != len(methods):
         raise ConfigError(f"config field 'method': need two or more distinct "
                           f"methods to compare, got {methods}")
-    configs = [validate_config(replace(config, method=m)) for m in methods]
+    configs = [replace(config, method=m) for m in methods]
 
     report: dict = {"efficiency_target": eff_target}
     summaries: dict[str, ReplicationSummary] = {}

@@ -76,19 +76,10 @@ def log_weight_at_eta(eta: float) -> float:
     return -a - 2.0 * math.log1p(math.exp(-a))
 
 
-def success_prob(beta, point) -> float:
-    """P(Y=1) at one level combination, overflow-safe for |eta| up to ~700."""
-    return float(cell_probs(beta)[cell_index(point)])
-
-
-def bernoulli_weight(beta, point) -> float:
-    return float(cell_weights(beta)[cell_index(point)])
-
-
 def fisher_info_glm(beta, point) -> np.ndarray:
     """Single-trial information w * x x^T (rank one, PSD), x = (1, x1, x2)."""
     c = cell_index(point)
-    return bernoulli_weight(beta, point) * XXT_CELLS[c]
+    return cell_weights(beta)[c] * XXT_CELLS[c]
 
 
 def fisher_from_counts(counts, beta) -> np.ndarray:
@@ -97,7 +88,3 @@ def fisher_from_counts(counts, beta) -> np.ndarray:
     w = cell_weights(beta)
     return np.einsum("c,cij->ij", counts * w, XXT_CELLS)
 
-
-def simulate_binary(beta, point, rng: np.random.Generator) -> int:
-    """One Bernoulli draw at a level combination."""
-    return int(rng.random() < success_prob(beta, point))

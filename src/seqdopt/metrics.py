@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DegenerateInformation
-from .linalg import cholesky_spd, det_sym
+from .linalg import det_sym
 from .logistic import LEVEL_POINTS
 
 if TYPE_CHECKING:  # the model table refers to this module's aggregates
@@ -125,7 +125,7 @@ def normality_diagnostic(theta_hats, theta_star, cum_infos) -> dict:
     theta_star = np.asarray(theta_star, dtype=float)
     zs = np.empty((len(theta_hats), theta_star.size))
     for r, (theta, info) in enumerate(zip(theta_hats, cum_infos)):
-        lower = cholesky_spd(np.asarray(info, dtype=float))
+        lower = np.linalg.cholesky(np.asarray(info, dtype=float))
         zs[r] = lower.T @ (np.asarray(theta, dtype=float) - theta_star)
     return {
         "z": zs,

@@ -4,15 +4,16 @@
 2x2 factorial logistic models GLM_C1 (equal coefficients) and GLM_C2 (zero
 two-factor coefficient, matched signs) to their entries; the growth/logistic
 split is written once, as the two entry classes.  An entry holds the run
-defaults and config rules, the closed form, fit and simulation, the
-information from the fit or the engine's cell table, the point encoding
-and CSV columns, the study aggregate and the grid oracle; every model takes
-every method.  The rest of the package asks the entry (``model.family``)
-or the spec's fields, never which model it runs; the engine calls ``fit``,
-``simulate`` and ``closed_form_design`` through this module, so a tracer
-can wrap them.  The growth functions (means, fits, closed forms, grid
-oracles) take the ``ModelSpec`` and read its interval, known change point
-and sigma2, the fields its entry's defaults hold.
+defaults (a ``RunConfig`` takes every default it has from here) and config
+rules, the closed form, fit and simulation, the information from the fit
+or the engine's cell table, the point encoding and CSV columns, the study
+aggregate and the grid oracle; every model takes every method.  The rest
+of the package asks the entry (``model.family``) or the spec's fields,
+never which model it runs; the engine calls ``fit``, ``simulate`` and
+``closed_form_design`` through this module, so a tracer can wrap them.
+The growth functions (means, fits, closed forms, grid oracles) take the
+``ModelSpec`` and read its interval, known change point and sigma2, the
+fields its entry's defaults hold.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from . import designs, fitting, growth, logistic, metrics
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the five concrete models with its simulation truth; its rules
-    are checked by ``config.validate_config``."""
+    """One of the five concrete models with its simulation truth; a
+    ``config.RunConfig`` checks its rules when it is built."""
 
     name: str
     theta_star: tuple
@@ -158,8 +159,8 @@ class _Logistic:
         return logistic.fisher_info_glm(theta, x)
 
     def simulate(self, model, x, rng) -> int:
-        # the draw of logistic.simulate_binary at theta_star, against the
-        # spec's cached cell probabilities
+        # one Bernoulli draw at theta_star, against the spec's cached cell
+        # probabilities
         return int(rng.random() < model.success_probs[logistic.cell_index(x)])
 
     def decode(self, x: np.ndarray) -> list[tuple]:
@@ -194,8 +195,9 @@ OPTIONAL_FIELDS = ("sigma2", "x0_known", "x_min", "x_max")
 
 def default_model(name: str, **overrides) -> ModelSpec:
     """ModelSpec of `name` at the table's true values and optional fields,
-    replaced by `overrides`.  ``config.validate_config`` rejects an optional
-    field on a model whose defaults do not hold it."""
+    replaced by `overrides`.  A ``config.RunConfig`` fills its fields from
+    the same defaults and rejects an optional field on a model whose
+    defaults do not hold it."""
     defaults = MODELS[name].defaults
     values = {"theta_star": defaults["true_params"],
               **{f: defaults.get(f) for f in OPTIONAL_FIELDS}, **overrides}

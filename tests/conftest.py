@@ -1,4 +1,5 @@
-"""Shared simulation batteries for the acceptance suite.
+"""Shared simulation batteries for the acceptance suite, and the reference
+helpers the tests check the package against.
 
 The heavy 50-replication runs are computed once per session and reused by
 the efficiency, timing, allocation and density criteria.  Everything is
@@ -9,10 +10,12 @@ deterministic.
 import os
 import time
 
+import numpy as np
 import pytest
 
 from seqdopt.config import parse_config
 from seqdopt.harness import run_experiment
+from seqdopt.logistic import cell_index, cell_probs
 
 ACCEPTANCE_SEED = 20240
 REPLICATIONS = 50
@@ -31,6 +34,31 @@ BATTERY_CELLS = [
     ("GLM_C2", 80, 800, "four_point"),
     ("GLM_C2", 100, 1200, "four_point"),
 ]
+
+
+def central_diff_gradient(f, theta, h: float | None = None) -> np.ndarray:
+    """Central finite-difference gradient of a scalar function.
+
+    Component k uses step h_k = 1e-6 * max(1, |theta_k|) unless `h` is given.
+    This is the independent oracle against which analytic gradients are
+    checked, so it deliberately shares no code with them.
+    """
+    theta = np.asarray(theta, dtype=float)
+    grad = np.empty(theta.size)
+    for k in range(theta.size):
+        hk = h if h is not None else 1e-6 * max(1.0, abs(theta[k]))
+        up = theta.copy()
+        dn = theta.copy()
+        up[k] += hk
+        dn[k] -= hk
+        grad[k] = (f(up) - f(dn)) / (2.0 * hk)
+    return grad
+
+
+def simulate_binary(beta, point, rng: np.random.Generator) -> int:
+    """One Bernoulli draw at a level combination: the reference for the
+    logistic models' simulated responses."""
+    return int(rng.random() < cell_probs(beta)[cell_index(point)])
 
 
 @pytest.fixture(scope="session")

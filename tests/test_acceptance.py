@@ -18,14 +18,13 @@ from seqdopt.designs import (
     grid_oracle_two_point,
 )
 from seqdopt.growth import cumulative_fisher_nlr, growth_grad, growth_mean
-from seqdopt.linalg import central_diff_gradient
 from seqdopt.metrics import (
     crossing_step,
     normality_diagnostic,
     sequential_density,
 )
 
-from conftest import BATTERY_CELLS
+from conftest import BATTERY_CELLS, central_diff_gradient
 
 pytestmark = pytest.mark.acceptance
 

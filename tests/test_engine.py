@@ -15,7 +15,7 @@ from seqdopt.engine import (
     run_static_stage,
     stopping_check,
 )
-from seqdopt.errors import ConstraintViolated, DegenerateInformation, StepFailed
+from seqdopt.errors import ConfigError, ConstraintViolated, DegenerateInformation, StepFailed
 from seqdopt.fitting import FitResult
 from seqdopt.harness import run_experiment
 from seqdopt.growth import fisher_info_nlr
@@ -291,16 +291,13 @@ def test_pics_steps_cheaper_than_cm_steps_on_m3():
     assert step_ms["pics"] < step_ms["cm"]
 
 
-def test_run_with_n_equal_n1_is_pure_static():
-    # bypasses config validation (which requires n1 < n for experiments):
-    # the engine itself degrades gracefully to a static-only run
+def test_run_config_with_n_equal_n1_is_rejected():
+    # a config is checked when it is built, so no run has an empty
+    # sequential stage
     from seqdopt.config import RunConfig
 
-    cfg = RunConfig(model="M1", method="pics", n1=40, n=40, seed=15,
-                    true_params=(32.11, 105.65), sigma2=0.086, x_min=0.5, x_max=210.0)
-    traj = run(cfg)
-    assert len(traj) == 40
-    assert traj.final_theta is not None
+    with pytest.raises(ConfigError, match="'n1'"):
+        RunConfig(model="M1", n1=40, n=40)
 
 
 def test_growth_step_evaluates_the_data_gradients_only_in_the_refit(monkeypatch):
@@ -399,6 +396,18 @@ def test_edge_configs_run_without_failed_steps(name, method, initial_design):
         traj = run(cfg)
         assert len(traj) == 20
         assert np.all(np.isfinite(traj.theta_hat[cfg.n1 - 1:]))
+
+
+def test_narrow_interval_runs_when_every_gradient_underflows():
+    # on [0.5, 1.0] a refit can reach an a2 so large that, with a1 on its
+    # floor, J^T J underflows to all zeros; the refit then stops there
+    # instead of raising (7 of these 15 runs used to fail)
+    for method in ("pics", "cm", "balanced_pics"):
+        cfg = parse_config(model="M1", method=method, x_min=0.5, x_max=1.0, seed=1,
+                           replications=5)
+        summary = run_experiment(cfg, workers=1)
+        assert summary.failures == []
+        assert len(summary.trajectories) == 5
 
 
 @pytest.mark.parametrize("name", ["GLM_C1", "GLM_C2"])

@@ -29,10 +29,11 @@ from seqdopt.fitting import (
     nls_refit,
 )
 from seqdopt.growth import cumulative_fisher_nlr, growth_grad, growth_mean
-from seqdopt.linalg import central_diff_gradient
-from seqdopt.logistic import LEVEL_POINTS, simulate_binary
+from seqdopt.logistic import LEVEL_POINTS
 from seqdopt.metrics import true_fisher_info
 from seqdopt.modelspec import closed_form_design, default_model, fit, simulate
+
+from conftest import central_diff_gradient, simulate_binary
 
 THETA = np.array([32.11, 105.65])
 THETA3 = np.array([32.11, 105.65, 86.67])

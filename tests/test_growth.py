@@ -13,8 +13,10 @@ from seqdopt.growth import (
     growth_mean,
     simulate_response_nlr,
 )
-from seqdopt.linalg import central_diff_gradient, det_sym
+from seqdopt.linalg import det_sym
 from seqdopt.modelspec import default_model
+
+from conftest import central_diff_gradient
 
 THETA = np.array([32.11, 105.65])
 THETA3 = np.array([32.11, 105.65, 86.67])

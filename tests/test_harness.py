@@ -1,12 +1,17 @@
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from seqdopt.config import RunConfig, parse_config, validate_config
-from seqdopt.errors import ConfigError
+from seqdopt.config import METHODS, RunConfig, parse_config
+from seqdopt.engine import run
+from seqdopt.errors import ConfigError, StepFailed
 from seqdopt.harness import ReplicationFailure, compare_methods, run_experiment
+from seqdopt.modelspec import MODEL_NAMES
 
 
 # ---------------------------------------------------------------------------
@@ -41,9 +46,8 @@ def test_validation_errors_name_the_field():
         parse_config(model="M1", initial_design="four_point")
     with pytest.raises(ValueError, match="'initial_design'"):
         parse_config(model="GLM_C1", initial_design="uniform")
-    with pytest.raises(ValueError, match="'sigma2'"):
-        validate_config(RunConfig(model="M1", sigma2=None,
-                                  true_params=(32.11, 105.65)))
+    # None is the model's default, the one the table holds
+    assert RunConfig(model="M1", sigma2=None, true_params=(32.11, 105.65)).sigma2 == 0.086
     with pytest.raises(ValueError, match="'true_params'"):
         parse_config(model="GLM_C1", true_params=(0.9, 0.9, 0.9))
     with pytest.raises(ValueError, match="'true_params'"):
@@ -74,14 +78,16 @@ def test_validation_errors_name_the_field():
         assert (cfg.to_model().x_min, cfg.to_model().x_max) == (0.5, 210.0)
     assert parse_config(model="GLM_C1").to_model().x_min is None
     # the interval and the known change point
-    with pytest.raises(ConfigError, match="'x0_known'"):
-        validate_config(RunConfig(model="M2", x0_known=None, sigma2=0.086,
-                                  true_params=(32.11, 105.65)))
+    assert RunConfig(model="M2", x0_known=None, sigma2=0.086,
+                     true_params=(32.11, 105.65)).x0_known == 86.67
     for x_min in (0.0, -1.0):
         with pytest.raises(ConfigError, match="'x_min'"):
             parse_config(model="M1", x_min=x_min)
     with pytest.raises(ConfigError, match="'x_min'"):
         parse_config(model="M3", x_min=150.0, x_max=150.0)
+    # a config built from another is checked as it is built
+    with pytest.raises(ConfigError, match="'x_min'"):
+        replace(parse_config(model="M1"), x_min=0.0)
 
 
 def test_parse_config_from_json_file(tmp_path):
@@ -94,6 +100,68 @@ def test_parse_config_from_json_file(tmp_path):
     # keyword overrides beat file values
     cfg = parse_config(str(path), seed=9)
     assert cfg.seed == 9
+    # null, like an omitted field, is the model's default
+    path.write_text(json.dumps({"model": "M1", "sigma2": None}))
+    assert parse_config(str(path)).sigma2 == 0.086
+
+
+def test_run_config_is_complete_when_built():
+    # built directly, not through parse_config: the table fills every field
+    cfg = RunConfig(model="GLM_C1", true_params=[0.7125] * 3)
+    assert (cfg.n1, cfg.n, cfg.initial_design) == (80, 800, "four_point")
+    assert cfg.true_params == (0.7125,) * 3
+    assert cfg == RunConfig(model="GLM_C1")
+    traj = run(RunConfig(model="M1", n1=40, n=50, true_params=(32.11, 105.65),
+                         sigma2=0.086))
+    assert len(traj) == 50
+    assert (traj.model.x_min, traj.model.x_max) == (0.5, 210.0)
+
+
+#: each field omitted, or drawn from a range that straddles its rule
+_FIELDS = {
+    "method": st.sampled_from(METHODS + ("bogus",)),
+    "n1": st.integers(0, 60),
+    "n": st.integers(0, 80),
+    "initial_design": st.sampled_from(("uniform", "three_point", "four_point")),
+    "sigma2": st.floats(-1.0, 10.0),
+    "x_min": st.floats(-1.0, 300.0),
+    "x_max": st.floats(0.0, 400.0),
+    "x0_known": st.floats(0.0, 400.0),
+    # growth (a1, a2) and (a1, a2, x0), and the GLM_C1 and GLM_C2 shapes
+    "true_params": st.one_of(
+        st.tuples(st.floats(-5.0, 60.0), st.floats(-50.0, 400.0)),
+        st.tuples(st.floats(-5.0, 60.0), st.floats(-50.0, 400.0), st.floats(-10.0, 400.0)),
+        st.floats(-1.5, 1.5).map(lambda b: (b, b, b)),
+        st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0), st.just(0.0)),
+    ),
+}
+
+
+@st.composite
+def _config_fields(draw):
+    kw = {"model": draw(st.sampled_from(MODEL_NAMES)), "seed": draw(st.integers(0, 999))}
+    for name, values in _FIELDS.items():
+        if draw(st.booleans()):
+            kw[name] = draw(values)
+    return kw
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_config_fields())
+def test_a_config_either_runs_or_is_rejected_naming_the_field(kw):
+    try:
+        cfg = RunConfig(**kw)
+    except ConfigError as exc:
+        assert "config field '" in str(exc)
+        event("rejected")
+        return
+    try:
+        traj = run(replace(cfg, n=cfg.n1 + 2))
+    except StepFailed:
+        event("step failed")
+        return
+    assert len(traj) == cfg.n1 + 2
+    event("ran")
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from seqdopt.errors import SingularMatrix
-from seqdopt.linalg import (
-    central_diff_gradient,
-    cholesky_spd,
-    det_sym,
-    det_sym_batch,
-)
+from seqdopt.linalg import det_sym, det_sym_batch
+
+from conftest import central_diff_gradient
 
 
 def test_det_identity_and_diagonal():
@@ -44,18 +40,6 @@ def test_det_batch_matches_scalar():
     batch = det_sym_batch(mats)
     for k in range(10):
         assert batch[k] == pytest.approx(det_sym(mats[k]), rel=1e-12)
-
-
-def test_cholesky_factor_reconstructs():
-    m = np.array([[4.0, 2.0, 0.5], [2.0, 5.0, 1.0], [0.5, 1.0, 3.0]])
-    lower = cholesky_spd(m)
-    assert np.allclose(lower @ lower.T, m)
-    assert np.allclose(np.triu(lower, 1), 0.0)
-
-
-def test_cholesky_rejects_rank_one():
-    with pytest.raises(SingularMatrix):
-        cholesky_spd(np.array([[1.0, 2.0], [2.0, 4.0]]))
 
 
 def test_central_diff_simple_functions():

@@ -6,18 +6,17 @@ import pytest
 from seqdopt.logistic import (
     LEVEL_POINTS,
     X_CELLS,
-    bernoulli_weight,
     cell_index,
     cell_probs,
     cell_weights,
     fisher_from_counts,
     fisher_info_glm,
     sigmoid_scalar,
-    simulate_binary,
-    success_prob,
     weight_at_eta,
 )
 from seqdopt.modelspec import default_model, simulate
+
+from conftest import simulate_binary
 
 BETA_C1 = (0.7125, 0.7125, 0.7125)
 BETA_C2 = (1.5, 0.5, 0.0)
@@ -33,32 +32,32 @@ def test_row_order_convention():
 
 def test_success_prob_zero_beta():
     for p in LEVEL_POINTS:
-        assert success_prob((0.0, 0.0, 0.0), p) == 0.5
+        assert cell_probs((0.0, 0.0, 0.0))[cell_index(p)] == 0.5
 
 
 def test_success_prob_frozen_value():
     # oracle: direct scalar evaluation of logistic(3 * 0.7125)
-    assert success_prob(BETA_C1, (1, 1)) == pytest.approx(0.8944949086405465, rel=1e-12)
-    assert success_prob(BETA_C1, (1, 1)) == pytest.approx(0.8945, abs=5e-5)
+    prob = cell_probs(BETA_C1)[cell_index((1, 1))]
+    assert prob == pytest.approx(0.8944949086405465, rel=1e-12)
+    assert prob == pytest.approx(0.8945, abs=5e-5)
 
 
 def test_success_prob_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(20):
         beta = rng.normal(size=3)
-        for p in LEVEL_POINTS:
-            assert success_prob(beta, p) + success_prob(-beta, p) == pytest.approx(1.0)
+        assert np.allclose(cell_probs(beta) + cell_probs(-beta), 1.0)
 
 
 def test_success_prob_overflow_safe():
-    assert success_prob((700.0, 0.0, 0.0), (1, 1)) == pytest.approx(1.0)
-    assert success_prob((-700.0, 0.0, 0.0), (1, 1)) == pytest.approx(0.0, abs=1e-300)
-    assert 0.0 < success_prob((-700.0, 0.0, 0.0), (1, 1))
+    assert cell_probs((700.0, 0.0, 0.0))[cell_index((1, 1))] == pytest.approx(1.0)
+    assert cell_probs((-700.0, 0.0, 0.0))[cell_index((1, 1))] == pytest.approx(0.0, abs=1e-300)
+    assert 0.0 < cell_probs((-700.0, 0.0, 0.0))[cell_index((1, 1))]
     assert np.isfinite(sigmoid_scalar(700.0)) and np.isfinite(sigmoid_scalar(-700.0))
 
 
 def test_weight_at_zero_is_quarter():
-    assert bernoulli_weight((0.0, 0.0, 0.0), (1, -1)) == 0.25
+    assert cell_weights((0.0, 0.0, 0.0))[cell_index((1, -1))] == 0.25
 
 
 def test_weight_symmetry_in_eta():
@@ -68,10 +67,11 @@ def test_weight_symmetry_in_eta():
 
 def test_weight_frozen_values():
     # oracle: e^eta / (1 + e^eta)^2 at eta = 2 and eta = 1
-    assert bernoulli_weight(BETA_C2, (1, 1)) == pytest.approx(0.10499358540350662, rel=1e-12)
-    assert bernoulli_weight(BETA_C2, (-1, 1)) == pytest.approx(0.19661193324148185, rel=1e-12)
-    assert bernoulli_weight(BETA_C2, (1, 1)) == pytest.approx(0.10499, abs=5e-6)
-    assert bernoulli_weight(BETA_C2, (-1, -1)) == pytest.approx(0.19661, abs=5e-6)
+    w = cell_weights(BETA_C2)
+    assert w[cell_index((1, 1))] == pytest.approx(0.10499358540350662, rel=1e-12)
+    assert w[cell_index((-1, 1))] == pytest.approx(0.19661193324148185, rel=1e-12)
+    assert w[cell_index((1, 1))] == pytest.approx(0.10499, abs=5e-6)
+    assert w[cell_index((-1, -1))] == pytest.approx(0.19661, abs=5e-6)
 
 
 def test_weights_bounded():
@@ -103,7 +103,7 @@ def test_fisher_weight_factorization():
         for p in LEVEL_POINTS:
             base = fisher_info_glm((0.0, 0.0, 0.0), p) / 0.25
             assert np.allclose(fisher_info_glm(beta, p),
-                               bernoulli_weight(beta, p) * base)
+                               cell_weights(beta)[cell_index(p)] * base)
 
 
 def test_equal_weight_sum_matches_explicit_matrix_product():

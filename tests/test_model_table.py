@@ -1,12 +1,18 @@
 """The model table is the one place that names a model: no other module of
-the package compares a model's name or asks whether it is logistic."""
+the package compares a model's name or asks whether it is logistic.  It is
+also the one home of a run's defaults: a RunConfig field the table holds a
+default for is None until the config fills it from the table."""
 
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import seqdopt
+from seqdopt.config import RunConfig
+from seqdopt.modelspec import MODELS
 
 SRC = Path(seqdopt.__file__).parent
+ROOT = Path(__file__).parent.parent
 
 #: comparisons against a model name, or tests of the model kind
 MODEL_BRANCH = re.compile(r"""==\s*["'](M1|M2|M3|GLM_C1|GLM_C2)["']|\.name\s*==|is_glm"""
@@ -23,3 +29,17 @@ def model_branches(src: Path) -> list[str]:
 
 def test_src_names_no_model_outside_the_table():
     assert model_branches(SRC) == []
+
+
+def test_run_config_takes_every_table_default_from_the_table():
+    tabled = {name for family in MODELS.values() for name in family.defaults}
+    own = {f.name: f.default for f in fields(RunConfig) if f.name in tabled}
+    assert own == dict.fromkeys(tabled)
+
+
+def test_no_file_names_a_separate_config_check():
+    # a RunConfig checks itself when it is built; the name is spelled in two
+    # parts so that this file does not hold it either
+    paths = [ROOT / "README.md", *(p for d in ("src", "tests", "demos")
+                                   for p in sorted((ROOT / d).rglob("*.py")))]
+    assert [p.name for p in paths if "validate" + "_config" in p.read_text()] == []
