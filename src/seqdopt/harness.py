@@ -145,7 +145,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
 
 def _write_trajectories_csv(summary: ReplicationSummary, path):
-    """One row per trial and replication, written column-wise.
+    """One row per trial and replication, formatted column-wise.
 
     Floats go through repr, logistic points as their integer levels, and
     the estimate and determinant cells stay empty before step n1.
@@ -154,13 +154,14 @@ def _write_trajectories_csv(summary: ReplicationSummary, path):
     d = model.dim
     header = (["replication", "step", *model.family.columns, "y"]
               + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
-    unestimated = [""] * (d + 1)
 
     def rows(rep, traj):
-        xs = model.family.csv_points(traj.x)
-        estimates = np.column_stack([traj.theta_hat, traj.det_cum_info]).tolist()
-        return [[rep, k + 1, *x, y, *(est if k >= traj.n1 - 1 else unestimated)]
-                for k, (x, y, est) in enumerate(zip(xs, traj.y.tolist(), estimates))]
+        n, skip = len(traj), traj.n1 - 1
+        estimates = np.column_stack([traj.theta_hat, traj.det_cum_info])[skip:]
+        return zip([str(rep)] * n, map(str, range(1, n + 1)),
+                   *(map(str, c) for c in zip(*model.family.csv_points(traj.x))),
+                   map(repr, traj.y.tolist()),
+                   *([""] * skip + list(map(repr, c)) for c in estimates.T.tolist()))
 
     metrics.write_csv(path, header, itertools.chain.from_iterable(
         rows(rep, traj) for rep, traj in enumerate(summary.trajectories)))

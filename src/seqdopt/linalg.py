@@ -1,7 +1,8 @@
 """Small dense symmetric-matrix utilities used in the design loops.
 
 Information matrices in this package are 2x2 or 3x3, so determinants use the
-closed cofactor formulas, one matrix or a stack at a time.
+closed cofactor formulas, one matrix (on Python floats, which at this size
+cost less than numpy's per-call overhead) or a stack at a time.
 """
 
 from __future__ import annotations
@@ -10,18 +11,19 @@ import numpy as np
 
 
 def det_sym(a: np.ndarray) -> float:
-    """Determinant of a 2x2 or 3x3 matrix via the cofactor formula."""
+    """Determinant of a 2x2 or 3x3 matrix via the cofactor formula: the same
+    products in the same order as `det_sym_batch`, so the same double."""
     a = np.asarray(a, dtype=float)
     d = a.shape[0]
     if a.shape != (d, d) or d not in (2, 3):
         raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {a.shape}")
     if d == 2:
-        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
-    return float(
-        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
-        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
-        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
-    )
+        (a00, a01), (a10, a11) = a.tolist()
+        return a00 * a11 - a01 * a10
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    return (a00 * (a11 * a22 - a12 * a21)
+            - a01 * (a10 * a22 - a12 * a20)
+            + a02 * (a10 * a21 - a11 * a20))
 
 
 def det_sym_batch(a: np.ndarray) -> np.ndarray:

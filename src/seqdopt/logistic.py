@@ -7,6 +7,10 @@ combinations.  The fixed row order used everywhere in the package is
 
 i.e. row index r = 1 corresponds to x1 = +1 and column index s = 1 to
 x2 = +1.  All closed-form allocation formulas depend on this convention.
+
+The cell weights and the cell-table information are computed on Python
+floats from one matrix product and one exp over the four cells: on arrays
+this small numpy's per-call cost, not the arithmetic, would set the time.
 """
 
 from __future__ import annotations
@@ -28,32 +32,33 @@ _CELL_INDEX = {p: i for i, p in enumerate(LEVEL_POINTS)}
 
 
 def cell_index(point) -> int:
-    """Position of a coded level pair in the fixed row order."""
-    key = (int(point[0]), int(point[1]))
-    if key not in _CELL_INDEX:
-        raise ValueError(f"not a coded level combination: {point!r}")
-    return _CELL_INDEX[key]
+    """Position of a level pair (ints, floats or numpy scalars) in the row order."""
+    try:
+        return _CELL_INDEX[tuple(point)]
+    except (KeyError, TypeError):
+        raise ValueError(f"not a coded level combination: {point!r}") from None
 
 
-def _sigmoid(eta):
-    eta = np.asarray(eta, dtype=float)
-    out = np.empty_like(eta)
-    pos = eta >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
-    ex = np.exp(eta[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _probs(beta) -> list[float]:
+    # one exp of -|eta| per cell, which cannot overflow: p = 1/(1+e) for
+    # eta >= 0, else e/(1+e)
+    eta = X_CELLS @ np.asarray(beta, dtype=float)
+    return [1.0 / (1.0 + e) if h >= 0.0 else e / (1.0 + e)
+            for h, e in zip(eta.tolist(), np.exp(-np.abs(eta)).tolist())]
+
+
+def _weights(beta) -> list[float]:
+    return [p * (1.0 - p) for p in _probs(beta)]
 
 
 def cell_probs(beta) -> np.ndarray:
     """Success probabilities at the linear predictors b0 + b1*x1 + b2*x2."""
-    return _sigmoid(X_CELLS @ np.asarray(beta, dtype=float))
+    return np.array(_probs(beta))
 
 
 def cell_weights(beta) -> np.ndarray:
-    """Bernoulli variances pi*(1-pi) for the four cells, each in (0, 0.25]."""
-    p = cell_probs(beta)
-    return p * (1.0 - p)
+    """Bernoulli variances pi*(1-pi) for the four cells, each in [0, 0.25]."""
+    return np.array(_weights(beta))
 
 
 def sigmoid_scalar(eta: float) -> float:
@@ -83,8 +88,11 @@ def fisher_info_glm(beta, point) -> np.ndarray:
 
 
 def fisher_from_counts(counts, beta) -> np.ndarray:
-    """Total information sum_c n_c * w_c * x_c x_c^T from per-cell counts."""
-    counts = np.asarray(counts, dtype=float)
-    w = cell_weights(beta)
-    return np.einsum("c,cij->ij", counts * w, XXT_CELLS)
-
+    """Total information sum_c n_c * w_c * x_c x_c^T from per-cell counts.
+    x_c's entries are +-1, so each entry is a signed sum of n_c * w_c."""
+    n0, n1, n2, n3 = np.asarray(counts, dtype=float).tolist()
+    w0, w1, w2, w3 = _weights(beta)
+    c0, c1, c2, c3 = n0 * w0, n1 * w1, n2 * w2, n3 * w3   # summed in cell order
+    s, s1 = c0 + c1 + c2 + c3, c0 + c1 - c2 - c3
+    s2, s12 = c0 - c1 + c2 - c3, c0 - c1 - c2 + c3
+    return np.array([[s, s1, s2], [s1, s, s12], [s2, s12, s]])

@@ -9,7 +9,7 @@ array arithmetic over that column; nothing is refitted or rebuilt here.
 
 from __future__ import annotations
 
-import csv
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -142,27 +142,28 @@ def glm_allocation(trajectories: list[Trajectory]) -> np.ndarray:
 
 
 def write_csv(path, header, rows):
-    """A header line, then the rows (any iterable of lists)."""
+    """The header, then the rows (iterables of str fields), each comma-joined and
+    ended by \\r\\n: the csv module's output for fields that need no quoting."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        for row in itertools.chain([header], rows):
+            fh.write(",".join(row) + "\r\n")
 
 
 def efficiency_to_csv(curve: EfficiencyCurve, path):
     write_csv(path, ["step", "value"],
-              ([int(s), repr(float(v))] for s, v in zip(curve.steps, curve.values)))
+              zip(map(str, curve.steps.tolist()), map(repr, curve.values.tolist())))
 
 
 def allocation_to_csv(allocation: np.ndarray, path):
     write_csv(path, ["x1", "x2", "proportion"],
-              ([*point, repr(float(p))] for point, p in zip(LEVEL_POINTS, allocation)))
+              ([str(x1), str(x2), repr(float(p))]
+               for (x1, x2), p in zip(LEVEL_POINTS, allocation)))
 
 
 def histogram_to_csv(hist: DensityHistogram, path):
+    columns = (hist.edges[:-1], hist.edges[1:], hist.mass)
     write_csv(path, ["bin_left", "bin_right", "mass"],
-              ([repr(float(v)) for v in row]
-               for row in zip(hist.edges[:-1], hist.edges[1:], hist.mass)))
+              zip(*(map(repr, c.tolist()) for c in columns)))
 
 
 __all__ = [

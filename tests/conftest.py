@@ -15,7 +15,7 @@ import pytest
 
 from seqdopt.config import parse_config
 from seqdopt.harness import run_experiment
-from seqdopt.logistic import cell_index, cell_probs
+from seqdopt.logistic import XXT_CELLS, X_CELLS, cell_index, cell_probs
 
 ACCEPTANCE_SEED = 20240
 REPLICATIONS = 50
@@ -59,6 +59,54 @@ def simulate_binary(beta, point, rng: np.random.Generator) -> int:
     """One Bernoulli draw at a level combination: the reference for the
     logistic models' simulated responses."""
     return int(rng.random() < cell_probs(beta)[cell_index(point)])
+
+
+def reference_sigmoid(eta) -> np.ndarray:
+    """Overflow-safe logistic function by masked assignment: the formula
+    the package's cell probabilities must reproduce bit for bit."""
+    eta = np.asarray(eta, dtype=float)
+    out = np.empty_like(eta)
+    pos = eta >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-eta[pos]))
+    ex = np.exp(eta[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_cell_probs(beta) -> np.ndarray:
+    return reference_sigmoid(X_CELLS @ np.asarray(beta, dtype=float))
+
+
+def reference_cell_weights(beta) -> np.ndarray:
+    p = reference_cell_probs(beta)
+    return p * (1.0 - p)
+
+
+def reference_fisher_from_counts(counts, beta) -> np.ndarray:
+    """sum_c n_c * w_c * x_c x_c^T as one einsum over the cell matrices."""
+    counts = np.asarray(counts, dtype=float)
+    return np.einsum("c,cij->ij", counts * reference_cell_weights(beta), XXT_CELLS)
+
+
+def reference_det_sym(a) -> float:
+    """Cofactor determinant of a 2x2 or 3x3 matrix on numpy scalars."""
+    a = np.asarray(a, dtype=float)
+    if a.shape == (2, 2):
+        return float(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    return float(
+        a[0, 0] * (a[1, 1] * a[2, 2] - a[1, 2] * a[2, 1])
+        - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
+        + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
+    )
+
+
+#: package primitive name -> the reference formula it must match bit for bit
+REFERENCE_PRIMITIVES = {
+    "cell_probs": reference_cell_probs,
+    "cell_weights": reference_cell_weights,
+    "fisher_from_counts": reference_fisher_from_counts,
+    "det_sym": reference_det_sym,
+}
 
 
 @pytest.fixture(scope="session")

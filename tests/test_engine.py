@@ -1,9 +1,10 @@
 import pickle
+import sys
 
 import numpy as np
 import pytest
 
-from seqdopt import modelspec
+from seqdopt import linalg, logistic, modelspec
 from seqdopt.config import parse_config
 from seqdopt.designs import MAX_CYCLE, DesignMeasure, balanced_cycle_counts, draw_point
 from seqdopt.engine import (
@@ -22,6 +23,8 @@ from seqdopt.growth import fisher_info_nlr
 from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS, XXT_CELLS, cell_weights, fisher_from_counts
 from seqdopt.modelspec import default_model
+
+from conftest import REFERENCE_PRIMITIVES
 
 
 def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
@@ -449,3 +452,45 @@ def test_three_point_static_design_is_redrawn_only_when_all_points_coincide(name
             redrawn += 1
             assert min(points) < max(points)
     assert redrawn > 0
+
+
+# ---------------------------------------------------------------------------
+# the float primitives against their numpy reference formulas, whole runs
+# ---------------------------------------------------------------------------
+
+GUARD_CONFIGS = [
+    *(dict(model=m, method=meth, n1=20, n=80)
+      for m in ("GLM_C1", "GLM_C2") for meth in ("cm", "pics", "balanced_pics")),
+    *(dict(model="M3", method=meth, n1=20, n=40) for meth in ("pics", "cm")),
+]
+
+
+def _trajectory_bytes() -> list:
+    out = []
+    for kwargs in GUARD_CONFIGS:
+        for seed in range(3):
+            traj = run(parse_config(seed=seed, **kwargs))
+            out.append((kwargs, seed, [a.tobytes() for a in (
+                traj.x, traj.y, traj.theta_hat, traj.det_cum_info)]))
+    return out
+
+
+def test_runs_are_byte_identical_under_the_reference_primitives(monkeypatch):
+    # every module that imported a primitive by name gets the reference
+    # formula in its place: the runs must not change by a single bit
+    shipped = {name: getattr(linalg if name == "det_sym" else logistic, name)
+               for name in REFERENCE_PRIMITIVES}
+    as_shipped = _trajectory_bytes()
+    patched = set()
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] != "seqdopt":
+            continue
+        for name, reference in REFERENCE_PRIMITIVES.items():
+            if getattr(mod, name, None) is shipped[name]:
+                monkeypatch.setattr(mod, name, reference)
+                patched.add(f"{modname}.{name}")
+    assert {"seqdopt.engine.det_sym", "seqdopt.engine.cell_weights",
+            "seqdopt.designs.det_sym", "seqdopt.metrics.det_sym",
+            "seqdopt.logistic.cell_probs", "seqdopt.logistic.cell_weights",
+            "seqdopt.logistic.fisher_from_counts"} <= patched
+    assert _trajectory_bytes() == as_shipped

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt.linalg import det_sym, det_sym_batch
 
-from conftest import central_diff_gradient
+from conftest import central_diff_gradient, reference_det_sym
 
 
 def test_det_identity_and_diagonal():
@@ -40,6 +42,27 @@ def test_det_batch_matches_scalar():
     batch = det_sym_batch(mats)
     for k in range(10):
         assert batch[k] == pytest.approx(det_sym(mats[k]), rel=1e-12)
+
+
+def _matrices(d):
+    # entries from ordinary sizes to near 1e200, where the products overflow
+    entry = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e200, 1e200),
+                      st.sampled_from([0.0, -0.0, 1e200, -1e200, 3e199]))
+    return st.lists(entry, min_size=d * d, max_size=d * d).map(
+        lambda v: np.array(v).reshape(d, d))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.one_of(_matrices(2), _matrices(3)))
+def test_det_matches_the_numpy_scalar_cofactor_bit_for_bit(a):
+    with np.errstate(all="ignore"):
+        expected = reference_det_sym(a)
+    got = det_sym(a)
+    assert type(got) is float
+    if np.isnan(expected):
+        assert np.array_equal(got, expected, equal_nan=True)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def test_central_diff_simple_functions():

@@ -2,6 +2,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt.logistic import (
     LEVEL_POINTS,
@@ -14,9 +16,10 @@ from seqdopt.logistic import (
     sigmoid_scalar,
     weight_at_eta,
 )
-from seqdopt.modelspec import default_model, simulate
+from seqdopt.modelspec import default_model, fisher_point, simulate
 
-from conftest import simulate_binary
+from conftest import (reference_cell_probs, reference_cell_weights,
+                      reference_fisher_from_counts, simulate_binary)
 
 BETA_C1 = (0.7125, 0.7125, 0.7125)
 BETA_C2 = (1.5, 0.5, 0.0)
@@ -28,6 +31,26 @@ def test_row_order_convention():
     assert cell_index((-1, -1)) == 3
     with pytest.raises(ValueError):
         cell_index((0, 1))
+
+
+def test_cell_index_takes_any_numeric_type_of_an_exact_level_pair():
+    for c, (x1, x2) in enumerate(LEVEL_POINTS):
+        for point in ((x1, x2), (float(x1), float(x2)), np.array([x1, x2]),
+                      (np.int64(x1), np.float64(x2)), [x1, x2]):
+            assert cell_index(point) == c
+
+
+@pytest.mark.parametrize("point", [(1.9, -1.2), (1.9, 1.7), (0.5, 1), (1, 1, 1),
+                                   (1,), (float("nan"), 1.0), ((1, 1), (1, 1))])
+def test_cell_index_rejects_a_point_off_the_levels_naming_it(point):
+    with pytest.raises(ValueError, match="not a coded level combination") as err:
+        cell_index(point)
+    assert repr(point) in str(err.value)
+
+
+def test_fisher_point_off_the_levels_is_rejected():
+    with pytest.raises(ValueError, match=r"\(1\.9, 1\.7\)"):
+        fisher_point(default_model("GLM_C1"), BETA_C1, (1.9, 1.7))
 
 
 def test_success_prob_zero_beta():
@@ -155,3 +178,21 @@ def test_model_simulate_draws_against_cached_probabilities(name):
     # the cache neither travels in a pickle nor enters equality
     assert "success_probs" not in pickle.loads(pickle.dumps(model)).__dict__
     assert pickle.loads(pickle.dumps(model)) == model
+
+
+#: coefficients from ordinary sizes to past exp's underflow at |eta| ~ 745
+_coef = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0), st.floats(-800.0, 800.0))
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.tuples(_coef, _coef, _coef), st.lists(st.integers(0, 2000), min_size=4, max_size=4))
+def test_cell_primitives_match_the_reference_formulas_bit_for_bit(beta, counts):
+    assert _same_bytes(cell_probs(beta), reference_cell_probs(beta))
+    assert _same_bytes(cell_weights(beta), reference_cell_weights(beta))
+    assert _same_bytes(fisher_from_counts(counts, beta),
+                       reference_fisher_from_counts(counts, beta))

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from seqdopt.errors import DegenerateInformation
 from seqdopt.metrics import (
     DensityHistogram,
     EfficiencyCurve,
+    allocation_to_csv,
     crossing_step,
+    efficiency_to_csv,
     glm_allocation,
+    histogram_to_csv,
     mean_efficiency,
     normality_diagnostic,
     relative_efficiency,
@@ -279,3 +284,29 @@ def test_normality_diagnostic_whitens_correlated_estimates():
     diag = normality_diagnostic(thetas, np.zeros(2), [m] * 500)
     assert np.all(np.abs(diag["mean"]) < 0.2)
     assert np.all(np.abs(diag["cov"] - np.eye(2)) < 0.2)
+
+
+def _csv_module_bytes(path, header, rows) -> bytes:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path.read_bytes()
+
+
+def test_small_csv_writers_match_the_csv_module(tmp_path):
+    values = np.array([-0.25, 0.1, 1.0 / 3.0, 1e-300])
+    curve = EfficiencyCurve(steps=np.arange(5, 9), values=values)
+    efficiency_to_csv(curve, tmp_path / "e.csv")
+    assert (tmp_path / "e.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "e_ref.csv", ["step", "value"], [[5, -0.25], [6, 0.1], [7, 1.0 / 3.0],
+                                                    [8, 1e-300]])
+    allocation_to_csv(values, tmp_path / "a.csv")
+    assert (tmp_path / "a.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "a_ref.csv", ["x1", "x2", "proportion"],
+        [[1, 1, -0.25], [1, -1, 0.1], [-1, 1, 1.0 / 3.0], [-1, -1, 1e-300]])
+    hist = DensityHistogram(edges=np.array([0.5, 70.0, 140.25, 210.0]), mass=values[:3])
+    histogram_to_csv(hist, tmp_path / "h.csv")
+    assert (tmp_path / "h.csv").read_bytes() == _csv_module_bytes(
+        tmp_path / "h_ref.csv", ["bin_left", "bin_right", "mass"],
+        [[0.5, 70.0, -0.25], [70.0, 140.25, 0.1], [140.25, 210.0, 1.0 / 3.0]])
