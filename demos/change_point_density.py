@@ -20,7 +20,7 @@ REPS = 20
 
 
 def main():
-    model = modelspec.default_model("M3")
+    model = parse_config(model="M3").to_model()
     support = modelspec.closed_form_design(model, model.theta_star).support
     print(f"optimal support at {np.round(support, 2)}\n")
 

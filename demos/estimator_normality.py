@@ -12,7 +12,6 @@ Run:
 import numpy as np
 
 from seqdopt.config import parse_config
-from seqdopt.growth import cumulative_fisher_nlr
 from seqdopt.harness import run_experiment
 from seqdopt.metrics import normality_diagnostic
 
@@ -25,11 +24,9 @@ def main():
     summary = run_experiment(cfg)
     model = cfg.to_model()
 
-    thetas, infos = [], []
-    for traj in summary.trajectories:
-        thetas.append(traj.final_theta)
-        infos.append(cumulative_fisher_nlr(model, traj.final_theta, traj.x))
-    diag = normality_diagnostic(thetas, model.theta_star, infos)
+    diag = normality_diagnostic([t.final_theta for t in summary.trajectories],
+                                model.theta_star,
+                                [t.final_info for t in summary.trajectories])
 
     print(f"{REPS} replications of the plug-in run at n={cfg.n}")
     print("mean of standardized estimates:", np.round(diag["mean"], 3),

@@ -19,7 +19,7 @@ REPS = 20
 
 
 def main():
-    model = modelspec.default_model("GLM_C1")
+    model = parse_config(model="GLM_C1").to_model()
     target = modelspec.closed_form_design(model, model.theta_star).weights
     print("optimal proportions:",
           {p: round(float(w), 4) for p, w in zip(LEVEL_POINTS, target)})

@@ -21,7 +21,7 @@ from .designs import (
 from .engine import Trajectory, run
 from .harness import ReplicationSummary, compare_methods, run_experiment
 from .metrics import relative_efficiency, sequential_density, true_fisher_info
-from .modelspec import ModelSpec, closed_form_design, default_model
+from .modelspec import ModelSpec, closed_form_design
 
 __version__ = "0.1.0"
 
@@ -33,5 +33,5 @@ __all__ = [
     "Trajectory", "run",
     "ReplicationSummary", "compare_methods", "run_experiment",
     "relative_efficiency", "sequential_density", "true_fisher_info",
-    "ModelSpec", "closed_form_design", "default_model",
+    "ModelSpec", "closed_form_design",
 ]

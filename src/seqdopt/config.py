@@ -12,12 +12,17 @@ field.  ``dataclasses.replace`` builds a new config, so it is checked too.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
-from . import modelspec
+from . import metrics, modelspec
 from .errors import ConfigError, SeqDoptError
+from .linalg import det_sym
 
 METHODS = ("cm", "pics", "balanced_pics")
+
+#: the model's fields a config takes only when its model's defaults hold them
+OPTIONAL_FIELDS = ("sigma2", "x0_known", "x_min", "x_max")
 
 
 def _fail(name: str, message: str):
@@ -53,7 +58,7 @@ class RunConfig:
 
         if self.method not in METHODS:
             _fail("method", f"must be one of {METHODS}")
-        for name in modelspec.OPTIONAL_FIELDS:
+        for name in OPTIONAL_FIELDS:
             if name not in family.defaults and getattr(self, name) is not None:
                 _fail(name, f"{self.model} takes no {name}")
         if self.initial_design not in family.initial_designs:
@@ -63,8 +68,9 @@ class RunConfig:
         for name, holds, message in family.rules:
             if not holds(self):
                 _fail(name, message.format(c=self))
+        model = self.to_model()
         try:  # the admissible true values are those the closed form takes
-            modelspec.closed_form_design(self.to_model(), self.true_params)
+            optimal = modelspec.closed_form_design(model, self.true_params)
         except (ValueError, SeqDoptError) as exc:
             _fail("true_params", f"no closed-form design at the true values: {exc}")
 
@@ -76,11 +82,16 @@ class RunConfig:
             _fail("replications", "need at least one replication")
         if self.delta_stop is not None and self.delta_stop < 0.0:
             _fail("delta_stop", "threshold must be nonnegative")
+        # the run records determinants up to about det(n I*); its efficiency divides by det(I*)
+        i_star = metrics.design_info(model, self.true_params, optimal)
+        dets = det_sym(i_star), det_sym(self.n * i_star)
+        if not all(0.0 < d < math.inf for d in dets):
+            _fail(family.info_scale, "the information I* at the true optimal design is "
+                  f"degenerate: det(I*) = {dets[0]!r}, det(n I*) = {dets[1]!r}")
 
     def to_model(self) -> modelspec.ModelSpec:
-        return modelspec.default_model(self.model, theta_star=self.true_params,
-                                       sigma2=self.sigma2, x_min=self.x_min,
-                                       x_max=self.x_max, x0_known=self.x0_known)
+        return modelspec.ModelSpec(self.model, self.true_params, self.sigma2,
+                                   self.x_min, self.x_max, self.x0_known)
 
 
 def parse_config(path: str | None = None, **overrides) -> RunConfig:

@@ -3,11 +3,11 @@
 A design is a finite-support probability measure on the experiment space.
 For each of the five model families there is a closed-form optimal design
 as a function of the parameter vector; brute-force grid oracles are
-provided to validate those closed forms and are used only in tests and the
-``oracle`` CLI subcommand.  The growth closed forms and grid oracles take
-``(model, theta)``, the signature of the model table's closed form, and
-read the design interval and M2's known change point from the
-``ModelSpec``.
+provided to validate those closed forms (``modelspec.oracle_check``) and
+are used only in tests and the ``oracle`` CLI subcommand.  The growth
+closed forms and grid oracles take ``(model, theta)``, the signature of the
+model table's closed form, and read the design interval and M2's known
+change point from the ``ModelSpec``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolated, DegenerateDesign
 from .growth import growth_grad
-from .linalg import det_sym, det_sym_batch
+from .linalg import det_sym_batch
 from .logistic import (LEVEL_POINTS, XXT_CELLS, cell_weights, log_weight_at_eta,
                        weight_at_eta)
 
@@ -64,12 +64,6 @@ class DesignMeasure:
             {"support": [list(p) if isinstance(p, tuple) else p for p in self.support],
              "weights": list(self.weights)}
         )
-
-
-def d_criterion(measure: DesignMeasure, fisher_fn) -> float:
-    """det of the weighted average information sum_i w_i * I(x_i)."""
-    total = sum(w * fisher_fn(x) for x, w in zip(measure.support, measure.weights))
-    return det_sym(total)
 
 
 # ---------------------------------------------------------------------------

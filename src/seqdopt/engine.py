@@ -27,7 +27,8 @@ fit, the response and the closed form go through ``modelspec`` functions.
 cm ranges over the run's cell table if it keeps one.  A run returns its
 history as a columnar ``Trajectory`` (points, responses, estimates, the
 determinant of the cumulative information at each step's estimate, step
-times); a pooled replication sends back only these arrays.
+times) and the last cumulative information; a pooled replication sends
+back only these arrays.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .config import RunConfig
 from .designs import BalancedScheduler, draw_point
 from .errors import DegenerateInformation, StepFailed
 from .fitting import FitResult, local_minimize
-from .growth import fisher_info_nlr
 from .linalg import det_sym
 from .logistic import LEVEL_POINTS, XXT_CELLS, cell_index, cell_weights
 from .modelspec import ModelSpec
@@ -68,7 +68,8 @@ class Trajectory:
     ``x`` holds the points of the growth models, or the cell indices (into
     ``LEVEL_POINTS``) of the logistic models.  ``theta_hat`` (n x d) and
     ``det_cum_info`` are NaN before step n1, where no estimate exists yet;
-    ``step_ms`` is 0 for the static stage.
+    ``step_ms`` is 0 for the static stage.  ``final_info`` is the last row's
+    cumulative information, whose determinant ends ``det_cum_info``.
     """
 
     model: ModelSpec
@@ -80,6 +81,7 @@ class Trajectory:
     det_cum_info: np.ndarray
     step_ms: np.ndarray
     stage1_ms: float
+    final_info: np.ndarray
     stop_index: int | None = None
 
     def __len__(self) -> int:
@@ -148,7 +150,8 @@ class EngineState:
                           theta_hat=np.array(self.thetas, dtype=float),
                           det_cum_info=np.array(self.dets, dtype=float),
                           step_ms=np.array(self.step_ms, dtype=float),
-                          stage1_ms=self.stage1_ms, stop_index=stop_index)
+                          stage1_ms=self.stage1_ms, final_info=self.cum_info,
+                          stop_index=stop_index)
 
 
 def _refit(state: EngineState):
@@ -212,10 +215,10 @@ def _cm_select_interval(state: EngineState) -> float:
     optimal support point), so the search returns a local maximizer.
     """
     model, theta = state.model, state.theta_hat
-    cum = state.cum_info
+    cum, fisher_point = state.cum_info, model.family.fisher_point
 
     def neg_criterion(x) -> float:
-        return -det_sym(cum + fisher_info_nlr(model, theta, float(x[0])))
+        return -det_sym(cum + fisher_point(model, theta, float(x[0])))
 
     x0 = np.array([(model.x_min + model.x_max) / 2.0])
     bounds = (np.array([model.x_min]), np.array([model.x_max]))

@@ -5,10 +5,10 @@ a change point x0, linear above it, with the linear coefficients pinned by
 continuity of the mean and its slope at x0.  The change point is theta's
 third entry if it has one (M3, theta = (a1, a2, x0)), else the spec's
 ``x0_known`` (M2), else +inf, which puts every x on the exponential branch
-(M1).  Every function takes the ``ModelSpec`` and reads from it that known
-change point and sigma2, never the model's name; a ``RunConfig`` checks
-them when it is built.  Responses are Gaussian around the mean with variance
-sigma2.  sigma2 is a nuisance parameter: it drives simulation but cancels
+(M1).  Both functions read that known change point from the ``ModelSpec``,
+never the model's name.  The model table's growth entry builds a point's
+information g g^T / sigma2 from the gradient g, and draws a response as the
+mean plus N(0, sigma2) noise.  sigma2 is a nuisance parameter: it cancels
 from every determinant ratio used by the design criteria, and the
 least-squares estimate of the mean parameters does not depend on it.
 """
@@ -67,7 +67,7 @@ def growth_grad(model: ModelSpec, theta, x):
     linear-branch (right) derivative is used, matching the branch rule of
     growth_mean.  The rows of a least-squares Jacobian are these gradients,
     so its normal matrix J^T J divided by sigma2 is the cumulative
-    information (``cumulative_fisher_nlr``).
+    information.
     """
     x = _check_x(x)
     a1, a2, x0 = _split_x0(model, theta)
@@ -92,26 +92,3 @@ def growth_grad(model: ModelSpec, theta, x):
     if free_x0:
         g[on_lin, 2] = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
     return g
-
-
-def fisher_info_nlr(model: ModelSpec, theta, x: float) -> np.ndarray:
-    """Single-point information sigma2^-1 * grad * grad^T (rank one, PSD)."""
-    g = growth_grad(model, theta, x)
-    return np.outer(g, g) / model.sigma2
-
-
-def cumulative_fisher_nlr(model: ModelSpec, theta, xs) -> np.ndarray:
-    """Sum of single-point informations over an array of design points."""
-    g = growth_grad(model, theta, np.asarray(xs, dtype=float))
-    g = np.atleast_2d(g)
-    return (g.T @ g) / model.sigma2
-
-
-def simulate_response_nlr(model: ModelSpec, theta, x, rng: np.random.Generator):
-    """Mean plus N(0, sigma2) noise drawn from the caller-owned stream."""
-    mean = growth_mean(model, theta, x)
-    if model.sigma2 == 0.0:
-        return mean
-    noise = rng.normal(0.0, np.sqrt(model.sigma2), size=np.shape(mean) or None)
-    out = mean + noise
-    return float(out) if np.ndim(out) == 0 else out

@@ -68,14 +68,14 @@ class ReplicationSummary:
     density: metrics.DensityHistogram | None = None
 
 
-def _replicate(args) -> tuple[int, Trajectory | None, ReplicationFailure | None]:
+def _replicate(args) -> tuple[Trajectory | None, ReplicationFailure | None]:
     config, r = args
     rng = np.random.default_rng(config.seed + r)
     try:
-        return r, run(config, rng=rng), None
+        return run(config, rng=rng), None
     except Exception as exc:  # recorded per replication, budgeted by the caller
         # built here: the cause of a StepFailed does not survive pickling
-        return r, None, ReplicationFailure.from_exception(r, config.seed + r, exc)
+        return None, ReplicationFailure.from_exception(r, config.seed + r, exc)
 
 
 def _run_replications(config: RunConfig, workers: int | None):
@@ -83,12 +83,9 @@ def _run_replications(config: RunConfig, workers: int | None):
     if workers is None:
         workers = os.cpu_count() or 1
     if workers <= 1 or config.replications == 1:
-        results = [_replicate(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, jobs))
-    results.sort(key=lambda item: item[0])
-    return results
+        return [_replicate(job) for job in jobs]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_replicate, jobs))
 
 
 def run_experiment(config: RunConfig, out_dir: str | None = None,
@@ -102,7 +99,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
     trajectories: list[Trajectory] = []
     failures: list[ReplicationFailure] = []
-    for _, traj, failure in results:
+    for traj, failure in results:
         if failure is None:
             trajectories.append(traj)
         else:

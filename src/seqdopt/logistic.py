@@ -81,12 +81,6 @@ def log_weight_at_eta(eta: float) -> float:
     return -a - 2.0 * math.log1p(math.exp(-a))
 
 
-def fisher_info_glm(beta, point) -> np.ndarray:
-    """Single-trial information w * x x^T (rank one, PSD), x = (1, x1, x2)."""
-    c = cell_index(point)
-    return cell_weights(beta)[c] * XXT_CELLS[c]
-
-
 def fisher_from_counts(counts, beta) -> np.ndarray:
     """Total information sum_c n_c * w_c * x_c x_c^T from per-cell counts.
     x_c's entries are +-1, so each entry is a signed sum of n_c * w_c."""

@@ -64,14 +64,16 @@ class DensityHistogram:
                          for k in range(points.size)])
 
 
-def true_fisher_info(model: ModelSpec, theta=None) -> np.ndarray:
-    """Information at the true optimal design: the weighted sum of the
-    single-point informations over the closed-form support."""
-    theta = model.theta_star if theta is None else theta
-    family = model.family
-    measure = family.closed_form(model, theta)
-    return sum(w * family.fisher_point(model, theta, x)
+def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
+    """Information sum_i w_i * I(theta, x_i) of a design measure."""
+    return sum(w * model.family.fisher_point(model, theta, x)
                for x, w in zip(measure.support, measure.weights))
+
+
+def true_fisher_info(model: ModelSpec, theta=None) -> np.ndarray:
+    """Information at the closed-form optimal design at `theta` (default theta_star)."""
+    theta = model.theta_star if theta is None else theta
+    return design_info(model, theta, model.family.closed_form(model, theta))
 
 
 def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve:
@@ -81,7 +83,7 @@ def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve
     engine records at step i, and det(M / i) = det(M) / i^d for d x d M.
     """
     det_star = det_sym(i_star)
-    if det_star <= 0.0:
+    if not det_star > 0.0:   # NaN fails too
         raise DegenerateInformation(f"det(I*) = {det_star!r} must be positive")
 
     steps = np.arange(traj.n1, len(traj) + 1)
@@ -167,7 +169,7 @@ def histogram_to_csv(hist: DensityHistogram, path):
 
 
 __all__ = [
-    "EfficiencyCurve", "DensityHistogram", "true_fisher_info",
+    "EfficiencyCurve", "DensityHistogram", "design_info", "true_fisher_info",
     "relative_efficiency", "mean_efficiency", "crossing_step",
     "sequential_density", "normality_diagnostic", "glm_allocation",
     "write_csv", "allocation_to_csv", "efficiency_to_csv", "histogram_to_csv",

@@ -5,15 +5,15 @@
 two-factor coefficient, matched signs) to their entries; the growth/logistic
 split is written once, as the two entry classes.  An entry holds the run
 defaults (a ``RunConfig`` takes every default it has from here) and config
-rules, the closed form, fit and simulation, the information from the fit
-or the engine's cell table, the point encoding and CSV columns, the study
-aggregate and the grid oracle; every model takes every method.  The rest
-of the package asks the entry (``model.family``) or the spec's fields,
-never which model it runs; the engine calls ``fit``, ``simulate`` and
-``closed_form_design`` through this module, so a tracer can wrap them.
-The growth functions (means, fits, closed forms, grid oracles) take the
-``ModelSpec`` and read its interval, known change point and sigma2, the
-fields its entry's defaults hold.
+rules, the closed form, fit and response draw, a point's information and
+the cumulative one (from the fit or the engine's cell table), the point
+encoding and CSV columns, the study aggregate and the grid oracle; every
+model takes every method.  The rest of the package asks the entry
+(``model.family``) or the spec's fields, never which model it runs; the
+engine calls ``fit``, ``simulate`` and ``closed_form_design`` through this
+module, so a tracer can wrap them.  The growth functions (means, fits,
+closed forms, grid oracles) take the ``ModelSpec`` and read its interval
+and known change point; the growth entry scales by its sigma2.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from . import designs, fitting, growth, logistic, metrics
+from .linalg import det_sym
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,7 @@ class _Growth:
     pooled density of the adaptive points as the study aggregate."""
 
     initial_designs = ("uniform", "three_point")
+    info_scale = "sigma2"   # the config field that scales the information
     columns = ("x",)
     aggregate = ("density", metrics.sequential_density, metrics.histogram_to_csv)
 
@@ -100,15 +102,18 @@ class _Growth:
         return fitting.nls_refit(model, xs, ys, init)
 
     def cumulative_info(self, model, fit, counts) -> np.ndarray:
-        # the fit's J^T J holds the gradients of every data point at its
-        # estimate: the same g^T g as growth.cumulative_fisher_nlr
+        # the fit's J^T J is the sum of g g^T over the data at its estimate
         return fit.normal / model.sigma2
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
-        return growth.fisher_info_nlr(model, theta, x)
+        """Single-point information g g^T / sigma2, g the mean's gradient."""
+        g = growth.growth_grad(model, theta, x)
+        return np.outer(g, g) / model.sigma2
 
-    def simulate(self, model, x, rng):
-        return growth.simulate_response_nlr(model, model.theta_star, x, rng)
+    def simulate(self, model, x, rng) -> float:
+        # the mean at theta_star plus N(0, sigma2) noise
+        return (growth.growth_mean(model, model.theta_star, x)
+                + rng.normal(0.0, np.sqrt(model.sigma2)))
 
     def decode(self, x: np.ndarray) -> list:
         return x.tolist()
@@ -123,6 +128,7 @@ class _Logistic:
     and the pooled cell allocation as the study aggregate."""
 
     initial_designs = ("four_point",)
+    info_scale = "true_params"   # the config field that scales the information
     columns = ("x1", "x2")
     aggregate = ("allocation", metrics.glm_allocation, metrics.allocation_to_csv)
     rules = (("n1", lambda c: c.n1 % 4 == 0, "four_point design needs 4 | n1, got {c.n1}"),)
@@ -156,7 +162,9 @@ class _Logistic:
         return logistic.fisher_from_counts(counts, fit.theta)
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
-        return logistic.fisher_info_glm(theta, x)
+        """Single-trial information w_c x_c x_c^T of the point's cell c."""
+        c = logistic.cell_index(x)
+        return logistic.cell_weights(theta)[c] * logistic.XXT_CELLS[c]
 
     def simulate(self, model, x, rng) -> int:
         # one Bernoulli draw at theta_star, against the spec's cached cell
@@ -189,29 +197,9 @@ MODELS: dict[str, _Growth | _Logistic] = {
 }
 MODEL_NAMES = tuple(MODELS)
 
-#: the spec's fields a model takes only when its defaults hold them
-OPTIONAL_FIELDS = ("sigma2", "x0_known", "x_min", "x_max")
-
-
-def default_model(name: str, **overrides) -> ModelSpec:
-    """ModelSpec of `name` at the table's true values and optional fields,
-    replaced by `overrides`.  A ``config.RunConfig`` fills its fields from
-    the same defaults and rejects an optional field on a model whose
-    defaults do not hold it."""
-    defaults = MODELS[name].defaults
-    values = {"theta_star": defaults["true_params"],
-              **{f: defaults.get(f) for f in OPTIONAL_FIELDS}, **overrides}
-    return ModelSpec(name=name, **values)
-
-
 def closed_form_design(model: ModelSpec, theta) -> designs.DesignMeasure:
     """Locally D-optimal design at `theta` for the model's family."""
     return model.family.closed_form(model, theta)
-
-
-def fisher_point(model: ModelSpec, theta, x) -> np.ndarray:
-    """Single-trial information matrix at design point x under `theta`."""
-    return model.family.fisher_point(model, theta, x)
 
 
 def simulate(model: ModelSpec, x, rng: np.random.Generator):
@@ -238,9 +226,8 @@ def oracle_check(model: ModelSpec) -> dict:
     theta = np.asarray(model.theta_star)
     closed = closed_form_design(model, theta)
     oracle = model.family.oracle(model, theta)
-    fisher = lambda x: fisher_point(model, theta, x)
-    val_closed = designs.d_criterion(closed, fisher)
-    val_oracle = designs.d_criterion(oracle, fisher)
+    val_closed = det_sym(metrics.design_info(model, theta, closed))
+    val_oracle = det_sym(metrics.design_info(model, theta, oracle))
     return {"closed_form": json.loads(closed.to_json()),
             "oracle": json.loads(oracle.to_json()),
             "criterion_closed_form": val_closed,

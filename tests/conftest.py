@@ -1,5 +1,7 @@
 """Shared simulation batteries for the acceptance suite, and the reference
-helpers the tests check the package against.
+helpers the tests check the package against: among them the formulas of
+functions the package no longer holds (``reference_*``), and ``model_spec``,
+a model's spec with unchecked overrides.
 
 The heavy 50-replication runs are computed once per session and reused by
 the efficiency, timing, allocation and density criteria.  Everything is
@@ -7,13 +9,15 @@ seeded from one module-level constant, so the whole acceptance outcome is
 deterministic.
 """
 
+import dataclasses
 import os
 import time
 
 import numpy as np
 import pytest
 
-from seqdopt.config import parse_config
+from seqdopt.config import RunConfig, parse_config
+from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.harness import run_experiment
 from seqdopt.logistic import XXT_CELLS, X_CELLS, cell_index, cell_probs
 
@@ -34,6 +38,12 @@ BATTERY_CELLS = [
     ("GLM_C2", 80, 800, "four_point"),
     ("GLM_C2", 100, 1200, "four_point"),
 ]
+
+
+def model_spec(name: str, **overrides):
+    """The model's ``ModelSpec`` at its table defaults, with `overrides` put
+    in unchecked: some tests need a spec that a RunConfig would reject."""
+    return dataclasses.replace(RunConfig(model=name).to_model(), **overrides)
 
 
 def central_diff_gradient(f, theta, h: float | None = None) -> np.ndarray:
@@ -98,6 +108,38 @@ def reference_det_sym(a) -> float:
         - a[0, 1] * (a[1, 0] * a[2, 2] - a[1, 2] * a[2, 0])
         + a[0, 2] * (a[1, 0] * a[2, 1] - a[1, 1] * a[2, 0])
     )
+
+
+def reference_fisher_info_nlr(model, theta, x) -> np.ndarray:
+    """Growth single-point information sigma2^-1 * grad * grad^T."""
+    g = growth_grad(model, theta, x)
+    return np.outer(g, g) / model.sigma2
+
+
+def reference_fisher_info_glm(beta, point) -> np.ndarray:
+    """Logistic single-trial information w * x x^T of the point's cell."""
+    c = cell_index(point)
+    return reference_cell_weights(beta)[c] * XXT_CELLS[c]
+
+
+def reference_cumulative_fisher_nlr(model, theta, xs) -> np.ndarray:
+    """Sum of the growth single-point informations over the points xs, as
+    one product of the gradient table with itself."""
+    g = np.atleast_2d(growth_grad(model, theta, np.asarray(xs, dtype=float)))
+    return (g.T @ g) / model.sigma2
+
+
+def reference_simulate_response_nlr(model, theta, x, rng: np.random.Generator):
+    """Growth mean plus N(0, sigma2) noise, for a scalar or an array of x."""
+    mean = growth_mean(model, theta, x)
+    noise = rng.normal(0.0, np.sqrt(model.sigma2), size=np.shape(mean) or None)
+    out = mean + noise
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def reference_design_info(measure, fisher_fn) -> np.ndarray:
+    """sum_i w_i * fisher_fn(x_i) over a design measure's support."""
+    return sum(w * fisher_fn(x) for x, w in zip(measure.support, measure.weights))
 
 
 #: package primitive name -> the reference formula it must match bit for bit

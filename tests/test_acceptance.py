@@ -11,20 +11,17 @@ import pytest
 
 from seqdopt import modelspec
 from seqdopt.cli import main as cli_main
-from seqdopt.designs import (
-    d_criterion,
-    grid_oracle_glm,
-    grid_oracle_three_point,
-    grid_oracle_two_point,
-)
-from seqdopt.growth import cumulative_fisher_nlr, growth_grad, growth_mean
+from seqdopt.designs import grid_oracle_glm, grid_oracle_three_point, grid_oracle_two_point
+from seqdopt.growth import growth_grad, growth_mean
+from seqdopt.linalg import det_sym
 from seqdopt.metrics import (
     crossing_step,
+    design_info,
     normality_diagnostic,
     sequential_density,
 )
 
-from conftest import BATTERY_CELLS, central_diff_gradient
+from conftest import BATTERY_CELLS, central_diff_gradient, model_spec
 
 pytestmark = pytest.mark.acceptance
 
@@ -39,7 +36,7 @@ def test_acceptance_1_closed_form_vs_oracle():
     details = []
 
     for name in ("M1", "M2", "M3"):
-        model = modelspec.default_model(name)
+        model = model_spec(name)
         theta = np.asarray(model.theta_star)
         closed = modelspec.closed_form_design(model, theta)
         if name == "M3":
@@ -48,8 +45,8 @@ def test_acceptance_1_closed_form_vs_oracle():
         else:
             oracle = grid_oracle_two_point(model, theta, step=0.05)
             support_tol = 0.1
-        fisher = lambda x: modelspec.fisher_point(model, theta, x)
-        excess = d_criterion(oracle, fisher) / d_criterion(closed, fisher) - 1.0
+        crit = lambda measure: det_sym(design_info(model, theta, measure))
+        excess = crit(oracle) / crit(closed) - 1.0
         gap = max(abs(a - b) for a, b in zip(sorted(oracle.support),
                                              sorted(closed.support)))
         details.append(f"{name}: excess={excess:.2e} support_gap={gap:.3f}")
@@ -57,12 +54,12 @@ def test_acceptance_1_closed_form_vs_oracle():
             failures.append(name)
 
     for name in ("GLM_C1", "GLM_C2"):
-        model = modelspec.default_model(name)
+        model = model_spec(name)
         theta = np.asarray(model.theta_star)
         closed = modelspec.closed_form_design(model, theta)
         oracle = grid_oracle_glm(theta, step=0.001)
-        fisher = lambda x: modelspec.fisher_point(model, theta, x)
-        excess = d_criterion(oracle, fisher) / d_criterion(closed, fisher) - 1.0
+        crit = lambda measure: det_sym(design_info(model, theta, measure))
+        excess = crit(oracle) / crit(closed) - 1.0
         gap = max(abs(a - b) for a, b in zip(oracle.weights, closed.weights))
         details.append(f"{name}: excess={excess:.2e} alloc_gap={gap:.4f}")
         if excess > 1e-3 or gap > 0.002:
@@ -159,14 +156,9 @@ def test_acceptance_5_normality_diagnostic(normality_battery):
     """Standardized final estimates look standard normal at n=400."""
     summary, elapsed = normality_battery
     model = summary.config.to_model()
-    thetas = []
-    infos = []
-    for traj in summary.trajectories:
-        xs = np.array([r.x for r in traj.records])
-        theta = traj.final_theta
-        thetas.append(theta)
-        infos.append(cumulative_fisher_nlr(model, theta, xs))
-    diag = normality_diagnostic(thetas, model.theta_star, infos)
+    diag = normality_diagnostic([t.final_theta for t in summary.trajectories],
+                                model.theta_star,
+                                [t.final_info for t in summary.trajectories])
     mean, cov = diag["mean"], diag["cov"]
     diag_ok = np.all((np.diag(cov) >= 0.7) & (np.diag(cov) <= 1.3))
     off = cov[0, 1]
@@ -206,7 +198,7 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
     rng = np.random.default_rng(77)
     worst = 0.0
     for name in ("M1", "M2", "M3"):
-        model = modelspec.default_model(name)
+        model = model_spec(name)
         theta_star = np.asarray(model.theta_star, dtype=float)
         done = 0
         while done < 20:

@@ -12,7 +12,6 @@ from seqdopt.designs import (
     BalancedScheduler,
     DesignMeasure,
     balanced_cycle_counts,
-    d_criterion,
     draw_point,
     grid_oracle_glm,
     grid_oracle_three_point,
@@ -25,12 +24,16 @@ from seqdopt.designs import (
     optimal_design_m3,
 )
 from seqdopt.errors import ConstraintViolated, DegenerateDesign
+from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS
+from seqdopt.metrics import design_info
+
+from conftest import model_spec
 
 THETA = (32.11, 105.65)
 THETA3 = (32.11, 105.65, 86.67)
 X0 = 86.67
-M1, M2, M3 = (modelspec.default_model(name) for name in ("M1", "M2", "M3"))
+M1, M2, M3 = (model_spec(name) for name in ("M1", "M2", "M3"))
 
 
 def test_measure_validation():
@@ -313,8 +316,7 @@ def test_closed_form_criterion_dominates_oracle_random_parameters():
         a1 = rng.uniform(5.0, 80.0)
         a2 = rng.uniform(30.0, 200.0)
         x0 = rng.uniform(40.0, 160.0)
-        model = modelspec.default_model(
-            name, theta_star=((a1, a2, x0) if name == "M3" else (a1, a2)))
+        model = model_spec(name, theta_star=((a1, a2, x0) if name == "M3" else (a1, a2)))
         theta = np.asarray(model.theta_star)
         try:
             closed = modelspec.closed_form_design(model, theta)
@@ -326,8 +328,8 @@ def test_closed_form_criterion_dominates_oracle_random_parameters():
             oracle = grid_oracle_three_point(model, theta, steps=(4.0, 0.5, 0.05))
         else:
             oracle = grid_oracle_two_point(model, theta, step=0.25)
-        fisher = lambda x: modelspec.fisher_point(model, theta, x)
-        assert d_criterion(closed, fisher) >= (1.0 - 1e-3) * d_criterion(oracle, fisher)
+        crit = lambda measure: det_sym(design_info(model, theta, measure))
+        assert crit(closed) >= (1.0 - 1e-3) * crit(oracle)
         checked[name] += 1
 
 
@@ -337,18 +339,16 @@ def test_closed_form_criterion_dominates_oracle_glm():
         b = rng.uniform(-0.8, 0.8)
         closed = mandal_c1((b, b, b))
         oracle = grid_oracle_glm((b, b, b), step=0.002, coarse=0.02)
-        fisher = lambda x: modelspec.fisher_point(
-            modelspec.default_model("GLM_C1"), (b, b, b), x)
-        assert d_criterion(closed, fisher) >= (1.0 - 1e-3) * d_criterion(oracle, fisher)
+        crit = lambda measure: det_sym(design_info(model_spec("GLM_C1"), (b, b, b), measure))
+        assert crit(closed) >= (1.0 - 1e-3) * crit(oracle)
     for _ in range(10):
         b0 = rng.uniform(0.2, 2.0) * rng.choice([-1.0, 1.0])
         b1 = rng.uniform(0.1, 1.5) * np.sign(b0)
         beta = (b0, b1, 0.0)
         closed = mandal_c2(beta)
         oracle = grid_oracle_glm(beta, step=0.002, coarse=0.02)
-        fisher = lambda x: modelspec.fisher_point(
-            modelspec.default_model("GLM_C2"), beta, x)
-        assert d_criterion(closed, fisher) >= (1.0 - 1e-3) * d_criterion(oracle, fisher)
+        crit = lambda measure: det_sym(design_info(model_spec("GLM_C2"), beta, measure))
+        assert crit(closed) >= (1.0 - 1e-3) * crit(oracle)
 
 
 def test_support_continuity_in_theta():

@@ -3,6 +3,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt import linalg, logistic, modelspec
 from seqdopt.config import parse_config
@@ -19,16 +21,15 @@ from seqdopt.engine import (
 from seqdopt.errors import ConfigError, ConstraintViolated, DegenerateInformation, StepFailed
 from seqdopt.fitting import FitResult
 from seqdopt.harness import run_experiment
-from seqdopt.growth import fisher_info_nlr
 from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS, XXT_CELLS, cell_weights, fisher_from_counts
-from seqdopt.modelspec import default_model
 
-from conftest import REFERENCE_PRIMITIVES
+from conftest import (REFERENCE_PRIMITIVES, model_spec, reference_cumulative_fisher_nlr,
+                      reference_fisher_from_counts)
 
 
 def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
-    model = default_model(name)
+    model = model_spec(name)
     rng = np.random.default_rng(seed)
     return run_static_stage(model, method, n1, init, rng)
 
@@ -96,12 +97,13 @@ def test_cm_step_appends_record_and_increases_det():
     assert state.step == 41
     # determinant under the frozen previous estimate can only grow
     xs = np.array(state.xs)
-    info = sum(fisher_info_nlr(state.model, theta_before, x) for x in xs)
+    model = state.model
+    info = sum(model.family.fisher_point(model, theta_before, x) for x in xs)
     assert det_sym(info) >= det_before - 1e-12
 
 
 def test_cm_step_near_optimal_history_picks_a_support_point():
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
     measure = optimal_design_m1(model, theta)
@@ -109,8 +111,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
     state.theta_hat = theta
-    from seqdopt.growth import cumulative_fisher_nlr
-    state.cum_info = cumulative_fisher_nlr(model, theta, np.array(state.xs))
+    state.cum_info = reference_cumulative_fisher_nlr(model, theta, np.array(state.xs))
     from seqdopt.engine import _cm_select_interval
     x = _cm_select_interval(state)
     assert min(abs(x - s) for s in measure.support) < 0.5
@@ -121,7 +122,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
 # ---------------------------------------------------------------------------
 
 def test_pics_step_draws_from_closed_form_support():
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
     support = optimal_design_m1(model, theta).support
@@ -278,8 +279,7 @@ def test_det_nondecreasing_under_fixed_theta():
     model = cfg.to_model()
     theta = np.asarray(model.theta_star)
     xs = [r.x for r in traj.records]
-    from seqdopt.growth import cumulative_fisher_nlr
-    dets = [det_sym(cumulative_fisher_nlr(model, theta, np.array(xs[:i])))
+    dets = [det_sym(reference_cumulative_fisher_nlr(model, theta, np.array(xs[:i])))
             for i in range(5, len(xs) + 1, 5)]
     assert all(b >= a - 1e-12 for a, b in zip(dets, dets[1:]))
 
@@ -357,7 +357,7 @@ def test_trajectory_columns_round_trip(name, n1, n):
     copy = pickle.loads(pickle.dumps(traj))
     # the pool ships columns only; records are built on demand
     assert "records" not in traj.__dict__ and "records" not in copy.__dict__
-    for col in ("x", "y", "theta_hat", "det_cum_info", "step_ms"):
+    for col in ("x", "y", "theta_hat", "det_cum_info", "step_ms", "final_info"):
         assert np.array_equal(getattr(copy, col), getattr(traj, col), equal_nan=True)
     assert (copy.n1, copy.stage1_ms, copy.stop_index) == (traj.n1, traj.stage1_ms,
                                                            traj.stop_index)
@@ -393,7 +393,7 @@ def test_edge_configs_run_without_failed_steps(name, method, initial_design):
     # At seeds 6 and 24 the first three_point draws all coincide.
     extra = {"x0_known": 5.0} if name == "M2" else {}
     for seed in (0, 1, 6, 24):
-        cfg = parse_config(model=name, method=method, n1=default_model(name).dim + 2,
+        cfg = parse_config(model=name, method=method, n1=model_spec(name).dim + 2,
                            n=20, sigma2=10.0, seed=seed, initial_design=initial_design,
                            **extra)
         traj = run(cfg)
@@ -436,7 +436,7 @@ def test_glm_balanced_cycles_serve_the_apportioned_counts(name):
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
 def test_three_point_static_design_is_redrawn_only_when_all_points_coincide(name):
-    model = default_model(name)
+    model = model_spec(name)
     n1 = model.dim + 2
     mid = (model.x_min + model.x_max) / 2.0
     xi0 = DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
@@ -490,7 +490,40 @@ def test_runs_are_byte_identical_under_the_reference_primitives(monkeypatch):
                 monkeypatch.setattr(mod, name, reference)
                 patched.add(f"{modname}.{name}")
     assert {"seqdopt.engine.det_sym", "seqdopt.engine.cell_weights",
-            "seqdopt.designs.det_sym", "seqdopt.metrics.det_sym",
+            "seqdopt.modelspec.det_sym", "seqdopt.metrics.det_sym",
             "seqdopt.logistic.cell_probs", "seqdopt.logistic.cell_weights",
             "seqdopt.logistic.fisher_from_counts"} <= patched
     assert _trajectory_bytes() == as_shipped
+
+
+# ---------------------------------------------------------------------------
+# the trajectory's final information against a rebuild from its points
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["M1", "M2", "M3", "GLM_C1", "GLM_C2"]),
+       st.sampled_from(["cm", "pics", "balanced_pics"]), st.integers(0, 2**16))
+def test_final_info_is_the_rebuild_at_the_final_estimate_bit_for_bit(name, method, seed):
+    # the engine keeps the last cumulative information it built; it must be
+    # the information of all points at the final estimate
+    cfg = parse_config(model=name, method=method, n=50 if name.startswith("GLM") else 30,
+                       n1=8 if name.startswith("GLM") else 6, seed=seed)
+    _assert_final_info_is_the_rebuild(cfg, run(cfg))
+
+
+@pytest.mark.parametrize("name, n1, n", [("M1", 40, 400), ("GLM_C1", 80, 800)])
+def test_final_info_of_a_stopped_run_is_the_information_at_the_stop_step(name, n1, n):
+    cfg = parse_config(model=name, method="pics", n1=n1, n=n, seed=41, delta_stop=1e-2)
+    traj = run(cfg)
+    assert traj.stop_index is not None and len(traj) == traj.stop_index < cfg.n
+    _assert_final_info_is_the_rebuild(cfg, traj)
+
+
+def _assert_final_info_is_the_rebuild(cfg, traj):
+    if cfg.model.startswith("GLM"):
+        rebuilt = reference_fisher_from_counts(np.bincount(traj.x, minlength=4),
+                                               traj.final_theta)
+    else:
+        rebuilt = reference_cumulative_fisher_nlr(cfg.to_model(), traj.final_theta, traj.x)
+    assert traj.final_info.tobytes() == rebuilt.tobytes()
+    assert det_sym(traj.final_info) == traj.det_cum_info[-1]

@@ -28,12 +28,13 @@ from seqdopt.fitting import (
     nls_fit,
     nls_refit,
 )
-from seqdopt.growth import cumulative_fisher_nlr, growth_grad, growth_mean
+from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.logistic import LEVEL_POINTS
 from seqdopt.metrics import true_fisher_info
-from seqdopt.modelspec import closed_form_design, default_model, fit, simulate
+from seqdopt.modelspec import closed_form_design, fit, simulate
 
-from conftest import central_diff_gradient, simulate_binary
+from conftest import (central_diff_gradient, model_spec, reference_cumulative_fisher_nlr,
+                      simulate_binary)
 
 THETA = np.array([32.11, 105.65])
 THETA3 = np.array([32.11, 105.65, 86.67])
@@ -89,7 +90,7 @@ def test_local_minimize_multistart_returns_best():
 
 @pytest.mark.parametrize("name,theta", [("M1", THETA), ("M2", THETA), ("M3", THETA3)])
 def test_nls_recovers_noiseless_truth(name, theta):
-    model = default_model(name)
+    model = model_spec(name)
     x = np.linspace(5.0, 210.0, 10)
     y = growth_mean(model, theta, x)
     res = nls_fit(model, x, y)
@@ -98,7 +99,7 @@ def test_nls_recovers_noiseless_truth(name, theta):
 
 
 def test_nls_insufficient_data():
-    model = default_model("M1")
+    model = model_spec("M1")
     with pytest.raises(InsufficientData):
         nls_fit(model, [100.0, 120.0], [5.0, 6.0])
     with pytest.raises(InsufficientData):
@@ -137,7 +138,7 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
 
 def test_lm_refit_stays_in_bounds_and_never_worse_than_init():
     rng = np.random.default_rng(9)
-    model = default_model("M3")
+    model = model_spec("M3")
     x = rng.uniform(1.0, 210.0, 60)
     y = growth_mean(model, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
     for init in ([32.0, 105.0, 209.0], [1e3, 1e-3, 1.0], THETA3 * 1.2):
@@ -150,7 +151,7 @@ def test_lm_refit_stays_in_bounds_and_never_worse_than_init():
 
 def test_nls_gradient_small_at_optimum():
     rng = np.random.default_rng(1)
-    model = default_model("M1")
+    model = model_spec("M1")
     x = rng.uniform(1.0, 210.0, 60)
     y = growth_mean(model, THETA, x) + rng.normal(0, np.sqrt(SIGMA2), 60)
     res = nls_fit(model, x, y)
@@ -166,7 +167,7 @@ def test_nls_gradient_small_at_optimum():
 def test_nls_m1_within_three_standard_errors():
     # oracle: asymptotic covariance from the optimal-design information;
     # draws come from the optimal design itself
-    model = default_model("M1")
+    model = model_spec("M1")
     i_star = true_fisher_info(model)
     n = 200
     cov = np.linalg.inv(n * i_star)
@@ -186,7 +187,7 @@ def test_nls_m1_within_three_standard_errors():
 
 def test_nls_m3_profile_cold_start():
     rng = np.random.default_rng(2)
-    model = default_model("M3")
+    model = model_spec("M3")
     x = rng.uniform(1.0, 210.0, 120)
     y = growth_mean(model, THETA3, x) + rng.normal(0, np.sqrt(SIGMA2), 120)
     res = nls_fit(model, x, y)
@@ -249,7 +250,7 @@ def recorded_refits():
             for method in ("cm", "pics"):
                 run(parse_config(model=name, method=method, n1=20, n=40, seed=5))
             extra = {"x0_known": 5.0} if name == "M2" else {}
-            run(parse_config(model=name, method="pics", n1=default_model(name).dim + 2,
+            run(parse_config(model=name, method="pics", n1=model_spec(name).dim + 2,
                              n=20, sigma2=10.0, seed=0, **extra))
     finally:
         fitting.nls_refit = original
@@ -276,7 +277,7 @@ def test_refit_normal_matrix_is_the_cumulative_information(recorded_refits, sigm
         res = nls_refit(model, x, y, init)
         at_sigma2 = dataclasses.replace(model, sigma2=sigma2)
         assert np.array_equal(res.normal / sigma2,
-                              cumulative_fisher_nlr(at_sigma2, res.theta, x))
+                              reference_cumulative_fisher_nlr(at_sigma2, res.theta, x))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def _oracle_m3_start(model, x, y):
     inner_bounds = (np.full(2, ALPHA_BOUNDS[0]), np.full(2, ALPHA_BOUNDS[1]))
 
     def inner(x0, init):
-        rss = _oracle_rss_fn(default_model("M2", x0_known=float(x0)), x, y)
+        rss = _oracle_rss_fn(model_spec("M2", x0_known=float(x0)), x, y)
         return local_minimize(rss, init, bounds=inner_bounds, n_starts=1,
                               xtol=1e-4, max_iter=80)
 
@@ -424,7 +425,7 @@ def test_cold_fit_never_worse_than_simplex_oracle(name, design, n1):
 def test_cold_fit_recovers_noise_free_m3(n1, log2_scale, x0, seed):
     # a1 and a2 within a factor 2 of the truth, points uniform on the interval
     theta = [THETA3[0] * 2.0 ** log2_scale[0], THETA3[1] * 2.0 ** log2_scale[1], x0]
-    model = default_model("M3")
+    model = model_spec("M3")
     x = np.random.default_rng(seed).uniform(model.x_min, model.x_max, n1)
     y = growth_mean(model, theta, x)
     res = nls_fit(model, x, y)
@@ -607,7 +608,7 @@ def test_c2_warm_sign_restriction_matches_full_fit():
                      for p in LEVEL_POINTS], dtype=float)
     full = logistic_mle_c2(counts=counts, successes=succ)
     # the engine's sequential refit passes the incumbent estimate as init
-    warm = fit(default_model("GLM_C2"), None, None, init=np.array([1.4, 0.6, 0.0]),
+    warm = fit(model_spec("GLM_C2"), None, None, init=np.array([1.4, 0.6, 0.0]),
                cell_counts=counts, cell_successes=succ)
     assert np.allclose(full.theta, warm.theta, atol=1e-4)
 
@@ -638,7 +639,7 @@ def cell_tables(draw):
 def test_logistic_fit_of_any_table_admits_the_closed_form(table):
     counts, successes = table
     for name in ("GLM_C1", "GLM_C2"):
-        model = default_model(name)
+        model = model_spec(name)
         res = fit(model, None, None, cell_counts=counts, cell_successes=successes)
         _assert_probability_measure(closed_form_design(model, res.theta))
 
@@ -646,7 +647,7 @@ def test_logistic_fit_of_any_table_admits_the_closed_form(table):
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["M1", "M2", "M3"]), st.data())
 def test_growth_fit_box_admits_the_closed_form(name, data):
-    model = default_model(name)
+    model = model_spec(name)
     lo, hi = _nls_bounds(model)
     theta = [data.draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)]
     _assert_probability_measure(closed_form_design(model, theta))

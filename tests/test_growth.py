@@ -6,26 +6,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqdopt.errors import DomainError
-from seqdopt.growth import (
-    cumulative_fisher_nlr,
-    fisher_info_nlr,
-    growth_grad,
-    growth_mean,
-    simulate_response_nlr,
-)
+from seqdopt import modelspec
+from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.linalg import det_sym
-from seqdopt.modelspec import default_model
 
-from conftest import central_diff_gradient
+from conftest import (central_diff_gradient, model_spec, reference_fisher_info_nlr,
+                      reference_simulate_response_nlr)
 
 THETA = np.array([32.11, 105.65])
 THETA3 = np.array([32.11, 105.65, 86.67])
 X0 = 86.67
 SIGMA2 = 0.086
 
-M1 = default_model("M1", sigma2=SIGMA2)
-M2 = default_model("M2", sigma2=SIGMA2, x0_known=X0)
-M3 = default_model("M3", sigma2=SIGMA2)
+M1 = model_spec("M1", sigma2=SIGMA2)
+M2 = model_spec("M2", sigma2=SIGMA2, x0_known=X0)
+M3 = model_spec("M3", sigma2=SIGMA2)
 
 #: (spec, theta) per growth model; the parametrized tests call the spec `kind`
 MODELS = [(M1, THETA), (M2, THETA), (M3, THETA3)]
@@ -40,7 +35,7 @@ def _linear_branch(model, theta, x0):
 
 def test_linear_branch_intercept_vanishes_when_a2_equals_x0():
     # the (1 - a2/x0) factor vanishes exactly when a2 == x0
-    for model, theta in ((default_model("M2", x0_known=50.0), (1.0, 50.0)),
+    for model, theta in ((model_spec("M2", x0_known=50.0), (1.0, 50.0)),
                         (M3, (1.0, 50.0, 50.0))):
         a, b = _linear_branch(model, theta, 50.0)
         assert a == pytest.approx(0.0, abs=1e-15)
@@ -197,7 +192,7 @@ def test_grad_equals_the_replaced_gradient_bit_for_bit(inputs):
 def test_fisher_m1_off_diagonal_pattern():
     # single-point information has off-diagonal -a1/x * exp(-2 a2/x) / s2
     x = 100.0
-    info = fisher_info_nlr(M1, THETA, x)
+    info = M1.family.fisher_point(M1, THETA, x)
     expected = -THETA[0] / x * np.exp(-2.0 * THETA[1] / x) / SIGMA2
     assert info[0, 1] == pytest.approx(expected, rel=1e-12)
     assert info[1, 0] == info[0, 1]
@@ -209,7 +204,7 @@ def test_fisher_rank_one_and_psd(kind, theta):
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = rng.uniform(0.6, 210.0)
-        info = fisher_info_nlr(kind, theta, x)
+        info = kind.family.fisher_point(kind, theta, x)
         assert abs(det_sym(info)) < 1e-10 * max(1.0, np.abs(info).max() ** info.shape[0])
         assert np.trace(info) > 0.0
         assert np.all(np.linalg.eigvalsh(info) > -1e-12)
@@ -219,31 +214,29 @@ def test_fisher_outer_product_recomputation():
     x = 210.0
     g = growth_grad(M2, THETA, x)
     explicit = np.outer(g, g) / SIGMA2
-    assert np.allclose(fisher_info_nlr(M2, THETA, x), explicit)
+    assert np.allclose(M2.family.fisher_point(M2, THETA, x), explicit)
 
 
 def test_cumulative_fisher_matches_sum():
-    xs = np.array([5.0, 50.0, 120.0, 200.0])
-    total = sum(fisher_info_nlr(M3, THETA3, x) for x in xs)
-    assert np.allclose(cumulative_fisher_nlr(M3, THETA3, xs), total)
-
-
-def test_simulate_zero_variance_returns_mean():
-    rng = np.random.default_rng(0)
-    y = simulate_response_nlr(dataclasses.replace(M1, sigma2=0.0), THETA, 100.0, rng)
-    assert y == growth_mean(M1, THETA, 100.0)
+    # the entry's cumulative information, from a fit's J^T J, is the sum of
+    # the single-point informations at the fit's estimate
+    xs = np.array([5.0, 50.0, 80.0, 120.0, 160.0, 200.0])
+    rng = np.random.default_rng(4)
+    ys = [modelspec.simulate(M3, x, rng) for x in xs]
+    res = modelspec.fit(M3, xs.tolist(), ys, init=THETA3)
+    total = sum(M3.family.fisher_point(M3, res.theta, x) for x in xs)
+    assert np.allclose(M3.family.cumulative_info(M3, res, None), total)
 
 
 def test_simulate_deterministic_given_seed():
-    a = [simulate_response_nlr(M1, THETA, 100.0, np.random.default_rng(9))
-         for _ in range(3)]
+    # M1 simulates at its true values, THETA
+    a = [modelspec.simulate(M1, 100.0, np.random.default_rng(9)) for _ in range(3)]
     assert a[0] == a[1] == a[2]
 
 
 def test_simulate_sampling_statistics():
     rng = np.random.default_rng(11)
-    draws = np.array([simulate_response_nlr(M1, THETA, 100.0, rng)
-                      for _ in range(10_000)])
+    draws = np.array([modelspec.simulate(M1, 100.0, rng) for _ in range(10_000)])
     mean = growth_mean(M1, THETA, 100.0)
     assert abs(draws.mean() - mean) < 3.0 * np.sqrt(SIGMA2) / 100.0
     assert abs(draws.var() - SIGMA2) < 0.1 * SIGMA2
@@ -266,3 +259,22 @@ def test_m1_and_m2_are_m3_at_their_change_points(a1, a2, xs, beyond, x0_known):
             assert np.array_equal(growth_grad(model, theta, x), grad3[..., :2])
             if model is M1:
                 assert np.all(grad3[..., 2] == 0.0)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(MODELS), st.lists(st.floats(0.5, 1.5), min_size=3, max_size=3),
+       st.floats(M1.x_min, M1.x_max), st.floats(1e-6, 1e3), st.integers(0, 2**32 - 1))
+def test_entry_information_and_response_match_the_reference_formulas_bit_for_bit(
+        case, scales, x, sigma2, seed):
+    # the growth entry's single-point information and response draw against
+    # the formulas the package used to hold, at scaled true values
+    model, theta = case
+    theta = tuple(v * s for v, s in zip(theta, scales))
+    spec = dataclasses.replace(model, theta_star=theta, sigma2=sigma2)
+    info = spec.family.fisher_point(spec, theta, x)
+    assert info.tobytes() == reference_fisher_info_nlr(spec, theta, x).tobytes()
+    ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)
+    y, y_ref = modelspec.simulate(spec, x, ra), reference_simulate_response_nlr(spec, theta, x, rb)
+    assert type(y) is type(y_ref) is float
+    assert np.float64(y).tobytes() == np.float64(y_ref).tobytes()
+    assert ra.bit_generator.state == rb.bit_generator.state

@@ -164,6 +164,32 @@ def test_a_config_either_runs_or_is_rejected_naming_the_field(kw):
     event("ran")
 
 
+@pytest.mark.parametrize("kw, field", [
+    (dict(model="M1", sigma2=3.883911975738208e-179, n=45), "sigma2"),
+    (dict(model="M3", sigma2=1e-104, n1=60, n=200), "sigma2"),
+    (dict(model="M1", sigma2=1e300), "sigma2"),
+    (dict(model="GLM_C2", true_params=(500.0, 500.0, 0.0)), "true_params"),
+], ids=["M1-tiny-sigma2", "M3-tiny-sigma2", "M1-huge-sigma2", "GLM_C2-saturated"])
+def test_a_config_with_degenerate_reference_information_is_rejected(kw, field):
+    # each of these ran at the parent: the first two recorded NaN or
+    # infinite determinants, the last two raised at aggregation on det(I*) = 0
+    with pytest.raises(ConfigError, match=f"config field '{field}': .*det"):
+        RunConfig(**kw)
+
+
+@pytest.mark.parametrize("model, n1, n", [("M1", 40, 100), ("M3", 60, 200)])
+def test_an_accepted_sigma2_records_finite_determinants(model, n1, n):
+    # along a log grid of sigma2 the rule on det(n I*) keeps exactly the
+    # runs whose recorded determinants are all finite
+    for exponent in range(-160, -63, 8):
+        try:
+            cfg = RunConfig(model=model, n1=n1, n=n, sigma2=10.0 ** exponent)
+        except ConfigError as exc:
+            assert "config field 'sigma2'" in str(exc)
+            continue
+        assert np.isfinite(run(cfg).det_cum_info[n1 - 1:]).all(), exponent
+
+
 # ---------------------------------------------------------------------------
 # experiment orchestration
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seqdopt.linalg import det_sym, det_sym_batch
 
-from conftest import central_diff_gradient, reference_det_sym
+from conftest import central_diff_gradient, model_spec, reference_det_sym
 
 
 def test_det_identity_and_diagonal():
@@ -74,9 +74,8 @@ def test_central_diff_simple_functions():
 
 def test_central_diff_matches_analytic_growth_gradient():
     from seqdopt.growth import growth_grad, growth_mean
-    from seqdopt.modelspec import default_model
 
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.array([32.11, 105.65])
     numeric = central_diff_gradient(lambda t: growth_mean(model, t, 100.0), theta)
     analytic = growth_grad(model, theta, 100.0)

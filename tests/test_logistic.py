@@ -12,17 +12,23 @@ from seqdopt.logistic import (
     cell_probs,
     cell_weights,
     fisher_from_counts,
-    fisher_info_glm,
     sigmoid_scalar,
     weight_at_eta,
 )
-from seqdopt.modelspec import default_model, fisher_point, simulate
+from seqdopt.modelspec import simulate
 
-from conftest import (reference_cell_probs, reference_cell_weights,
-                      reference_fisher_from_counts, simulate_binary)
+from conftest import (model_spec, reference_cell_probs, reference_cell_weights,
+                      reference_fisher_from_counts, reference_fisher_info_glm,
+                      simulate_binary)
 
 BETA_C1 = (0.7125, 0.7125, 0.7125)
 BETA_C2 = (1.5, 0.5, 0.0)
+GLM_C1 = model_spec("GLM_C1")
+
+
+def fisher_info_glm(beta, point):
+    """The logistic entry's single-trial information at `beta`."""
+    return GLM_C1.family.fisher_point(GLM_C1, beta, point)
 
 
 def test_row_order_convention():
@@ -50,7 +56,7 @@ def test_cell_index_rejects_a_point_off_the_levels_naming_it(point):
 
 def test_fisher_point_off_the_levels_is_rejected():
     with pytest.raises(ValueError, match=r"\(1\.9, 1\.7\)"):
-        fisher_point(default_model("GLM_C1"), BETA_C1, (1.9, 1.7))
+        fisher_info_glm(BETA_C1, (1.9, 1.7))
 
 
 def test_success_prob_zero_beta():
@@ -167,7 +173,7 @@ def test_simulate_reproducible():
 
 @pytest.mark.parametrize("name", ["GLM_C1", "GLM_C2"])
 def test_model_simulate_draws_against_cached_probabilities(name):
-    model = default_model(name)
+    model = model_spec(name)
     assert model.success_probs is model.success_probs
     assert model.success_probs == cell_probs(model.theta_star).tolist()
     # the same draws as simulate_binary at the truth, from the same stream
@@ -196,3 +202,5 @@ def test_cell_primitives_match_the_reference_formulas_bit_for_bit(beta, counts):
     assert _same_bytes(cell_weights(beta), reference_cell_weights(beta))
     assert _same_bytes(fisher_from_counts(counts, beta),
                        reference_fisher_from_counts(counts, beta))
+    for p in LEVEL_POINTS:
+        assert _same_bytes(fisher_info_glm(beta, p), reference_fisher_info_glm(beta, p))

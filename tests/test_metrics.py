@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqdopt.config import parse_config
 from seqdopt.engine import Trajectory, run
@@ -11,6 +13,7 @@ from seqdopt.metrics import (
     EfficiencyCurve,
     allocation_to_csv,
     crossing_step,
+    design_info,
     efficiency_to_csv,
     glm_allocation,
     histogram_to_csv,
@@ -20,22 +23,24 @@ from seqdopt.metrics import (
     sequential_density,
     true_fisher_info,
 )
-from seqdopt.designs import draw_point, optimal_design_m1
-from seqdopt.growth import cumulative_fisher_nlr
+from seqdopt.designs import DesignMeasure, draw_point, optimal_design_m1
 from seqdopt.linalg import det_sym
-from seqdopt.logistic import fisher_from_counts
-from seqdopt.modelspec import closed_form_design, default_model, fisher_point
+from seqdopt.logistic import LEVEL_POINTS, fisher_from_counts
+from seqdopt.modelspec import closed_form_design
+
+from conftest import (model_spec, reference_cumulative_fisher_nlr, reference_design_info,
+                      reference_fisher_info_glm, reference_fisher_info_nlr)
 
 
 def test_true_fisher_glm_zero_beta_identity_pattern():
     # hand oracle: X*^T X* = 4 I, weights 1/4, proportions 1/4 -> I* = 0.25 I
-    model = default_model("GLM_C1", theta_star=(0.0, 0.0, 0.0))
+    model = model_spec("GLM_C1", theta_star=(0.0, 0.0, 0.0))
     i_star = true_fisher_info(model)
     assert np.allclose(i_star, 0.25 * np.eye(3))
 
 
 def test_true_fisher_m1_nondegenerate():
-    i_star = true_fisher_info(default_model("M1"))
+    i_star = true_fisher_info(model_spec("M1"))
     assert det_sym(i_star) > 0.0
 
 
@@ -43,7 +48,7 @@ def test_true_fisher_m1_nondegenerate():
 def test_true_fisher_matches_monte_carlo(name):
     # oracle: Monte Carlo integration of the single-point information over
     # draws from the optimal design
-    model = default_model(name)
+    model = model_spec(name)
     theta = np.asarray(model.theta_star)
     i_star = true_fisher_info(model)
     measure = closed_form_design(model, theta)
@@ -53,7 +58,7 @@ def test_true_fisher_matches_monte_carlo(name):
     idx = rng.choice(len(measure.support), size=n, p=np.asarray(measure.weights))
     counts = np.bincount(idx, minlength=len(measure.support))
     for c, x in zip(counts, measure.support):
-        total += c * fisher_point(model, theta, x)
+        total += c * model.family.fisher_point(model, theta, x)
     mc = total / n
     scale = np.abs(i_star).max()
     assert np.all(np.abs(mc - i_star) <= 0.01 * scale)
@@ -68,10 +73,11 @@ def _toy_trajectory(model, xs, theta):
     thetas[n1 - 1:] = theta
     dets = np.full(n, np.nan)
     for i in range(n1, n + 1):
-        dets[i - 1] = det_sym(cumulative_fisher_nlr(model, theta, x[:i]))
+        dets[i - 1] = det_sym(reference_cumulative_fisher_nlr(model, theta, x[:i]))
     return Trajectory(model=model, method="pics", n1=n1, x=x, y=np.zeros(n),
                       theta_hat=thetas, det_cum_info=dets, step_ms=np.zeros(n),
-                      stage1_ms=0.0)
+                      stage1_ms=0.0,
+                      final_info=reference_cumulative_fisher_nlr(model, theta, x))
 
 
 def _recomputed_efficiency(traj, i_star):
@@ -87,7 +93,7 @@ def _recomputed_efficiency(traj, i_star):
             counts = np.bincount(traj.x[:i], minlength=4)
             info = fisher_from_counts(counts, theta_i) / i
         else:
-            info = cumulative_fisher_nlr(model, theta_i, traj.x[:i]) / i
+            info = reference_cumulative_fisher_nlr(model, theta_i, traj.x[:i]) / i
         values[k] = 1.0 - abs(det_sym(info) - det_star) / det_star
     return steps, values
 
@@ -114,7 +120,7 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
 
 
 def test_efficiency_one_when_information_matches():
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.asarray(model.theta_star)
     measure = optimal_design_m1(model, theta)
     # alternate the two support points: the empirical average equals I*
@@ -127,7 +133,7 @@ def test_efficiency_one_when_information_matches():
 
 def test_efficiency_half_when_det_is_half():
     # formula arithmetic on synthetic determinants
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.asarray(model.theta_star)
     i_star = true_fisher_info(model)
     # scale I* by c so det(c I*) = 0.5 det(I*): c = sqrt(0.5) for d = 2
@@ -141,8 +147,8 @@ def test_efficiency_half_when_det_is_half():
 
 def test_efficiency_sigma2_invariance_at_formula_level():
     # sigma2 scales both determinants by sigma^(-2d) and cancels
-    model_a = default_model("M1", sigma2=0.086)
-    model_b = default_model("M1", sigma2=4 * 0.086)
+    model_a = model_spec("M1", sigma2=0.086)
+    model_b = model_spec("M1", sigma2=4 * 0.086)
     theta = np.asarray(model_a.theta_star)
     xs = np.linspace(10.0, 210.0, 40)
     curves = []
@@ -153,10 +159,57 @@ def test_efficiency_sigma2_invariance_at_formula_level():
 
 
 def test_efficiency_requires_positive_det():
-    model = default_model("M1")
+    model = model_spec("M1")
     traj = _toy_trajectory(model, [10.0, 20.0, 30.0], np.array([32.11, 105.65]))
     with pytest.raises(DegenerateInformation):
         relative_efficiency(traj, np.zeros((2, 2)))
+
+
+def test_efficiency_rejects_a_nan_determinant():
+    # det(I*) = NaN is no positive determinant: it would make every value NaN
+    model = model_spec("M1")
+    traj = _toy_trajectory(model, [10.0, 20.0, 30.0], np.array([32.11, 105.65]))
+    with pytest.raises(DegenerateInformation, match="nan"):
+        relative_efficiency(traj, np.full((2, 2), np.nan))
+
+
+def _same_bytes(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _model_theta_measure(draw):
+    """A model, a parameter vector near its truth and a design measure with
+    one to four support points of positive integer-ratio weights."""
+    name = draw(st.sampled_from(["M1", "M2", "M3", "GLM_C1", "GLM_C2"]))
+    model = model_spec(name)
+    theta = [v * draw(st.floats(0.5, 1.5)) for v in model.theta_star]
+    if model.x_min is None:
+        points = draw(st.lists(st.sampled_from(LEVEL_POINTS), min_size=1, max_size=4,
+                               unique=True))
+    else:
+        points = draw(st.lists(st.floats(model.x_min, model.x_max), min_size=1,
+                               max_size=4, unique=True))
+    counts = draw(st.lists(st.integers(1, 50), min_size=len(points), max_size=len(points)))
+    weights = tuple(c / sum(counts) for c in counts)
+    return model, theta, DesignMeasure(tuple(points), weights)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_model_theta_measure())
+def test_design_info_matches_the_reference_sum_bit_for_bit(case):
+    # the one design-information sum, and each entry's single-point
+    # information inside it, against the formulas the package used to hold
+    model, theta, measure = case
+    if model.x_min is None:
+        reference_point = lambda x: reference_fisher_info_glm(theta, x)
+    else:
+        reference_point = lambda x: reference_fisher_info_nlr(model, theta, x)
+    for x in measure.support:
+        assert _same_bytes(model.family.fisher_point(model, theta, x), reference_point(x))
+    assert _same_bytes(design_info(model, theta, measure),
+                       reference_design_info(measure, reference_point))
 
 
 def test_efficiency_glm_matches_direct_recomputation():
@@ -168,8 +221,7 @@ def test_efficiency_glm_matches_direct_recomputation():
     # recompute one step by brute force
     i = 100
     theta_i = traj.records[i - 1].theta_hat
-    from seqdopt.logistic import fisher_info_glm
-    info = sum(fisher_info_glm(theta_i, r.x) for r in traj.records[:i]) / i
+    info = sum(reference_fisher_info_glm(theta_i, r.x) for r in traj.records[:i]) / i
     expected = 1.0 - abs(det_sym(info) - det_sym(i_star)) / det_sym(i_star)
     assert curve.at(i) == pytest.approx(expected, rel=1e-10)
 
@@ -183,7 +235,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
     i = 50
     theta_i = traj.records[i - 1].theta_hat
     xs = np.array([r.x for r in traj.records[:i]])
-    info = cumulative_fisher_nlr(model, theta_i, xs) / i
+    info = reference_cumulative_fisher_nlr(model, theta_i, xs) / i
     expected = 1.0 - abs(det_sym(info) - det_sym(i_star)) / det_sym(i_star)
     assert curve.at(i) == pytest.approx(expected, rel=1e-10)
     assert curve.steps[0] == 40 and curve.steps[-1] == 60
@@ -191,7 +243,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
 
 def test_efficiency_iid_optimal_draws_approach_one():
     # law of large numbers with the truth plugged in throughout
-    model = default_model("M1")
+    model = model_spec("M1")
     theta = np.asarray(model.theta_star)
     measure = optimal_design_m1(model, theta)
     rng = np.random.default_rng(11)
@@ -213,7 +265,7 @@ def test_mean_efficiency_and_crossing():
 
 
 def test_density_single_point_single_bin():
-    model = default_model("M1")
+    model = model_spec("M1")
     traj = _toy_trajectory(model, [100.0] * 50, np.asarray(model.theta_star))
     hist = sequential_density([traj], bins=100)
     assert hist.mass.sum() == pytest.approx(1.0)
@@ -250,14 +302,14 @@ def test_density_mode_masses_partition():
 
 
 def test_glm_allocation_pools_stage2_only():
-    model = default_model("GLM_C1")
+    model = model_spec("GLM_C1")
     # cells (1, 1), (1, 1), (-1, -1), (-1, 1)
     thetas = np.zeros((4, 3))
     thetas[0] = np.nan
     traj = Trajectory(model=model, method="pics", n1=2, x=np.array([0, 0, 3, 2]),
                       y=np.array([1.0, 0.0, 1.0, 1.0]), theta_hat=thetas,
                       det_cum_info=np.array([np.nan, 1.0, 1.0, 1.0]),
-                      step_ms=np.zeros(4), stage1_ms=0.0)
+                      step_ms=np.zeros(4), stage1_ms=0.0, final_info=np.eye(3))
     alloc = glm_allocation([traj])
     assert alloc.tolist() == [0.0, 0.0, 0.5, 0.5]
 

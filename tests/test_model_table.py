@@ -3,6 +3,7 @@ the package compares a model's name or asks whether it is logistic.  It is
 also the one home of a run's defaults: a RunConfig field the table holds a
 default for is None until the config fills it from the table."""
 
+import ast
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -43,3 +44,17 @@ def test_no_file_names_a_separate_config_check():
     paths = [ROOT / "README.md", *(p for d in ("src", "tests", "demos")
                                    for p in sorted((ROOT / d).rglob("*.py")))]
     assert [p.name for p in paths if "validate" + "_config" in p.read_text()] == []
+
+
+def test_engine_reaches_a_family_only_through_its_entry():
+    # the engine imports nothing from the growth module: a point's
+    # information comes from the model's entry
+    tree = ast.parse((SRC / "engine.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[-1] for alias in node.names)
+    assert "growth" not in imported
