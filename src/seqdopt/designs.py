@@ -213,27 +213,24 @@ class BalancedScheduler:
     ``balanced_cycle_counts`` copies, in a fresh random order, so a cycle
     of an equal-weight measure covers the support exactly once.
 
-    The measure backing a cycle is frozen for the whole cycle; a measure from
-    an updated estimate only takes effect at the next cycle boundary.
+    The first cycle starts at the first ``next_point``.  The measure backing
+    a cycle is frozen for the whole cycle; a measure from an updated
+    estimate only takes effect at the next cycle boundary.
     """
 
-    def __init__(self, measure: DesignMeasure, rng: np.random.Generator):
+    def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._start_cycle(measure)
-
-    def _start_cycle(self, measure: DesignMeasure):
-        counts = balanced_cycle_counts(measure.weights)
-        order = np.repeat(np.arange(len(counts)), counts)
-        self._rng.shuffle(order)
-        self._support = measure.support
-        self._order = order
-        self._pos = 0
+        self._order, self._pos = (), 0   # no cycle yet
 
     def next_point(self, measure: DesignMeasure):
-        """Next point of the current cycle, rebuilding from `measure` when
-        the previous cycle is exhausted."""
+        """Next point of the current cycle, starting a cycle from `measure`
+        when none is left."""
         if self._pos == len(self._order):
-            self._start_cycle(measure)
+            counts = balanced_cycle_counts(measure.weights)
+            self._order = np.repeat(np.arange(len(counts)), counts)
+            self._rng.shuffle(self._order)
+            self._support = measure.support
+            self._pos = 0
         point = self._support[self._order[self._pos]]
         self._pos += 1
         return point

@@ -20,15 +20,16 @@ compute (selection + response + refit + information rebuild).  Both
 methods share this refit, so the cm/pics compute gap is the cost of cm's
 criterion maximization.
 
-The engine does not ask which model it runs: the model's entry in
-``modelspec.MODELS`` draws the static design, stores each point (and
-tallies the logistic cell table), and builds the information, while the
-fit, the response and the closed form go through ``modelspec`` functions.
-cm ranges over the run's cell table if it keeps one.  A run returns its
-history as a columnar ``Trajectory`` (points, responses, estimates, the
-determinant of the cumulative information at each step's estimate, step
-times) and the last cumulative information; a pooled replication sends
-back only these arrays.
+The engine does not ask which model it runs, and holds no family's data:
+the model's entry in ``modelspec.MODELS`` draws the static design, makes
+the run's cell table (none for a growth model), stores each point (and
+tallies it in the table), builds the information, and offers cm its
+candidate cells, while the fit, the response and the closed form go
+through ``modelspec`` functions.  cm enumerates the cells when the run
+keeps a table.  A run returns its history as a columnar ``Trajectory``
+(points, responses, estimates, the determinant of the cumulative
+information at each step's estimate, step times) and the last cumulative
+information; a pooled replication sends back only these arrays.
 """
 
 from __future__ import annotations
@@ -42,10 +43,9 @@ import numpy as np
 from . import modelspec
 from .config import RunConfig
 from .designs import BalancedScheduler, draw_point
-from .errors import DegenerateInformation, StepFailed
+from .errors import StepFailed
 from .fitting import FitResult, local_minimize
 from .linalg import det_sym
-from .logistic import LEVEL_POINTS, XXT_CELLS, cell_index, cell_weights
 from .modelspec import ModelSpec
 
 
@@ -73,7 +73,6 @@ class Trajectory:
     """
 
     model: ModelSpec
-    method: str
     n1: int
     x: np.ndarray
     y: np.ndarray
@@ -119,11 +118,13 @@ class EngineState:
     The per-trial history grows as parallel lists (``xs``, ``ys``,
     ``thetas``, ``dets``, ``step_ms``), one entry per finished trial;
     logistic points are kept as cell indices.  ``fit`` is the latest fit,
-    whose estimate is ``theta_hat``.
+    whose estimate is ``theta_hat``; ``dets[-1]`` is the determinant of
+    ``cum_info``, the cumulative information at it.  ``table`` is the cell
+    table the model's entry made (None for a growth model), and
+    ``scheduler`` serves a ``balanced_pics`` run's points.
     """
 
     model: ModelSpec
-    method: str
     n1: int
     rng: np.random.Generator
     xs: list = field(default_factory=list)
@@ -134,9 +135,7 @@ class EngineState:
     fit: FitResult | None = None
     theta_hat: np.ndarray | None = None
     cum_info: np.ndarray | None = None
-    det_cum: float | None = None
-    cell_counts: np.ndarray | None = None
-    cell_successes: np.ndarray | None = None
+    table: list | None = None
     scheduler: BalancedScheduler | None = None
     stage1_ms: float = 0.0
 
@@ -145,7 +144,7 @@ class EngineState:
         return len(self.step_ms)
 
     def to_trajectory(self, stop_index: int | None = None) -> Trajectory:
-        return Trajectory(model=self.model, method=self.method, n1=self.n1,
+        return Trajectory(model=self.model, n1=self.n1,
                           x=np.asarray(self.xs), y=np.asarray(self.ys, dtype=float),
                           theta_hat=np.array(self.thetas, dtype=float),
                           det_cum_info=np.array(self.dets, dtype=float),
@@ -155,21 +154,22 @@ class EngineState:
 
 
 def _refit(state: EngineState):
-    """Constrained MLE on all data so far, and the information at it.
+    """Constrained MLE on all data so far, and the information at it;
+    records the estimate.
 
     The logistic fits are exact functions of the cell table.  For the
     growth models, stage 1 has no estimate yet and runs the cold fit; every
     later refit takes Levenberg-Marquardt steps from the incumbent estimate.
     """
-    state.fit = modelspec.fit(state.model, state.xs, state.ys, init=state.theta_hat,
-                              cell_counts=state.cell_counts,
-                              cell_successes=state.cell_successes)
+    state.fit = modelspec.fit(state.model, state.xs, state.ys, state.theta_hat,
+                              state.table)
     state.theta_hat = state.fit.theta
+    state.thetas.append(state.theta_hat)
     _rebuild_cum_info(state)
 
 
 def _rebuild_cum_info(state: EngineState):
-    """Cumulative information at the new estimate, and its determinant.
+    """Cumulative information at the new estimate; records its determinant.
 
     The model's entry builds it from the fit: a growth fit's normal matrix
     J^T J (the Jacobian the refit last accepted) over sigma2, so the data's
@@ -177,33 +177,30 @@ def _rebuild_cum_info(state: EngineState):
     information at the estimate.
     """
     state.cum_info = state.model.family.cumulative_info(state.model, state.fit,
-                                                        state.cell_counts)
-    state.det_cum = det_sym(state.cum_info)
+                                                        state.table)
+    state.dets.append(det_sym(state.cum_info))
 
 
 def _observe(state: EngineState, x):
     y = modelspec.simulate(state.model, x, state.rng)
-    state.xs.append(state.model.family.observe(x, y, state.cell_counts,
-                                               state.cell_successes))
+    state.xs.append(state.model.family.observe(x, y, state.table))
     state.ys.append(y)
 
 
 def run_static_stage(model: ModelSpec, method: str, n1: int, initial_design: str,
                      rng: np.random.Generator) -> EngineState:
     """Draw the static design, observe responses and fit the initial MLE."""
-    state = EngineState(model=model, method=method, n1=n1, rng=rng)
-    state.cell_counts, state.cell_successes = model.family.new_cell_table()
-
+    scheduler = BalancedScheduler(rng) if method == "balanced_pics" else None
+    # no estimate exists before the last static trial
+    state = EngineState(model=model, n1=n1, rng=rng,
+                        thetas=[np.full(model.dim, np.nan)] * (n1 - 1),
+                        dets=[np.nan] * (n1 - 1), step_ms=[0.0] * n1,
+                        table=model.family.new_table(), scheduler=scheduler)
     t0 = time.perf_counter()
     for x in model.family.initial_points(model, initial_design, n1, rng):
         _observe(state, x)
     _refit(state)
     state.stage1_ms = (time.perf_counter() - t0) * 1e3
-
-    # no estimate exists before the last static trial
-    state.thetas += [np.full(model.dim, np.nan)] * (n1 - 1) + [state.theta_hat]
-    state.dets += [np.nan] * (n1 - 1) + [state.det_cum]
-    state.step_ms += [0.0] * n1
     return state
 
 
@@ -227,13 +224,12 @@ def _cm_select_interval(state: EngineState) -> float:
 
 
 def _cm_select_cells(state: EngineState):
-    """Exact argmax over the four level combinations, tried in lexicographic
-    order; ``det_sym``'s rounding, not that order, decides exact ties."""
-    w = cell_weights(state.theta_hat)
+    """Exact argmax over the entry's candidate cells, tried in lexicographic
+    order of the level pairs; ``det_sym``'s rounding, not that order,
+    decides exact ties."""
     best_point, best_val = None, -np.inf
-    for point in sorted(LEVEL_POINTS):
-        c = cell_index(point)
-        val = det_sym(state.cum_info + w[c] * XXT_CELLS[c])
+    for point, info in state.model.family.cm_candidates(state.theta_hat):
+        val = det_sym(state.cum_info + info)
         if val > best_val:
             best_point, best_val = point, val
     return best_point
@@ -242,7 +238,7 @@ def _cm_select_cells(state: EngineState):
 def cm_step(state: EngineState) -> EngineState:
     """One criterion-maximizing trial: select, observe, refit, record."""
     t0 = time.perf_counter()
-    x = (_cm_select_interval if state.cell_counts is None else _cm_select_cells)(state)
+    x = (_cm_select_interval if state.table is None else _cm_select_cells)(state)
     _finish_step(state, x, t0)
     return state
 
@@ -251,12 +247,10 @@ def pics_step(state: EngineState) -> EngineState:
     """One plug-in trial: draw from the closed form at the current estimate."""
     t0 = time.perf_counter()
     measure = modelspec.closed_form_design(state.model, state.theta_hat)
-    if state.method == "balanced_pics":
-        if state.scheduler is None:
-            state.scheduler = BalancedScheduler(measure, state.rng)
-        x = state.scheduler.next_point(measure)
-    else:
+    if state.scheduler is None:
         x = draw_point(measure, state.rng)
+    else:
+        x = state.scheduler.next_point(measure)
     _finish_step(state, x, t0)
     return state
 
@@ -264,8 +258,6 @@ def pics_step(state: EngineState) -> EngineState:
 def _finish_step(state: EngineState, x, t0: float):
     _observe(state, x)
     _refit(state)
-    state.thetas.append(state.theta_hat)
-    state.dets.append(state.det_cum)
     state.step_ms.append((time.perf_counter() - t0) * 1e3)
 
 
@@ -273,15 +265,13 @@ def stopping_check(state: EngineState, delta: float) -> bool:
     """Relative determinant improvement below `delta`?
 
     Never fires before step n1 + 2, so the comparison always has two
-    post-static determinants available.
+    post-static determinants available, nor while the previous determinant
+    is not positive, as no relative improvement over it exists.
     """
-    i = state.step
-    if i < state.n1 + 2:
+    if state.step < state.n1 + 2:
         return False
     det_now, det_prev = state.dets[-1], state.dets[-2]
-    if det_prev <= 1e-300:
-        raise DegenerateInformation(f"determinant {det_prev!r} at step {i - 1}")
-    return abs(det_now - det_prev) / det_prev < delta
+    return det_prev > 0.0 and abs(det_now - det_prev) / det_prev < delta
 
 
 def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory:

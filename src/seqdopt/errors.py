@@ -22,7 +22,8 @@ class InsufficientData(SeqDoptError):
 
 
 class DegenerateInformation(SeqDoptError):
-    """Cumulative information determinant too small for a relative comparison."""
+    """Reference information whose determinant is not positive, so no
+    efficiency can be measured against it."""
 
 
 class StepFailed(SeqDoptError):

@@ -6,9 +6,10 @@ two-factor coefficient, matched signs) to their entries; the growth/logistic
 split is written once, as the two entry classes.  An entry holds the run
 defaults (a ``RunConfig`` takes every default it has from here) and config
 rules, the closed form, fit and response draw, a point's information and
-the cumulative one (from the fit or the engine's cell table), the point
-encoding and CSV columns, the study aggregate and the grid oracle; every
-model takes every method.  The rest of the package asks the entry
+the cumulative one (from the fit, or from the cell table that the logistic
+entry makes and fills, and whose cells it offers cm as candidates), the
+point encoding and CSV columns, the study aggregate and the grid oracle;
+every model takes every method.  The rest of the package asks the entry
 (``model.family``) or the spec's fields, never which model it runs; the
 engine calls ``fit``, ``simulate`` and ``closed_form_design`` through this
 module, so a tracer can wrap them.  The growth functions (means, fits,
@@ -90,18 +91,18 @@ class _Growth:
             if min(points) < max(points):
                 return points
 
-    def new_cell_table(self):
-        return None, None
+    def new_table(self):
+        return None   # a growth run keeps no cell table
 
-    def observe(self, x, y, counts, successes):
+    def observe(self, x, y, table):
         return x
 
-    def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
+    def fit(self, model, xs, ys, init, table) -> fitting.FitResult:
         if init is None:
             return fitting.nls_fit(model, xs, ys)
         return fitting.nls_refit(model, xs, ys, init)
 
-    def cumulative_info(self, model, fit, counts) -> np.ndarray:
+    def cumulative_info(self, model, fit, table) -> np.ndarray:
         # the fit's J^T J is the sum of g g^T over the data at its estimate
         return fit.normal / model.sigma2
 
@@ -145,26 +146,32 @@ class _Logistic:
         rng.shuffle(cells)
         return [logistic.LEVEL_POINTS[c] for c in cells]
 
-    def new_cell_table(self):
-        return np.zeros(4), np.zeros(4)
+    def new_table(self) -> list[list[float]]:
+        return [[0.0] * 4, [0.0] * 4]   # trials and successes per cell
 
-    def observe(self, x, y, counts, successes) -> int:
+    def observe(self, x, y, table) -> int:
         """Tally the trial in the cell table; the point is stored as its cell."""
         c = logistic.cell_index(x)
-        counts[c] += 1.0
-        successes[c] += float(y)
+        table[0][c] += 1.0
+        table[1][c] += float(y)
         return c
 
-    def fit(self, model, xs, ys, init, counts, successes) -> fitting.FitResult:
-        return self._mle(counts=counts, successes=successes)
+    def fit(self, model, xs, ys, init, table) -> fitting.FitResult:
+        return self._mle(counts=table[0], successes=table[1])
 
-    def cumulative_info(self, model, fit, counts) -> np.ndarray:
-        return logistic.fisher_from_counts(counts, fit.theta)
+    def cumulative_info(self, model, fit, table) -> np.ndarray:
+        return logistic.fisher_from_counts(table[0], fit.theta)
+
+    def cm_candidates(self, theta) -> list[tuple]:
+        """Each level pair with its single-trial information w_c x_c x_c^T,
+        in lexicographic order of the pairs, which is the reverse cell order."""
+        w = logistic.cell_weights(theta)
+        return [(logistic.LEVEL_POINTS[c], w[c] * logistic.XXT_CELLS[c])
+                for c in (3, 2, 1, 0)]
 
     def fisher_point(self, model, theta, x) -> np.ndarray:
-        """Single-trial information w_c x_c x_c^T of the point's cell c."""
-        c = logistic.cell_index(x)
-        return logistic.cell_weights(theta)[c] * logistic.XXT_CELLS[c]
+        """Single-trial information of the point's cell, as cm scores it."""
+        return self.cm_candidates(theta)[3 - logistic.cell_index(x)][1]
 
     def simulate(self, model, x, rng) -> int:
         # one Bernoulli draw at theta_star, against the spec's cached cell
@@ -207,16 +214,16 @@ def simulate(model: ModelSpec, x, rng: np.random.Generator):
     return model.family.simulate(model, x, rng)
 
 
-def fit(model: ModelSpec, xs, ys, init=None, *, cell_counts=None,
-        cell_successes=None) -> fitting.FitResult:
+def fit(model: ModelSpec, xs, ys, init=None, table=None) -> fitting.FitResult:
     """Constrained MLE for the model; growth fits are least squares.
 
-    The logistic fits are exact functions of the cell table and ignore
-    `xs`, `ys` and `init`.  A growth fit given `init` (a sequential refit
-    from the previous estimate) runs Levenberg-Marquardt from it; without
+    The logistic fits are exact functions of the cell `table`, which the
+    entry's ``new_table`` makes and ``observe`` fills, and ignore `xs`, `ys`
+    and `init`.  A growth fit (no table) given `init`, a sequential refit
+    from the previous estimate, runs Levenberg-Marquardt from it; without
     one it runs the cold variable-projection fit (``fitting.nls_fit``).
     """
-    return model.family.fit(model, xs, ys, init, cell_counts, cell_successes)
+    return model.family.fit(model, xs, ys, init, table)
 
 
 def oracle_check(model: ModelSpec) -> dict:

@@ -19,7 +19,9 @@ import pytest
 from seqdopt.config import RunConfig, parse_config
 from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.harness import run_experiment
-from seqdopt.logistic import XXT_CELLS, X_CELLS, cell_index, cell_probs
+from seqdopt.linalg import det_sym
+from seqdopt.logistic import (LEVEL_POINTS, XXT_CELLS, X_CELLS, cell_index, cell_probs,
+                              cell_weights)
 
 ACCEPTANCE_SEED = 20240
 REPLICATIONS = 50
@@ -135,6 +137,20 @@ def reference_simulate_response_nlr(model, theta, x, rng: np.random.Generator):
     noise = rng.normal(0.0, np.sqrt(model.sigma2), size=np.shape(mean) or None)
     out = mean + noise
     return float(out) if np.ndim(out) == 0 else out
+
+
+def reference_cm_select_cells(theta, cum_info):
+    """cm's logistic selection as the engine wrote it when it read the cell
+    formulas itself: the level pairs in lexicographic order, each scored by
+    det(cum_info + w_c x_c x_c^T), the first of the highest kept."""
+    w = cell_weights(theta)
+    best_point, best_val = None, -np.inf
+    for point in sorted(LEVEL_POINTS):
+        c = cell_index(point)
+        val = det_sym(cum_info + w[c] * XXT_CELLS[c])
+        if val > best_val:
+            best_point, best_val = point, val
+    return best_point
 
 
 def reference_design_info(measure, fisher_fn) -> np.ndarray:

@@ -248,7 +248,7 @@ def test_balanced_cycle_counts_serves_every_positive_weight(raw):
 
 def test_scheduler_cycle_covers_support_exactly_once():
     m = optimal_design_m3(M3, THETA3)
-    sched = BalancedScheduler(m, np.random.default_rng(6))
+    sched = BalancedScheduler(np.random.default_rng(6))
     for _ in range(10):
         block = [sched.next_point(m) for _ in range(3)]
         assert sorted(block) == sorted(m.support)
@@ -256,7 +256,7 @@ def test_scheduler_cycle_covers_support_exactly_once():
 
 def test_scheduler_unbalanced_cycle():
     m = DesignMeasure((1.0, 2.0, 3.0), (0.25, 0.5, 0.25))
-    sched = BalancedScheduler(m, np.random.default_rng(7))
+    sched = BalancedScheduler(np.random.default_rng(7))
     cycle = [sched.next_point(m) for _ in range(4)]
     assert sorted(cycle) == [1.0, 2.0, 2.0, 3.0]
     counts = {1.0: 0, 2.0: 0, 3.0: 0}
@@ -269,10 +269,10 @@ def test_scheduler_unbalanced_cycle():
 def test_scheduler_updates_support_only_at_cycle_boundary():
     m1 = DesignMeasure((1.0, 2.0), (0.5, 0.5))
     m2 = DesignMeasure((10.0, 20.0), (0.5, 0.5))
-    sched = BalancedScheduler(m1, np.random.default_rng(8))
-    first = sched.next_point(m2)  # mid-cycle: old support must be served
+    sched = BalancedScheduler(np.random.default_rng(8))
+    first = sched.next_point(m1)  # the first call starts a cycle from m1
     assert first in m1.support
-    second = sched.next_point(m2)
+    second = sched.next_point(m2)  # mid-cycle: old support must be served
     assert second in m1.support
     third = sched.next_point(m2)  # new cycle: replacement takes effect
     assert third in m2.support

@@ -3,11 +3,11 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from seqdopt import linalg, logistic, modelspec
-from seqdopt.config import parse_config
+from seqdopt.config import METHODS, parse_config
 from seqdopt.designs import MAX_CYCLE, DesignMeasure, balanced_cycle_counts, draw_point
 from seqdopt.engine import (
     EngineState,
@@ -18,14 +18,15 @@ from seqdopt.engine import (
     run_static_stage,
     stopping_check,
 )
-from seqdopt.errors import ConfigError, ConstraintViolated, DegenerateInformation, StepFailed
+from seqdopt.errors import ConfigError, ConstraintViolated, StepFailed
 from seqdopt.fitting import FitResult
 from seqdopt.harness import run_experiment
 from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS, XXT_CELLS, cell_weights, fisher_from_counts
+from seqdopt.modelspec import MODEL_NAMES
 
-from conftest import (REFERENCE_PRIMITIVES, model_spec, reference_cumulative_fisher_nlr,
-                      reference_fisher_from_counts)
+from conftest import (REFERENCE_PRIMITIVES, model_spec, reference_cm_select_cells,
+                      reference_cumulative_fisher_nlr, reference_fisher_from_counts)
 
 
 def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
@@ -48,7 +49,7 @@ def test_static_stage_uniform_points_in_interval():
 
 def test_static_stage_four_point_exact_allocation():
     state = _fresh_state("GLM_C1", n1=80, init="four_point")
-    assert state.cell_counts.tolist() == [20.0, 20.0, 20.0, 20.0]
+    assert state.table[0] == [20.0, 20.0, 20.0, 20.0]
 
 
 def test_static_stage_three_point_support():
@@ -78,8 +79,8 @@ def test_static_stage_deterministic():
 def test_cm_step_glm_matches_exhaustive_candidate_evaluation():
     state = _fresh_state("GLM_C1", method="cm", n1=80, init="four_point")
     # force gross imbalance: pile extra trials onto cell (+1,+1)
-    state.cell_counts = np.array([300.0, 20.0, 20.0, 20.0])
-    state.cum_info = fisher_from_counts(state.cell_counts, state.theta_hat)
+    state.table[0] = [300.0, 20.0, 20.0, 20.0]
+    state.cum_info = fisher_from_counts(state.table[0], state.theta_hat)
 
     w = cell_weights(state.theta_hat)
     vals = {p: det_sym(state.cum_info + w[c] * XXT_CELLS[c])
@@ -87,6 +88,34 @@ def test_cm_step_glm_matches_exhaustive_candidate_evaluation():
     chosen = _cm_select_cells(state)
     assert vals[chosen] == max(vals.values())
     assert chosen != (1, 1)  # the saturated cell cannot be the argmax
+
+
+@st.composite
+def _cell_search_states(draw):
+    """A GLM_C1- or GLM_C2-shaped estimate and cell counts; half the GLM_C1
+    draws have equal counts, where the three cells of equal weight tie."""
+    sign = draw(st.sampled_from((-1.0, 1.0)))
+    if draw(st.booleans()):
+        name, b = "GLM_C1", sign * draw(st.floats(0.0, 0.83))
+        theta = (b, b, b)
+    else:
+        name = "GLM_C2"
+        theta = (sign * draw(st.floats(1e-3, 3.0)), sign * draw(st.floats(1e-3, 3.0)), 0.0)
+    if name == "GLM_C1" and draw(st.booleans()):
+        counts = [float(draw(st.integers(1, 300)))] * 4
+    else:
+        counts = [float(draw(st.integers(0, 300))) for _ in range(4)]
+    return name, np.array(theta), counts
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_cell_search_states())
+@example(("GLM_C1", np.full(3, 0.7125), [20.0] * 4))
+def test_cm_cell_search_picks_the_reference_cell(drawn):
+    name, theta, counts = drawn
+    state = EngineState(model=model_spec(name), n1=8, rng=np.random.default_rng(0),
+                        theta_hat=theta, cum_info=fisher_from_counts(counts, theta))
+    assert _cm_select_cells(state) == reference_cm_select_cells(theta, state.cum_info)
 
 
 def test_cm_step_appends_record_and_increases_det():
@@ -107,7 +136,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     theta = np.asarray(model.theta_star)
     from seqdopt.designs import optimal_design_m1
     measure = optimal_design_m1(model, theta)
-    state = EngineState(model=model, method="cm", n1=40, rng=np.random.default_rng(0))
+    state = EngineState(model=model, n1=40, rng=np.random.default_rng(0))
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
     state.theta_hat = theta
@@ -205,13 +234,58 @@ def test_stopping_monotone_in_delta():
     assert stops[1e-4] >= stops[1e-2]
 
 
-def test_stopping_degenerate_information_raises():
+def test_stopping_waits_while_the_previous_determinant_is_not_positive():
+    # no relative improvement exists over a singular information, so the
+    # rule does not fire, however large delta is
     state = _fresh_state("M1", n1=40)
     pics_step(state)
     pics_step(state)
-    state.dets[-2] = 0.0
-    with pytest.raises(DegenerateInformation):
-        stopping_check(state, 1e-4)
+    for det_prev in (0.0, -2.6645352591003757e-15, np.nan):
+        state.dets[-2] = det_prev
+        assert stopping_check(state, 1e18) is False
+
+
+def test_stop_rule_lets_glm_runs_pass_a_singular_information():
+    # GLM_C2 at n1 = 8 can hold a singular information for its first steps;
+    # 6 of these 10 replications used to fail with "determinant 0.0"
+    cfg = parse_config(model="GLM_C2", method="pics", n1=8, n=100, seed=0,
+                       delta_stop=1e-3, replications=10)
+    summary = run_experiment(cfg, workers=1)
+    assert summary.failures == [] and len(summary.trajectories) == 10
+
+
+def test_stop_rule_lets_an_m3_cm_run_pass_a_negative_determinant():
+    # the information at step 7 rounds to a determinant of -2.7e-15
+    cfg = parse_config(model="M3", method="cm", n1=6, n=36, seed=8811, delta_stop=0.01)
+    traj = run(cfg)
+    assert traj.det_cum_info[6] < 0.0
+    assert len(traj) == (traj.stop_index or cfg.n)
+
+
+@st.composite
+def _stop_rule_configs(draw):
+    name = draw(st.sampled_from(MODEL_NAMES))
+    dim = model_spec(name).dim
+    # small static stages, from dim + 2 up; the four_point design needs 4 | n1
+    n1 = (4 * draw(st.integers(2, 5)) if name.startswith("GLM")
+          else draw(st.integers(dim + 2, dim + 12)))
+    return dict(model=name, method=draw(st.sampled_from(METHODS)), n1=n1,
+                n=n1 + draw(st.integers(1, 30)), delta_stop=draw(st.floats(0.0, 1.0)),
+                seed=draw(st.integers(0, 2**16)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_stop_rule_configs())
+def test_a_run_under_the_stop_rule_finishes_or_fails_a_step(kw):
+    # the rule only ends a run early: it raises nothing itself
+    cfg = parse_config(**kw)
+    try:
+        traj = run(cfg)
+    except StepFailed:
+        event("step failed")
+        return
+    assert len(traj) == (traj.stop_index or cfg.n)
+    event("ran to n" if traj.stop_index is None else "stopped")
 
 
 # ---------------------------------------------------------------------------
@@ -489,8 +563,7 @@ def test_runs_are_byte_identical_under_the_reference_primitives(monkeypatch):
             if getattr(mod, name, None) is shipped[name]:
                 monkeypatch.setattr(mod, name, reference)
                 patched.add(f"{modname}.{name}")
-    assert {"seqdopt.engine.det_sym", "seqdopt.engine.cell_weights",
-            "seqdopt.modelspec.det_sym", "seqdopt.metrics.det_sym",
+    assert {"seqdopt.engine.det_sym", "seqdopt.modelspec.det_sym", "seqdopt.metrics.det_sym",
             "seqdopt.logistic.cell_probs", "seqdopt.logistic.cell_weights",
             "seqdopt.logistic.fisher_from_counts"} <= patched
     assert _trajectory_bytes() == as_shipped

@@ -609,7 +609,7 @@ def test_c2_warm_sign_restriction_matches_full_fit():
     full = logistic_mle_c2(counts=counts, successes=succ)
     # the engine's sequential refit passes the incumbent estimate as init
     warm = fit(model_spec("GLM_C2"), None, None, init=np.array([1.4, 0.6, 0.0]),
-               cell_counts=counts, cell_successes=succ)
+               table=[counts.tolist(), succ.tolist()])
     assert np.allclose(full.theta, warm.theta, atol=1e-4)
 
 
@@ -640,7 +640,7 @@ def test_logistic_fit_of_any_table_admits_the_closed_form(table):
     counts, successes = table
     for name in ("GLM_C1", "GLM_C2"):
         model = model_spec(name)
-        res = fit(model, None, None, cell_counts=counts, cell_successes=successes)
+        res = fit(model, None, None, table=[counts.tolist(), successes.tolist()])
         _assert_probability_measure(closed_form_design(model, res.theta))
 
 

@@ -74,7 +74,7 @@ def _toy_trajectory(model, xs, theta):
     dets = np.full(n, np.nan)
     for i in range(n1, n + 1):
         dets[i - 1] = det_sym(reference_cumulative_fisher_nlr(model, theta, x[:i]))
-    return Trajectory(model=model, method="pics", n1=n1, x=x, y=np.zeros(n),
+    return Trajectory(model=model, n1=n1, x=x, y=np.zeros(n),
                       theta_hat=thetas, det_cum_info=dets, step_ms=np.zeros(n),
                       stage1_ms=0.0,
                       final_info=reference_cumulative_fisher_nlr(model, theta, x))
@@ -306,7 +306,7 @@ def test_glm_allocation_pools_stage2_only():
     # cells (1, 1), (1, 1), (-1, -1), (-1, 1)
     thetas = np.zeros((4, 3))
     thetas[0] = np.nan
-    traj = Trajectory(model=model, method="pics", n1=2, x=np.array([0, 0, 3, 2]),
+    traj = Trajectory(model=model, n1=2, x=np.array([0, 0, 3, 2]),
                       y=np.array([1.0, 0.0, 1.0, 1.0]), theta_hat=thetas,
                       det_cum_info=np.array([np.nan, 1.0, 1.0, 1.0]),
                       step_ms=np.zeros(4), stage1_ms=0.0, final_info=np.eye(3))

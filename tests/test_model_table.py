@@ -47,8 +47,9 @@ def test_no_file_names_a_separate_config_check():
 
 
 def test_engine_reaches_a_family_only_through_its_entry():
-    # the engine imports nothing from the growth module: a point's
-    # information comes from the model's entry
+    # the engine imports nothing from the growth or logistic modules: a
+    # point's information, the cell table and cm's candidate cells come
+    # from the model's entry
     tree = ast.parse((SRC / "engine.py").read_text())
     imported = set()
     for node in ast.walk(tree):
@@ -57,4 +58,4 @@ def test_engine_reaches_a_family_only_through_its_entry():
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name.split(".")[-1] for alias in node.names)
-    assert "growth" not in imported
+    assert not {"growth", "logistic"} & imported
