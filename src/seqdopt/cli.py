@@ -44,7 +44,11 @@ def _config_from_args(args):
     overrides = {k: v for k, v in flags.items() if k in RunConfig.__dataclass_fields__}
     overrides["replications"] = flags.get("reps")
     if args.theta is not None:
-        overrides["true_params"] = tuple(float(v) for v in args.theta.split(","))
+        try:
+            overrides["true_params"] = tuple(float(v) for v in args.theta.split(","))
+        except ValueError:
+            raise ConfigError("config field 'true_params': --theta takes comma-separated "
+                              f"numbers, got {args.theta!r}") from None
     return parse_config(flags.get("config"), **overrides)
 
 

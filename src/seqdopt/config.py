@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 from . import metrics, modelspec
@@ -55,6 +56,18 @@ class RunConfig:
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
         object.__setattr__(self, "true_params", tuple(self.true_params))
+        # counts and reals are stored as Python numbers, which summary.json holds
+        for name in ("n1", "n", "replications", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                _fail(name, f"must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("sigma2", "x_min", "x_max", "x0_known", "delta_stop"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
+                _fail(name, f"must be a real number, got {value!r}")
+            if not isinstance(value, (int, float, type(None))):
+                object.__setattr__(self, name, float(value))
 
         if self.method not in METHODS:
             _fail("method", f"must be one of {METHODS}")
@@ -80,8 +93,10 @@ class RunConfig:
             _fail("n1", f"need n1 < n, got n1={self.n1}, n={self.n}")
         if self.replications < 1:
             _fail("replications", "need at least one replication")
-        if self.delta_stop is not None and self.delta_stop < 0.0:
-            _fail("delta_stop", "threshold must be nonnegative")
+        if self.seed < 0:
+            _fail("seed", f"must be nonnegative, got {self.seed}")
+        if self.delta_stop is not None and not self.delta_stop >= 0.0:
+            _fail("delta_stop", f"threshold must be a nonnegative number, got {self.delta_stop!r}")
         # the run records determinants up to about det(n I*); its efficiency divides by det(I*)
         i_star = metrics.design_info(model, self.true_params, optimal)
         dets = det_sym(i_star), det_sym(self.n * i_star)
@@ -102,8 +117,11 @@ def parse_config(path: str | None = None, **overrides) -> RunConfig:
     """
     values: dict = {}
     if path is not None:
-        with open(path) as fh:
-            doc = json.load(fh)
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:   # missing, unreadable or not JSON
+            raise ConfigError(f"cannot read config file {path!r}: {exc}") from exc
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         values.update(doc)

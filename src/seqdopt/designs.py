@@ -328,7 +328,7 @@ def grid_oracle_glm(beta, step: float = 0.001, coarse: float = 0.01) -> DesignMe
     coarse full-simplex pass followed by a fine local pass around the
     incumbent finds the global grid optimum at resolution `step`.
     """
-    w = cell_weights(beta)
+    w = np.array(cell_weights(beta))
     contribs = w[:, None, None] * XXT_CELLS  # (4, 3, 3)
 
     def best_of(props: np.ndarray) -> np.ndarray:

@@ -118,7 +118,8 @@ class EngineState:
     The per-trial history grows as parallel lists (``xs``, ``ys``,
     ``thetas``, ``dets``, ``step_ms``), one entry per finished trial;
     logistic points are kept as cell indices.  ``fit`` is the latest fit,
-    whose estimate is ``theta_hat``; ``dets[-1]`` is the determinant of
+    and its estimate ``fit.theta`` is the one copy of the current estimate
+    (``thetas[-1]`` is the same array); ``dets[-1]`` is the determinant of
     ``cum_info``, the cumulative information at it.  ``table`` is the cell
     table the model's entry made (None for a growth model), and
     ``scheduler`` serves a ``balanced_pics`` run's points.
@@ -133,7 +134,6 @@ class EngineState:
     dets: list = field(default_factory=list)
     step_ms: list = field(default_factory=list)
     fit: FitResult | None = None
-    theta_hat: np.ndarray | None = None
     cum_info: np.ndarray | None = None
     table: list | None = None
     scheduler: BalancedScheduler | None = None
@@ -161,10 +161,9 @@ def _refit(state: EngineState):
     growth models, stage 1 has no estimate yet and runs the cold fit; every
     later refit takes Levenberg-Marquardt steps from the incumbent estimate.
     """
-    state.fit = modelspec.fit(state.model, state.xs, state.ys, state.theta_hat,
-                              state.table)
-    state.theta_hat = state.fit.theta
-    state.thetas.append(state.theta_hat)
+    init = None if state.fit is None else state.fit.theta
+    state.fit = modelspec.fit(state.model, state.xs, state.ys, init, state.table)
+    state.thetas.append(state.fit.theta)
     _rebuild_cum_info(state)
 
 
@@ -211,7 +210,7 @@ def _cm_select_interval(state: EngineState) -> float:
     interval midpoint.  The criterion surface is multimodal (one peak per
     optimal support point), so the search returns a local maximizer.
     """
-    model, theta = state.model, state.theta_hat
+    model, theta = state.model, state.fit.theta
     cum, fisher_point = state.cum_info, model.family.fisher_point
 
     def neg_criterion(x) -> float:
@@ -228,7 +227,7 @@ def _cm_select_cells(state: EngineState):
     order of the level pairs; ``det_sym``'s rounding, not that order,
     decides exact ties."""
     best_point, best_val = None, -np.inf
-    for point, info in state.model.family.cm_candidates(state.theta_hat):
+    for point, info in state.model.family.cm_candidates(state.fit.theta):
         val = det_sym(state.cum_info + info)
         if val > best_val:
             best_point, best_val = point, val
@@ -246,7 +245,7 @@ def cm_step(state: EngineState) -> EngineState:
 def pics_step(state: EngineState) -> EngineState:
     """One plug-in trial: draw from the closed form at the current estimate."""
     t0 = time.perf_counter()
-    measure = modelspec.closed_form_design(state.model, state.theta_hat)
+    measure = modelspec.closed_form_design(state.model, state.fit.theta)
     if state.scheduler is None:
         x = draw_point(measure, state.rng)
     else:

@@ -5,10 +5,6 @@ class SeqDoptError(Exception):
     """Base class for all package-specific errors."""
 
 
-class DomainError(SeqDoptError):
-    """Design point outside the experiment space (e.g. x <= 0)."""
-
-
 class DegenerateDesign(SeqDoptError):
     """Closed-form design collapsed (coincident support or bad denominator)."""
 

@@ -196,16 +196,6 @@ def _nls_bounds(model: ModelSpec):
     return np.array(box[:model.dim]).T
 
 
-def _nls_data(model: ModelSpec, x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.size < model.dim + 1:
-        raise InsufficientData(f"need at least {model.dim + 1} observations, got {x.size}")
-    if not x.min() < x.max():
-        raise InsufficientData("all design points identical")
-    return x, y
-
-
 def _amplitude_profile(x: np.ndarray, y: np.ndarray):
     """Least squares over the amplitude a1, at any (a2, x0).
 
@@ -263,9 +253,14 @@ def nls_fit(model: ModelSpec, x, y) -> FitResult:
     the change point.  nls_refit (Levenberg-Marquardt) finishes from the
     best polished point.  The simplex comes first because M3's mean is not
     C^2 in x0 at the data points, over which LM from a grid node crawls.
-    Iterations count the simplex and LM iterations together.
+    Iterations count the simplex and LM iterations together.  Raises
+    InsufficientData on fewer than dim + 1 points or a single distinct one.
     """
-    x, y = _nls_data(model, x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.size < model.dim + 1:
+        raise InsufficientData(f"need at least {model.dim + 1} observations, got {x.size}")
+    if not x.min() < x.max():
+        raise InsufficientData("all design points identical")
     lo, hi = _nls_bounds(model)
     grid, at = _amplitude_profile(x, y)
     free_x0 = model.dim == 3
@@ -306,9 +301,10 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
     coordinate by at most LM_XTOL * (1 + |theta|), or unconverged when the
     Jacobian is all zero, so no step exists.  The normal matrix
     J^T J is formed once per accepted point, so the result carries it at
-    the returned theta (``FitResult.normal``) at no extra cost.
+    the returned theta (``FitResult.normal``) at no extra cost.  It checks
+    nothing: a refit only adds points to data that ``nls_fit`` has checked.
     """
-    x, y = _nls_data(model, x, y)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     lo, hi = _nls_bounds(model)
 
     def residuals_and_jacobian(theta):
@@ -360,7 +356,6 @@ def _neg_loglik_cells(counts, succ, etas) -> float:
     # finite for any finite eta.
     total = 0.0
     for n, s, eta in zip(counts, succ, etas):
-        eta = float(eta)
         total += n * (max(eta, 0.0) + math.log1p(math.exp(-abs(eta)))) - s * eta
     return total
 
@@ -433,7 +428,6 @@ def logistic_mle_c1(*, counts, successes) -> FitResult:
     alone.  When the maximizer pins to an edge (e.g. complete separation)
     the result carries boundary=True.
     """
-    counts, successes = [float(v) for v in counts], [float(v) for v in successes]
     b, it = _logistic_line_min(counts, successes, _C1_MULT, (0.0,) * 4,
                                -C1_EDGE, C1_EDGE)
     obj = _neg_loglik_cells(counts, successes, [b * m for m in _C1_MULT])
@@ -480,7 +474,6 @@ def logistic_mle_c2(*, counts, successes) -> FitResult:
     concave 1-D problem, and the better quadrant wins (positive on ties).
     Estimates on the box edge carry boundary=True.
     """
-    counts, successes = [float(v) for v in counts], [float(v) for v in successes]
     n_pm = (counts[0] + counts[1], counts[2] + counts[3])
     s_pm = (successes[0] + successes[1], successes[2] + successes[3])
     lo, hi = _C2_BOX

@@ -6,11 +6,14 @@ continuity of the mean and its slope at x0.  The change point is theta's
 third entry if it has one (M3, theta = (a1, a2, x0)), else the spec's
 ``x0_known`` (M2), else +inf, which puts every x on the exponential branch
 (M1).  Both functions read that known change point from the ``ModelSpec``,
-never the model's name.  The model table's growth entry builds a point's
-information g g^T / sigma2 from the gradient g, and draws a response as the
-mean plus N(0, sigma2) noise.  sigma2 is a nuisance parameter: it cancels
-from every determinant ratio used by the design criteria, and the
-least-squares estimate of the mean parameters does not depend on it.
+never the model's name, and neither checks x: a config's interval has
+0 < x_min < x_max, and every point a run evaluates lies in it (static draws,
+clamped closed forms, cm's bounded search, M3's fit box).  The model
+table's growth entry builds a point's information g g^T / sigma2 from the
+gradient g, and draws a response as the mean plus N(0, sigma2) noise.
+sigma2 is a nuisance parameter: it cancels from every determinant ratio
+used by the design criteria, and the least-squares estimate of the mean
+parameters does not depend on it.
 """
 
 from __future__ import annotations
@@ -19,17 +22,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError
-
 if TYPE_CHECKING:
     from .modelspec import ModelSpec
-
-
-def _check_x(x):
-    x = np.asarray(x, dtype=float)
-    if (x <= 0.0).any():
-        raise DomainError("design points must be strictly positive")
-    return x
 
 
 def fixed_change_point(model: ModelSpec) -> float:
@@ -47,7 +41,7 @@ def _split_x0(model: ModelSpec, theta) -> tuple[float, float, float]:
 
 def growth_mean(model: ModelSpec, theta, x):
     """Mean response at x; scalar in, scalar out, arrays broadcast."""
-    x = _check_x(x)
+    x = np.asarray(x, dtype=float)
     a1, a2, x0 = _split_x0(model, theta)
     expo = a1 * np.exp(-a2 / x)
     # branch rule is x >= x0 -> linear, ties go to the linear side
@@ -69,7 +63,7 @@ def growth_grad(model: ModelSpec, theta, x):
     so its normal matrix J^T J divided by sigma2 is the cumulative
     information.
     """
-    x = _check_x(x)
+    x = np.asarray(x, dtype=float)
     a1, a2, x0 = _split_x0(model, theta)
     free_x0 = len(theta) == 3
     g = np.empty(x.shape + (len(theta),))

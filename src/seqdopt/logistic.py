@@ -8,8 +8,9 @@ combinations.  The fixed row order used everywhere in the package is
 i.e. row index r = 1 corresponds to x1 = +1 and column index s = 1 to
 x2 = +1.  All closed-form allocation formulas depend on this convention.
 
-The cell weights and the cell-table information are computed on Python
-floats from one matrix product and one exp over the four cells: on arrays
+The cell probabilities and weights are lists of Python floats (wrap one in
+``np.array`` for an array), and the cell-table information is computed on
+them, from one matrix product and one exp over the four cells: on arrays
 this small numpy's per-call cost, not the arithmetic, would set the time.
 """
 
@@ -39,7 +40,9 @@ def cell_index(point) -> int:
         raise ValueError(f"not a coded level combination: {point!r}") from None
 
 
-def _probs(beta) -> list[float]:
+def cell_probs(beta) -> list[float]:
+    """Success probabilities at the linear predictors b0 + b1*x1 + b2*x2,
+    as a list of four Python floats in the row order."""
     # one exp of -|eta| per cell, which cannot overflow: p = 1/(1+e) for
     # eta >= 0, else e/(1+e)
     eta = X_CELLS @ np.asarray(beta, dtype=float)
@@ -47,18 +50,10 @@ def _probs(beta) -> list[float]:
             for h, e in zip(eta.tolist(), np.exp(-np.abs(eta)).tolist())]
 
 
-def _weights(beta) -> list[float]:
-    return [p * (1.0 - p) for p in _probs(beta)]
-
-
-def cell_probs(beta) -> np.ndarray:
-    """Success probabilities at the linear predictors b0 + b1*x1 + b2*x2."""
-    return np.array(_probs(beta))
-
-
-def cell_weights(beta) -> np.ndarray:
-    """Bernoulli variances pi*(1-pi) for the four cells, each in [0, 0.25]."""
-    return np.array(_weights(beta))
+def cell_weights(beta) -> list[float]:
+    """Bernoulli variances pi*(1-pi) for the four cells, each in [0, 0.25],
+    as a list of Python floats in the row order."""
+    return [p * (1.0 - p) for p in cell_probs(beta)]
 
 
 def sigmoid_scalar(eta: float) -> float:
@@ -84,8 +79,8 @@ def log_weight_at_eta(eta: float) -> float:
 def fisher_from_counts(counts, beta) -> np.ndarray:
     """Total information sum_c n_c * w_c * x_c x_c^T from per-cell counts.
     x_c's entries are +-1, so each entry is a signed sum of n_c * w_c."""
-    n0, n1, n2, n3 = np.asarray(counts, dtype=float).tolist()
-    w0, w1, w2, w3 = _weights(beta)
+    n0, n1, n2, n3 = counts
+    w0, w1, w2, w3 = cell_weights(beta)
     c0, c1, c2, c3 = n0 * w0, n1 * w1, n2 * w2, n3 * w3   # summed in cell order
     s, s1 = c0 + c1 + c2 + c3, c0 + c1 - c2 - c3
     s2, s12 = c0 - c1 + c2 - c3, c0 - c1 - c2 + c3

@@ -70,9 +70,9 @@ def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
                for x, w in zip(measure.support, measure.weights))
 
 
-def true_fisher_info(model: ModelSpec, theta=None) -> np.ndarray:
-    """Information at the closed-form optimal design at `theta` (default theta_star)."""
-    theta = model.theta_star if theta is None else theta
+def true_fisher_info(model: ModelSpec) -> np.ndarray:
+    """I*: the information at the closed-form optimal design at theta_star."""
+    theta = model.theta_star
     return design_info(model, theta, model.family.closed_form(model, theta))
 
 

@@ -53,7 +53,7 @@ class ModelSpec:
     def success_probs(self) -> list[float]:
         """Logistic models: P(Y=1) at theta_star in each cell, which every
         simulated trial reads."""
-        return logistic.cell_probs(self.theta_star).tolist()
+        return logistic.cell_probs(self.theta_star)
 
     def __getstate__(self) -> dict:
         # only the fields are pickled; success_probs is rebuilt on use

@@ -85,6 +85,9 @@ def test_config_file_plus_flags(tmp_path, capsys):
     (["design", "--model", "M1", "--x0-known", "50"], "'x0_known'"),
     (["run", "--model", "M1", "--initial-design", "bogus", "--seed", "1",
       "--reps", "1", "--out-dir", "never-written"], "'initial_design'"),
+    (["design", "--model", "M1", "--theta", "1,abc"], "'true_params'"),
+    (["run", "--model", "M1", "--seed", "-3", "--reps", "1",
+      "--out-dir", "never-written"], "'seed'"),
 ])
 def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
     # the same defaults and rules as `run`, reported as one line, no traceback
@@ -95,3 +98,19 @@ def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"seqdopt: error: config field {field}: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("content", [None, '{"model": "M1",'], ids=["missing", "malformed"])
+def test_an_unreadable_config_file_is_one_error_line_naming_it(content, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--seed", "1", "--reps", "1",
+              "--out-dir", str(tmp_path / "never-written")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"seqdopt: error: cannot read config file '{path}': ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "never-written").exists()

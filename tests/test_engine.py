@@ -1,3 +1,4 @@
+import dataclasses
 import pickle
 import sys
 
@@ -61,7 +62,7 @@ def test_static_stage_records_estimate_only_on_last_record():
     state = _fresh_state("M1", n1=40)
     assert len(state.thetas) == len(state.dets) == state.step == 40
     assert np.isnan(state.thetas[:-1]).all() and np.isnan(state.dets[:-1]).all()
-    assert np.array_equal(state.thetas[-1], state.theta_hat)
+    assert state.thetas[-1] is state.fit.theta
     assert state.dets[-1] == pytest.approx(det_sym(state.cum_info))
 
 
@@ -69,7 +70,28 @@ def test_static_stage_deterministic():
     a = _fresh_state("M1", seed=123)
     b = _fresh_state("M1", seed=123)
     assert a.xs == b.xs and a.ys == b.ys
-    assert np.allclose(a.theta_hat, b.theta_hat)
+    assert np.allclose(a.fit.theta, b.fit.theta)
+
+
+@pytest.mark.parametrize("name, method, n", [("M3", "cm", 50), ("GLM_C2", "pics", 100)])
+def test_each_refit_starts_from_the_previous_estimate(name, method, n, monkeypatch):
+    # the fit's estimate is the run's one copy of it: stage 1 fits cold,
+    # and every later fit is handed the estimate the one before returned
+    calls, original = [], modelspec.fit
+
+    def recording_fit(model, xs, ys, init=None, table=None):
+        res = original(model, xs, ys, init, table)
+        calls.append((init, res.theta))
+        return res
+
+    monkeypatch.setattr(modelspec, "fit", recording_fit)
+    cfg = parse_config(model=name, method=method, n=n, seed=2)
+    traj = run(cfg)
+    assert len(calls) == cfg.n - cfg.n1 + 1
+    assert calls[0][0] is None
+    for (_, previous), (init, _) in zip(calls, calls[1:]):
+        assert init is previous
+    assert np.array_equal(traj.theta_hat[cfg.n1 - 1:], [theta for _, theta in calls])
 
 
 # ---------------------------------------------------------------------------
@@ -80,9 +102,9 @@ def test_cm_step_glm_matches_exhaustive_candidate_evaluation():
     state = _fresh_state("GLM_C1", method="cm", n1=80, init="four_point")
     # force gross imbalance: pile extra trials onto cell (+1,+1)
     state.table[0] = [300.0, 20.0, 20.0, 20.0]
-    state.cum_info = fisher_from_counts(state.table[0], state.theta_hat)
+    state.cum_info = fisher_from_counts(state.table[0], state.fit.theta)
 
-    w = cell_weights(state.theta_hat)
+    w = cell_weights(state.fit.theta)
     vals = {p: det_sym(state.cum_info + w[c] * XXT_CELLS[c])
             for c, p in enumerate(LEVEL_POINTS)}
     chosen = _cm_select_cells(state)
@@ -114,13 +136,14 @@ def _cell_search_states(draw):
 def test_cm_cell_search_picks_the_reference_cell(drawn):
     name, theta, counts = drawn
     state = EngineState(model=model_spec(name), n1=8, rng=np.random.default_rng(0),
-                        theta_hat=theta, cum_info=fisher_from_counts(counts, theta))
+                        fit=FitResult(theta, 0.0, True, 0),
+                        cum_info=fisher_from_counts(counts, theta))
     assert _cm_select_cells(state) == reference_cm_select_cells(theta, state.cum_info)
 
 
 def test_cm_step_appends_record_and_increases_det():
     state = _fresh_state("M1", method="cm", n1=40)
-    theta_before = state.theta_hat.copy()
+    theta_before = state.fit.theta.copy()
     det_before = det_sym(state.cum_info)
     cm_step(state)
     assert state.step == 41
@@ -139,7 +162,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     state = EngineState(model=model, n1=40, rng=np.random.default_rng(0))
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
-    state.theta_hat = theta
+    state.fit = FitResult(theta, 0.0, True, 0)
     state.cum_info = reference_cumulative_fisher_nlr(model, theta, np.array(state.xs))
     from seqdopt.engine import _cm_select_interval
     x = _cm_select_interval(state)
@@ -157,7 +180,7 @@ def test_pics_step_draws_from_closed_form_support():
     support = optimal_design_m1(model, theta).support
     for seed in range(5):
         state = _fresh_state("M1", method="pics", seed=seed)
-        state.theta_hat = theta  # plug in the truth
+        state.fit = dataclasses.replace(state.fit, theta=theta)  # plug in the truth
         pics_step(state)
         x = state.xs[-1]
         assert min(abs(x - s) for s in support) < 1e-9
@@ -177,7 +200,8 @@ def test_pics_inadmissible_estimate_fails_the_step(monkeypatch):
     # in test_fitting.py); an injected inadmissible one is an error, not
     # something to project
     state = _fresh_state("GLM_C1", method="pics", n1=80, init="four_point")
-    state.theta_hat = np.array([0.9, 0.9, 0.9])  # outside |b| < 0.8314
+    # outside |b| < 0.8314
+    state.fit = dataclasses.replace(state.fit, theta=np.array([0.9, 0.9, 0.9]))
     with pytest.raises(ConstraintViolated):
         pics_step(state)
     assert state.step == 80

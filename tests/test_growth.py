@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqdopt.errors import DomainError
 from seqdopt import modelspec
 from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.linalg import det_sym
@@ -86,13 +85,6 @@ def test_mean_continuity_near_change_point(kind, theta):
     eps = 1e-6
     gap = abs(growth_mean(kind, theta, X0 - eps) - growth_mean(kind, theta, X0 + eps))
     assert gap < 1e-6
-
-
-def test_mean_rejects_nonpositive_x():
-    with pytest.raises(DomainError):
-        growth_mean(M1, THETA, 0.0)
-    with pytest.raises(DomainError):
-        growth_grad(M3, THETA3, -3.0)
 
 
 def test_mean_m1_strictly_increasing():

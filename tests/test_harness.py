@@ -165,6 +165,38 @@ def test_a_config_either_runs_or_is_rejected_naming_the_field(kw):
 
 
 @pytest.mark.parametrize("kw, field", [
+    (dict(model="M1", n1=40.5, n=100), "n1"),
+    (dict(model="M1", n=100.5), "n"),
+    (dict(model="GLM_C1", n1=8.0), "n1"),
+    (dict(model="M1", replications=True), "replications"),
+    (dict(model="M1", replications=2.5), "replications"),
+    (dict(model="M1", seed=1.5), "seed"),
+    (dict(model="M1", seed=-1), "seed"),
+    (dict(model="M1", sigma2="0.1"), "sigma2"),
+    (dict(model="M2", x0_known="80"), "x0_known"),
+    (dict(model="M1", delta_stop=float("nan")), "delta_stop"),
+], ids=["n1-float", "n-float", "GLM-n1-float", "replications-bool", "replications-float",
+        "seed-float", "seed-negative", "sigma2-str", "x0_known-str", "delta_stop-nan"])
+def test_a_count_seed_or_real_field_of_the_wrong_kind_is_rejected(kw, field):
+    # each was accepted at first and then failed every replication outside a
+    # step (or raised a TypeError while being checked)
+    with pytest.raises(ConfigError, match=f"config field '{field}'"):
+        parse_config(**kw)
+
+
+def test_numpy_numbers_are_stored_as_python_numbers(tmp_path):
+    # summary.json holds the config, and json cannot write numpy scalars
+    cfg = parse_config(model="M1", n1=np.int64(40), n=np.int64(45), seed=np.int64(3),
+                       sigma2=np.float32(0.5))
+    assert [type(v) for v in (cfg.n1, cfg.n, cfg.seed, cfg.sigma2)] == [int, int, int, float]
+    run_experiment(cfg, out_dir=str(tmp_path), workers=1)
+    assert json.loads((tmp_path / "summary.json").read_text())["config"]["n"] == 45
+    # a Python int or float is kept as given
+    assert parse_config(model="M1", sigma2=1).sigma2 == 1
+    assert type(parse_config(model="M1", sigma2=1).sigma2) is int
+
+
+@pytest.mark.parametrize("kw, field", [
     (dict(model="M1", sigma2=3.883911975738208e-179, n=45), "sigma2"),
     (dict(model="M3", sigma2=1e-104, n1=60, n=200), "sigma2"),
     (dict(model="M1", sigma2=1e300), "sigma2"),

@@ -75,7 +75,7 @@ def test_success_prob_symmetry():
     rng = np.random.default_rng(2)
     for _ in range(20):
         beta = rng.normal(size=3)
-        assert np.allclose(cell_probs(beta) + cell_probs(-beta), 1.0)
+        assert np.allclose(np.array(cell_probs(beta)) + np.array(cell_probs(-beta)), 1.0)
 
 
 def test_success_prob_overflow_safe():
@@ -106,7 +106,7 @@ def test_weight_frozen_values():
 def test_weights_bounded():
     rng = np.random.default_rng(3)
     for _ in range(50):
-        w = cell_weights(rng.normal(scale=3, size=3))
+        w = np.array(cell_weights(rng.normal(scale=3, size=3)))
         assert np.all(w > 0.0) and np.all(w <= 0.25)
 
 
@@ -175,7 +175,7 @@ def test_simulate_reproducible():
 def test_model_simulate_draws_against_cached_probabilities(name):
     model = model_spec(name)
     assert model.success_probs is model.success_probs
-    assert model.success_probs == cell_probs(model.theta_star).tolist()
+    assert model.success_probs == np.array(cell_probs(model.theta_star)).tolist()
     # the same draws as simulate_binary at the truth, from the same stream
     ra, rb = np.random.default_rng(4), np.random.default_rng(4)
     points = [LEVEL_POINTS[c] for c in np.random.default_rng(5).integers(0, 4, 400)]
@@ -193,6 +193,15 @@ _coef = st.one_of(st.floats(-3.0, 3.0), st.floats(-300.0, 300.0), st.floats(-800
 def _same_bytes(a, b) -> bool:
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.tuples(_coef, _coef, _coef), st.lists(st.integers(0, 2000), min_size=4, max_size=4))
+def test_fisher_from_counts_reads_lists_and_arrays_alike(beta, counts):
+    # the engine's table holds float lists; an array of counts gives the same doubles
+    from_list = fisher_from_counts([float(c) for c in counts], beta)
+    for other in (np.array(counts, dtype=float), np.array(counts), counts):
+        assert _same_bytes(fisher_from_counts(other, beta), from_list)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
