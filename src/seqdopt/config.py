@@ -30,6 +30,18 @@ def _fail(name: str, message: str):
     raise ConfigError(f"config field '{name}': {message}")
 
 
+def _real(name: str, value, finite: bool = True):
+    """The number rule of the real fields and of each true value: a real
+    number, not a bool, and finite if `finite`.  A numpy number is stored as
+    a Python float, which summary.json can hold; a Python int or float is
+    kept as given."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        _fail(name, f"must be a real number, got {value!r}")
+    if finite and not -math.inf < value < math.inf:
+        _fail(name, f"must be finite, got {value!r}")
+    return value if type(value) in (int, float) else float(value)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     """One run; a field left None takes its model's default from the table."""
@@ -55,8 +67,12 @@ class RunConfig:
         for name, value in family.defaults.items():
             if getattr(self, name) is None:
                 object.__setattr__(self, name, value)
-        object.__setattr__(self, "true_params", tuple(self.true_params))
-        # counts and reals are stored as Python numbers, which summary.json holds
+        try:
+            params = tuple(self.true_params)
+        except TypeError:
+            _fail("true_params", f"must be a sequence of real numbers, got {self.true_params!r}")
+        object.__setattr__(self, "true_params", tuple(_real("true_params", v) for v in params))
+        # counts are stored as Python ints, which summary.json holds
         for name in ("n1", "n", "replications", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -64,10 +80,8 @@ class RunConfig:
             object.__setattr__(self, name, int(value))
         for name in ("sigma2", "x_min", "x_max", "x0_known", "delta_stop"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (numbers.Real, type(None))):
-                _fail(name, f"must be a real number, got {value!r}")
-            if not isinstance(value, (int, float, type(None))):
-                object.__setattr__(self, name, float(value))
+            if value is not None:   # delta_stop may be +inf: it stops at the first check
+                object.__setattr__(self, name, _real(name, value, finite=name != "delta_stop"))
 
         if self.method not in METHODS:
             _fail("method", f"must be one of {METHODS}")
@@ -83,7 +97,7 @@ class RunConfig:
                 _fail(name, message.format(c=self))
         model = self.to_model()
         try:  # the admissible true values are those the closed form takes
-            optimal = modelspec.closed_form_design(model, self.true_params)
+            i_star = metrics.true_fisher_info(model)
         except (ValueError, SeqDoptError) as exc:
             _fail("true_params", f"no closed-form design at the true values: {exc}")
 
@@ -98,7 +112,6 @@ class RunConfig:
         if self.delta_stop is not None and not self.delta_stop >= 0.0:
             _fail("delta_stop", f"threshold must be a nonnegative number, got {self.delta_stop!r}")
         # the run records determinants up to about det(n I*); its efficiency divides by det(I*)
-        i_star = metrics.design_info(model, self.true_params, optimal)
         dets = det_sym(i_star), det_sym(self.n * i_star)
         if not all(0.0 < d < math.inf for d in dets):
             _fail(family.info_scale, "the information I* at the true optimal design is "

@@ -7,7 +7,8 @@ provided to validate those closed forms (``modelspec.oracle_check``) and
 are used only in tests and the ``oracle`` CLI subcommand.  The growth
 closed forms and grid oracles take ``(model, theta)``, the signature of the
 model table's closed form, and read the design interval and M2's known
-change point from the ``ModelSpec``.
+change point from the ``ModelSpec``; each builds its equal-weight measure
+with ``_balanced``, which raises DegenerateDesign on a collapsed support.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ MANDAL_C0 = 0.8314
 #: longest cycle the balanced scheduler apportions a design to
 MAX_CYCLE = 20
 
-#: distinct-support guard used by the closed forms
+#: least gap between consecutive points of a balanced growth design
 _COINCIDENT_TOL = 1e-9
 
 
@@ -70,16 +71,25 @@ class DesignMeasure:
 # closed forms, nonlinear growth models
 # ---------------------------------------------------------------------------
 
+def _balanced(points) -> DesignMeasure:
+    """Equal weights on `points`, each at least _COINCIDENT_TOL above the
+    last; DegenerateDesign when they are not."""
+    if not all(q - p >= _COINCIDENT_TOL for p, q in zip(points, points[1:])):
+        raise DegenerateDesign(f"support {points} does not increase by {_COINCIDENT_TOL}")
+    return DesignMeasure(tuple(points), (1.0 / len(points),) * len(points))
+
+
+def _positive_rates(theta) -> tuple[float, ...]:
+    theta = tuple(float(v) for v in theta)   # every closed form needs a1, a2 > 0
+    if theta[0] <= 0.0 or theta[1] <= 0.0:
+        raise ValueError("alpha1 and alpha2 must be positive")
+    return theta
+
+
 def optimal_design_m1(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced two-point design {max(a2*xmax/(a2+xmax), xmin), xmax}."""
-    a1, a2 = float(theta[0]), float(theta[1])
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("alpha1 and alpha2 must be positive")
-    x1 = max(a2 * model.x_max / (a2 + model.x_max), model.x_min)
-    x2 = model.x_max
-    if abs(x1 - x2) < _COINCIDENT_TOL:
-        raise DegenerateDesign("two-point support collapsed")
-    return DesignMeasure((x1, x2), (0.5, 0.5))
+    a1, a2 = _positive_rates(theta)
+    return _balanced((max(a2 * model.x_max / (a2 + model.x_max), model.x_min), model.x_max))
 
 
 def m2_tau(alpha2: float, x0: float, x_max: float) -> float:
@@ -94,30 +104,17 @@ def m2_tau(alpha2: float, x0: float, x_max: float) -> float:
 
 def optimal_design_m2(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced two-point design {max(tau, xmin), xmax} for the known change point."""
-    a2 = float(theta[1])
-    if float(theta[0]) <= 0.0 or a2 <= 0.0:
-        raise ValueError("alpha1 and alpha2 must be positive")
+    a1, a2 = _positive_rates(theta)
     tau = m2_tau(a2, float(model.x0_known), model.x_max)
-    x1 = max(tau, model.x_min)
-    x2 = model.x_max
-    if abs(x1 - x2) < _COINCIDENT_TOL or x1 > x2:
-        raise DegenerateDesign("two-point support collapsed")
-    return DesignMeasure((x1, x2), (0.5, 0.5))
+    return _balanced((max(tau, model.x_min), model.x_max))
 
 
 def optimal_design_m3(model: ModelSpec, theta) -> DesignMeasure:
     """Balanced three-point design {max(a2*x0/(a2+x0), xmin), x0, xmax}."""
-    a1, a2, x0 = (float(v) for v in theta)
-    if a1 <= 0.0 or a2 <= 0.0:
-        raise ValueError("alpha1 and alpha2 must be positive")
+    a1, a2, x0 = _positive_rates(theta)
     if not model.x_min < x0 < model.x_max:
         raise ValueError(f"x0={x0} outside ({model.x_min}, {model.x_max})")
-    x1 = max(a2 * x0 / (a2 + x0), model.x_min)
-    pts = (x1, x0, model.x_max)
-    if min(abs(p - q) for p, q in itertools.combinations(pts, 2)) < _COINCIDENT_TOL:
-        raise DegenerateDesign("three-point support has coincident points")
-    third = 1.0 / 3.0
-    return DesignMeasure(pts, (third, third, third))
+    return _balanced((max(a2 * x0 / (a2 + x0), model.x_min), x0, model.x_max))
 
 
 # ---------------------------------------------------------------------------
@@ -240,9 +237,16 @@ class BalancedScheduler:
 # brute-force grid oracles (test/validation only)
 # ---------------------------------------------------------------------------
 
-def _pair_best(grads: np.ndarray, chunk: int = 512) -> tuple[int, int]:
+def _grid(model: ModelSpec, theta, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The interval's grid at `step`, ending at x_max, and the gradients on it."""
+    xs = np.arange(model.x_min, model.x_max + step / 2.0, step)
+    xs[-1] = model.x_max
+    return xs, growth_grad(model, theta, xs)
+
+
+def _pair_best(grads: np.ndarray) -> tuple[int, int]:
     """Indices maximizing |g_i x g_j| over all pairs (2-d gradients)."""
-    n = len(grads)
+    n, chunk = len(grads), 512   # rows of the cross-product table held at once
     best_val, best = -1.0, (0, 1)
     for lo in range(0, n, chunk):
         hi = min(lo + chunk, n)
@@ -264,17 +268,9 @@ def grid_oracle_two_point(model: ModelSpec, theta, step: float = 0.05) -> Design
     the squared cross product of the two gradients, which lets the pair
     search run on the gradient table without forming any matrices.
     """
-    xs = np.arange(model.x_min, model.x_max + step / 2.0, step)
-    xs[-1] = model.x_max
-    grads = growth_grad(model, theta, xs)
+    xs, grads = _grid(model, theta, step)
     i, j = _pair_best(grads)
-    pts = sorted((float(xs[i]), float(xs[j])))
-    return DesignMeasure(tuple(pts), (0.5, 0.5))
-
-
-def _triple_best(grads: np.ndarray, triples: np.ndarray) -> int:
-    g = grads[triples]  # (T, 3, 3): rows are the three gradients
-    return int(np.argmax(np.abs(det_sym_batch(g))))
+    return _balanced(sorted((float(xs[i]), float(xs[j]))))
 
 
 def grid_oracle_three_point(model: ModelSpec, theta,
@@ -287,11 +283,10 @@ def grid_oracle_three_point(model: ModelSpec, theta,
     of three rank-one terms equals det(G)^2 for the 3x3 gradient matrix G,
     so each stage is one batched determinant.
     """
-    xs = np.arange(model.x_min, model.x_max + steps[0] / 2.0, steps[0])
-    xs[-1] = model.x_max
-    grads = growth_grad(model, theta, xs)
+    xs, grads = _grid(model, theta, steps[0])
     triples = np.array(list(itertools.combinations(range(len(xs)), 3)))
-    best = np.sort(xs[triples[_triple_best(grads, triples)]])
+    k = int(np.argmax(np.abs(det_sym_batch(grads[triples]))))  # rows: the 3 gradients
+    best = np.sort(xs[triples[k]])
 
     for prev_step, step in zip(steps, steps[1:]):
         axes = []
@@ -304,11 +299,7 @@ def grid_oracle_three_point(model: ModelSpec, theta,
         g = np.stack([growth_grad(model, theta, pts[:, k]) for k in range(3)], axis=1)
         k = int(np.argmax(np.abs(det_sym_batch(g))))
         best = np.sort(pts[k])
-
-    if min(np.diff(best)) < _COINCIDENT_TOL:
-        raise DegenerateDesign("oracle support collapsed")
-    third = 1.0 / 3.0
-    return DesignMeasure(tuple(float(x) for x in best), (third, third, third))
+    return _balanced([float(x) for x in best])
 
 
 def _simplex_grid(n_steps: int) -> np.ndarray:

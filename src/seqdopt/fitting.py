@@ -69,14 +69,14 @@ _C2_BOX = (math.exp(-C2_UBOUND), math.exp(C2_UBOUND))
 
 @dataclass
 class FitResult:
-    """A fit's estimate, objective (RSS or negative log-likelihood) and
-    iteration count.  ``normal`` is J^T J of the residual Jacobian at
-    ``theta`` for the growth least-squares fits, which ``nls_refit`` already
-    holds when it stops; divided by sigma2 it is the cumulative information.
-    The logistic fits leave it None."""
+    """A fit's estimate, objective (the minimized value) and iteration count.
+    ``normal`` is J^T J of the residual Jacobian at ``theta`` for the growth
+    least-squares fits, which ``nls_refit`` already holds when it stops;
+    divided by sigma2 it is the cumulative information.  The exact logistic
+    fits leave both None: no run reads their likelihood."""
 
     theta: np.ndarray
-    objective: float
+    objective: float | None
     converged: bool
     iterations: int
     boundary: bool = False
@@ -157,27 +157,24 @@ def nelder_mead(f, x0, bounds=None, xtol: float = 1e-8,
                      converged=it < max_iter, iterations=it)
 
 
-def local_minimize(f, x0, bounds=None, n_starts: int = 3, perturb: float = 0.05,
-                   xtol: float = 1e-8, max_iter: int | None = None,
-                   init_step: float = 0.05) -> FitResult:
-    """Multi-start simplex descent; the first start is x0 itself, so the
-    returned objective never exceeds a restart from the incumbent.
-
-    Extra starts use deterministic +/- `perturb` relative perturbations
-    (alternating sign patterns), keeping fits free of any random stream.
+def local_minimize(f, x0, bounds=None) -> FitResult:
+    """Simplex descent (``nelder_mead`` at its defaults) from x0 and from x0
+    moved by +/- 5% of max(|x0_k|, 1) in two alternating sign patterns, which
+    keeps fits free of any random stream.  The first start is x0 itself, so
+    the returned objective never exceeds a restart from the incumbent;
+    iterations count all three descents.
     """
     x0 = np.asarray(x0, dtype=float)
     scale = np.maximum(np.abs(x0), 1.0)
     best = None
     total_iter = 0
-    for s in range(n_starts):
+    for s in range(3):
         if s == 0:
             start = x0
         else:
             signs = np.array([(-1.0) ** (k + s) for k in range(x0.size)])
-            start = x0 + perturb * scale * signs
-        res = nelder_mead(f, start, bounds=bounds, xtol=xtol, max_iter=max_iter,
-                          init_step=init_step)
+            start = x0 + 0.05 * scale * signs
+        res = nelder_mead(f, start, bounds=bounds)
         total_iter += res.iterations
         if best is None or res.objective < best.objective:
             best = res
@@ -426,12 +423,11 @@ def logistic_mle_c1(*, counts, successes) -> FitResult:
     iteration on the admissible interval finds the exact maximizer; it
     always starts from b = 0, so the estimate is a function of the table
     alone.  When the maximizer pins to an edge (e.g. complete separation)
-    the result carries boundary=True.
+    the result carries boundary=True; the objective is None.
     """
     b, it = _logistic_line_min(counts, successes, _C1_MULT, (0.0,) * 4,
                                -C1_EDGE, C1_EDGE)
-    obj = _neg_loglik_cells(counts, successes, [b * m for m in _C1_MULT])
-    return FitResult(theta=np.array([b] * 3), objective=obj, converged=True,
+    return FitResult(theta=np.array([b] * 3), objective=None, converged=True,
                      iterations=it, boundary=abs(b) == C1_EDGE)
 
 
@@ -472,7 +468,7 @@ def logistic_mle_c2(*, counts, successes) -> FitResult:
     constraint-violating table, or a pooled rate of 0 or 1) the maximum of
     each sign quadrant lies on an edge of its box, each edge being a
     concave 1-D problem, and the better quadrant wins (positive on ties).
-    Estimates on the box edge carry boundary=True.
+    Estimates on the box edge carry boundary=True; the objective is None.
     """
     n_pm = (counts[0] + counts[1], counts[2] + counts[3])
     s_pm = (successes[0] + successes[1], successes[2] + successes[3])
@@ -495,7 +491,6 @@ def logistic_mle_c2(*, counts, successes) -> FitResult:
         theta = (b0, b1) if obj_pos <= obj_neg else (-m0, -m1)
 
     b0, b1 = theta
-    obj = _neg_loglik_cells(counts, successes, (b0 + b1, b0 + b1, b0 - b1, b0 - b1))
     boundary = any(abs(math.log(abs(b))) >= C2_UBOUND - 1e-6 for b in theta)
-    return FitResult(theta=np.array([b0, b1, 0.0]), objective=obj, converged=True,
+    return FitResult(theta=np.array([b0, b1, 0.0]), objective=None, converged=True,
                      iterations=it, boundary=boundary)

@@ -11,16 +11,13 @@ import numpy as np
 
 
 def det_sym(a: np.ndarray) -> float:
-    """Determinant of a 2x2 or 3x3 matrix via the cofactor formula: the same
-    products in the same order as `det_sym_batch`, so the same double."""
-    a = np.asarray(a, dtype=float)
-    d = a.shape[0]
-    if a.shape != (d, d) or d not in (2, 3):
-        raise ValueError(f"expected a 2x2 or 3x3 matrix, got shape {a.shape}")
-    if d == 2:
-        (a00, a01), (a10, a11) = a.tolist()
+    """Cofactor determinant of a 2x2 or 3x3 matrix (another 2-D shape raises
+    ValueError): `det_sym_batch`'s products in its order, so the same double."""
+    rows = np.asarray(a, dtype=float).tolist()
+    if len(rows) == 2:
+        (a00, a01), (a10, a11) = rows
         return a00 * a11 - a01 * a10
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a.tolist()
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
     return (a00 * (a11 * a22 - a12 * a21)
             - a01 * (a10 * a22 - a12 * a20)
             + a02 * (a10 * a21 - a11 * a20))

@@ -70,8 +70,8 @@ class _Growth:
     columns = ("x",)
     aggregate = ("density", metrics.sequential_density, metrics.histogram_to_csv)
 
-    def __init__(self, dim, true_params, closed_form, oracle, rules=(), **defaults):
-        self.dim = dim
+    def __init__(self, true_params, closed_form, oracle, rules=(), **defaults):
+        self.dim = len(true_params)
         self.defaults = {"n1": 40, "n": 100, "initial_design": "uniform",
                          "true_params": true_params, "sigma2": 0.086,
                          "x_min": 0.5, "x_max": 210.0, **defaults}
@@ -189,13 +189,13 @@ class _Logistic:
 
 #: the table, at the simulation study's true values
 MODELS: dict[str, _Growth | _Logistic] = {
-    "M1": _Growth(2, (32.11, 105.65), designs.optimal_design_m1,
+    "M1": _Growth((32.11, 105.65), designs.optimal_design_m1,
                   designs.grid_oracle_two_point),
-    "M2": _Growth(2, (32.11, 105.65), designs.optimal_design_m2,
+    "M2": _Growth((32.11, 105.65), designs.optimal_design_m2,
                   designs.grid_oracle_two_point, x0_known=86.67,
                   rules=[("x0_known", lambda c: c.x_min < c.x0_known < c.x_max,
                           "known change point must lie inside the interval")]),
-    "M3": _Growth(3, (32.11, 105.65, 86.67), designs.optimal_design_m3,
+    "M3": _Growth((32.11, 105.65, 86.67), designs.optimal_design_m3,
                   designs.grid_oracle_three_point),
     "GLM_C1": _Logistic((0.7125, 0.7125, 0.7125), fitting.logistic_mle_c1,
                         lambda m, theta: designs.mandal_c1(theta)),

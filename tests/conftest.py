@@ -10,6 +10,7 @@ deterministic.
 """
 
 import dataclasses
+import itertools
 import os
 import time
 
@@ -17,6 +18,8 @@ import numpy as np
 import pytest
 
 from seqdopt.config import RunConfig, parse_config
+from seqdopt.designs import DesignMeasure, m2_tau
+from seqdopt.errors import DegenerateDesign
 from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.harness import run_experiment
 from seqdopt.linalg import det_sym
@@ -151,6 +154,47 @@ def reference_cm_select_cells(theta, cum_info):
         if val > best_val:
             best_point, best_val = point, val
     return best_point
+
+
+def reference_optimal_design_m1(model, theta) -> DesignMeasure:
+    """M1's closed form as written before the growth designs shared one
+    balanced-measure builder."""
+    a1, a2 = float(theta[0]), float(theta[1])
+    if a1 <= 0.0 or a2 <= 0.0:
+        raise ValueError("alpha1 and alpha2 must be positive")
+    x1 = max(a2 * model.x_max / (a2 + model.x_max), model.x_min)
+    x2 = model.x_max
+    if abs(x1 - x2) < 1e-9:
+        raise DegenerateDesign("two-point support collapsed")
+    return DesignMeasure((x1, x2), (0.5, 0.5))
+
+
+def reference_optimal_design_m2(model, theta) -> DesignMeasure:
+    """M2's closed form, as `reference_optimal_design_m1`."""
+    a2 = float(theta[1])
+    if float(theta[0]) <= 0.0 or a2 <= 0.0:
+        raise ValueError("alpha1 and alpha2 must be positive")
+    tau = m2_tau(a2, float(model.x0_known), model.x_max)
+    x1 = max(tau, model.x_min)
+    x2 = model.x_max
+    if abs(x1 - x2) < 1e-9 or x1 > x2:
+        raise DegenerateDesign("two-point support collapsed")
+    return DesignMeasure((x1, x2), (0.5, 0.5))
+
+
+def reference_optimal_design_m3(model, theta) -> DesignMeasure:
+    """M3's closed form, as `reference_optimal_design_m1`."""
+    a1, a2, x0 = (float(v) for v in theta)
+    if a1 <= 0.0 or a2 <= 0.0:
+        raise ValueError("alpha1 and alpha2 must be positive")
+    if not model.x_min < x0 < model.x_max:
+        raise ValueError(f"x0={x0} outside ({model.x_min}, {model.x_max})")
+    x1 = max(a2 * x0 / (a2 + x0), model.x_min)
+    pts = (x1, x0, model.x_max)
+    if min(abs(p - q) for p, q in itertools.combinations(pts, 2)) < 1e-9:
+        raise DegenerateDesign("three-point support has coincident points")
+    third = 1.0 / 3.0
+    return DesignMeasure(pts, (third, third, third))
 
 
 def reference_design_info(measure, fisher_fn) -> np.ndarray:

@@ -88,6 +88,7 @@ def test_config_file_plus_flags(tmp_path, capsys):
     (["design", "--model", "M1", "--theta", "1,abc"], "'true_params'"),
     (["run", "--model", "M1", "--seed", "-3", "--reps", "1",
       "--out-dir", "never-written"], "'seed'"),
+    (["design", "--model", "M1", "--x-max", "inf"], "'x_max'"),
 ])
 def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
     # the same defaults and rules as `run`, reported as one line, no traceback
@@ -97,6 +98,20 @@ def test_design_and_oracle_reject_invalid_models(argv, field, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"seqdopt: error: config field {field}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_a_malformed_true_params_in_a_config_file_is_one_error_line(tmp_path, capsys):
+    # this ended in a TypeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": "M1", "true_params": 5}))
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--seed", "1", "--reps", "1",
+              "--out-dir", str(tmp_path / "never-written")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("seqdopt: error: config field 'true_params': ")
     assert captured.err.count("\n") == 1
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from seqdopt import modelspec
@@ -28,7 +28,8 @@ from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS
 from seqdopt.metrics import design_info
 
-from conftest import model_spec
+from conftest import (model_spec, reference_optimal_design_m1, reference_optimal_design_m2,
+                      reference_optimal_design_m3)
 
 THETA = (32.11, 105.65)
 THETA3 = (32.11, 105.65, 86.67)
@@ -126,6 +127,45 @@ def test_m3_first_point_below_change_point():
         x0 = rng.uniform(1.0, 209.0)
         m = optimal_design_m3(M3, (10.0, a2, x0))
         assert m.support[0] < m.support[1]
+
+
+@st.composite
+def _growth_closed_form_inputs(draw):
+    """A growth model on 0 < x_min < x_max, narrow intervals included, and a
+    theta with rates of either sign and a change point in or outside it."""
+    name = draw(st.sampled_from(("M1", "M2", "M3")))
+    x_min = draw(st.floats(1e-3, 300.0))
+    x_max = x_min + draw(st.one_of(st.floats(0.0, 2e-9), st.floats(0.0, 400.0)))
+    assume(x_min < x_max)
+    inside = draw(st.integers(0, 3)) > 0
+    x0 = draw(st.floats(x_min, x_max) if inside else st.floats(-10.0, 800.0))
+    positive = draw(st.integers(0, 3)) > 0
+    theta = (draw(st.floats(1e-3 if positive else -5.0, 100.0)),
+             draw(st.floats(1e-3 if positive else -10.0, 1e4)))
+    if name == "M3":
+        theta += (x0,)
+    extra = {"x0_known": x0} if name == "M2" else {}
+    return model_spec(name, x_min=x_min, x_max=x_max, **extra), theta
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_growth_closed_form_inputs())
+def test_growth_closed_forms_match_their_reference_formulas(inputs):
+    # the closed forms build their measures with one balanced-measure
+    # builder; the reference formulas built each measure by hand
+    model, theta = inputs
+    new, ref = {"M1": (optimal_design_m1, reference_optimal_design_m1),
+                "M2": (optimal_design_m2, reference_optimal_design_m2),
+                "M3": (optimal_design_m3, reference_optimal_design_m3)}[model.name]
+
+    def outcome(closed_form):
+        try:
+            measure = closed_form(model, theta)
+        except Exception as exc:
+            return type(exc)
+        return [v.hex() for v in measure.support + measure.weights]
+
+    assert outcome(new) == outcome(ref)
 
 
 # ---------------------------------------------------------------------------

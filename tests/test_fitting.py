@@ -80,7 +80,7 @@ def test_local_minimize_multistart_returns_best():
     def f(x):
         return min((x[0] - 1.0) ** 2, (x[0] + 1.0) ** 2 + 0.5)
 
-    res = local_minimize(f, np.array([1.0]), n_starts=3)
+    res = local_minimize(f, np.array([1.0]))
     assert res.objective <= f(np.array([1.0])) + 1e-12
 
 
@@ -129,8 +129,7 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
             return float(np.sum((y - growth_mean(model, t, x)) ** 2))
 
         lm = nls_refit(model, x, y, start)
-        simplex = local_minimize(rss, start, bounds=bounds, n_starts=1, xtol=1e-5,
-                                 init_step=0.01)
+        simplex = nelder_mead(rss, start, bounds=bounds, xtol=1e-5, init_step=0.01)
         assert lm.converged
         assert rss(lm.theta) <= simplex.objective, (i, lm.theta, simplex.theta)
         assert lm.objective == pytest.approx(rss(lm.theta), rel=1e-12)
@@ -349,8 +348,7 @@ def _oracle_m3_start(model, x, y):
 
     def inner(x0, init):
         rss = _oracle_rss_fn(model_spec("M2", x0_known=float(x0)), x, y)
-        return local_minimize(rss, init, bounds=inner_bounds, n_starts=1,
-                              xtol=1e-4, max_iter=80)
+        return nelder_mead(rss, init, bounds=inner_bounds, xtol=1e-4, max_iter=80)
 
     chain, best_k, best_fit = _oracle_exp_start(x, y), 0, None
     for k, x0 in enumerate(grid):
@@ -491,11 +489,9 @@ def test_c1_exact_fit_matches_simplex_oracle():
             return _nll_cells(counts, succ, [b[0] * m for m in mult])
 
         res = logistic_mle_c1(counts=counts, successes=succ)
-        oracle = local_minimize(nll, np.array([0.0]), bounds=bounds, n_starts=1,
-                                xtol=1e-12)
-        assert res.objective <= oracle.objective + 1e-12
+        oracle = nelder_mead(nll, np.array([0.0]), bounds=bounds, xtol=1e-12)
+        assert nll(res.theta) <= oracle.objective + 1e-12
         assert abs(res.theta[0] - oracle.theta[0]) <= 1e-6
-        assert res.objective == pytest.approx(nll(res.theta), abs=1e-12)
 
 
 def test_c1_separation_hits_boundary():
@@ -550,8 +546,7 @@ def _c2_oracle(counts, succ) -> tuple[float, np.ndarray]:
             return _nll_cells(counts, succ, (b0 + b1, b0 + b1, b0 - b1, b0 - b1))
 
         for u0 in ((0.0, -1.0), (2.0, 2.0)):
-            res = local_minimize(nll, np.array(u0), bounds=bounds, n_starts=1,
-                                 xtol=1e-12)
+            res = nelder_mead(nll, np.array(u0), bounds=bounds, xtol=1e-12)
             if res.objective < best[0]:
                 best = (res.objective, sign * np.exp(res.theta))
     return best
@@ -566,9 +561,11 @@ def test_c2_exact_fit_matches_simplex_oracle():
     for counts, succ in _random_tables(12, 200):
         res = logistic_mle_c2(counts=counts, successes=succ)
         oracle_obj, oracle_theta = _c2_oracle(counts, succ)
+        b0, b1 = res.theta[:2]
+        nll = _nll_cells(counts, succ, (b0 + b1, b0 + b1, b0 - b1, b0 - b1))
         assert res.theta[0] * res.theta[1] > 0.0 and res.theta[2] == 0.0
-        assert res.objective <= oracle_obj + 1e-12
-        assert res.objective == pytest.approx(oracle_obj, abs=1e-6)
+        assert nll <= oracle_obj + 1e-12
+        assert nll == pytest.approx(oracle_obj, abs=1e-6)
         if not res.boundary:
             interior += 1
             assert np.allclose(res.theta[:2], oracle_theta, atol=1e-6, rtol=0.0)

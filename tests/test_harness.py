@@ -1,4 +1,5 @@
 import json
+import math
 import pickle
 from dataclasses import replace
 
@@ -175,11 +176,20 @@ def test_a_config_either_runs_or_is_rejected_naming_the_field(kw):
     (dict(model="M1", sigma2="0.1"), "sigma2"),
     (dict(model="M2", x0_known="80"), "x0_known"),
     (dict(model="M1", delta_stop=float("nan")), "delta_stop"),
+    (dict(model="M1", n=45, true_params=("32", 100.0)), "true_params"),
+    (dict(model="M1", true_params=5), "true_params"),
+    (dict(model="M1", true_params=(True, 100.0)), "true_params"),
+    (dict(model="M1", true_params=(math.inf, 100.0)), "true_params"),
+    (dict(model="M3", true_params=(32.11, math.nan, 86.67)), "true_params"),
+    (dict(model="M1", x_max=math.inf), "x_max"),
 ], ids=["n1-float", "n-float", "GLM-n1-float", "replications-bool", "replications-float",
-        "seed-float", "seed-negative", "sigma2-str", "x0_known-str", "delta_stop-nan"])
+        "seed-float", "seed-negative", "sigma2-str", "x0_known-str", "delta_stop-nan",
+        "true_params-str", "true_params-int", "true_params-bool", "true_params-inf",
+        "M3-true_params-nan", "x_max-inf"])
 def test_a_count_seed_or_real_field_of_the_wrong_kind_is_rejected(kw, field):
     # each was accepted at first and then failed every replication outside a
-    # step (or raised a TypeError while being checked)
+    # step, raised a TypeError while being checked, ran with a string true
+    # value, or was blamed on sigma2
     with pytest.raises(ConfigError, match=f"config field '{field}'"):
         parse_config(**kw)
 
@@ -187,10 +197,13 @@ def test_a_count_seed_or_real_field_of_the_wrong_kind_is_rejected(kw, field):
 def test_numpy_numbers_are_stored_as_python_numbers(tmp_path):
     # summary.json holds the config, and json cannot write numpy scalars
     cfg = parse_config(model="M1", n1=np.int64(40), n=np.int64(45), seed=np.int64(3),
-                       sigma2=np.float32(0.5))
+                       sigma2=np.float32(0.5), true_params=(np.int64(32), np.float32(105.65)))
     assert [type(v) for v in (cfg.n1, cfg.n, cfg.seed, cfg.sigma2)] == [int, int, int, float]
+    assert [type(v) for v in cfg.true_params] == [float, float]
     run_experiment(cfg, out_dir=str(tmp_path), workers=1)
-    assert json.loads((tmp_path / "summary.json").read_text())["config"]["n"] == 45
+    config = json.loads((tmp_path / "summary.json").read_text())["config"]
+    assert config["n"] == 45
+    assert config["true_params"] == [32.0, float(np.float32(105.65))]
     # a Python int or float is kept as given
     assert parse_config(model="M1", sigma2=1).sigma2 == 1
     assert type(parse_config(model="M1", sigma2=1).sigma2) is int

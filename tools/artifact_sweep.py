@@ -1,0 +1,89 @@
+"""Check that two source trees write byte-identical artifacts.
+
+Usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT
+
+Each ROOT is a checkout of this repository.  With each tree's ``src`` on
+PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 20
+configurations (seed 20240, 3 replications, one worker) and ``seqdopt
+design`` and ``seqdopt oracle`` on the five models.  It lists every file
+whose bytes differ, or that only one tree wrote, but ``timing.json``, which
+holds wall-clock times; it exits 1 if there is any, else 0.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+MODELS = ("M1", "M2", "M3", "GLM_C1", "GLM_C2")
+METHODS = ("cm", "pics", "balanced_pics")
+
+#: output directory -> the flags of its `seqdopt run`
+RUNS = {
+    **{f"{model}-{design}-{method}": ["--model", model, "--initial-design", design,
+                                      "--method", method]
+       for model, design in (("M1", "uniform"), ("M3", "uniform"), ("M2", "three_point"),
+                             ("GLM_C1", "four_point"), ("GLM_C2", "four_point"))
+       for method in METHODS},
+    "M1-pics-delta_stop": ["--model", "M1", "--method", "pics", "--delta-stop", "2e-3"],
+    "GLM_C2-pics-8-200": ["--model", "GLM_C2", "--method", "pics", "--n1", "8", "--n", "200"],
+    **{f"M3-60-200-{method}": ["--model", "M3", "--method", method, "--n1", "60", "--n", "200"]
+       for method in METHODS},
+}
+
+
+def sweep(root: Path, out: Path) -> None:
+    """Every run's artifact tree and every report, from `root`'s source, in `out`."""
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+
+    def seqdopt(*args, stdout=subprocess.DEVNULL):
+        subprocess.run([sys.executable, "-m", "seqdopt.cli", *args], env=env, cwd=out,
+                       stdout=stdout, check=True)
+
+    for name, flags in RUNS.items():
+        seqdopt("run", *flags, "--seed", "20240", "--reps", "3", "--workers", "1",
+                "--out-dir", name)
+    for model in MODELS:
+        for report in ("design", "oracle"):
+            with open(out / f"{report}-{model}.json", "w") as fh:
+                seqdopt(report, "--model", model, stdout=fh)
+
+
+def differing(old: Path, new: Path) -> tuple[list[str], int]:
+    """Files, relative to each tree, that differ or exist in one only, and
+    the number of files compared; timing.json is skipped."""
+    names = {p.relative_to(tree) for tree in (old, new) for p in tree.rglob("*")
+             if p.is_file() and p.name != "timing.json"}
+    diffs = [str(n) for n in sorted(names)
+             if not ((old / n).is_file() and (new / n).is_file()
+                     and filecmp.cmp(old / n, new / n, shallow=False))]
+    return diffs, len(names)
+
+
+def main() -> int:
+    if len(sys.argv) != 3:
+        print("usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT", file=sys.stderr)
+        return 2
+    roots = [Path(arg).resolve() for arg in sys.argv[1:]]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = []
+        for label, root in zip(("old", "new"), roots):
+            out = Path(tmp) / label
+            out.mkdir()
+            print(f"sweeping {root}", file=sys.stderr)
+            sweep(root, out)
+            outs.append(out)
+        diffs, compared = differing(*outs)
+    for name in diffs:
+        print(f"differs: {name}")
+    print(f"{len(diffs)} of {compared} files differ ({len(RUNS)} runs, "
+          f"{2 * len(MODELS)} reports; timing.json skipped)")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
