@@ -20,8 +20,8 @@ REPS = 20
 
 
 def main():
-    model = parse_config(model="M3").to_model()
-    support = modelspec.closed_form_design(model, model.theta_star).support
+    model = parse_config(model="M3")
+    support = modelspec.closed_form_design(model, model.true_params).support
     print(f"optimal support at {np.round(support, 2)}\n")
 
     for method in ("pics", "balanced_pics"):

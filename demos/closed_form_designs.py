@@ -24,7 +24,7 @@ def main():
              "weights", 4)):
         print(f"=== {title} ===")
         for name in names:
-            check = modelspec.oracle_check(parse_config(model=name).to_model())
+            check = modelspec.oracle_check(parse_config(model=name))
             print(f"{name}: closed form {np.round(check['closed_form'][key], digits)}  "
                   f"oracle {np.round(check['oracle'][key], digits)}  "
                   f"oracle excess {check['oracle_excess']:+.2e}")

@@ -22,10 +22,9 @@ def main():
     cfg = parse_config(model="M1", method="pics", n1=60, n=300, seed=19,
                        replications=REPS)
     summary = run_experiment(cfg)
-    model = cfg.to_model()
 
     diag = normality_diagnostic([t.final_theta for t in summary.trajectories],
-                                model.theta_star,
+                                cfg.true_params,
                                 [t.final_info for t in summary.trajectories])
 
     print(f"{REPS} replications of the plug-in run at n={cfg.n}")

@@ -19,8 +19,8 @@ REPS = 20
 
 
 def main():
-    model = parse_config(model="GLM_C1").to_model()
-    target = modelspec.closed_form_design(model, model.theta_star).weights
+    model = parse_config(model="GLM_C1")
+    target = modelspec.closed_form_design(model, model.true_params).weights
     print("optimal proportions:",
           {p: round(float(w), 4) for p, w in zip(LEVEL_POINTS, target)})
 

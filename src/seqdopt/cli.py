@@ -76,7 +76,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_report(args) -> int:
     """design / oracle: one report on the configured model at its true values."""
-    print(args.report(_config_from_args(args).to_model()))
+    print(args.report(_config_from_args(args)))
     return 0
 
 
@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, help_text, report in (
             ("design", "print the closed-form design",
-             lambda m: modelspec.closed_form_design(m, m.theta_star).to_json()),
+             lambda m: modelspec.closed_form_design(m, m.true_params).to_json()),
             ("oracle", "grid oracle vs closed form",
              lambda m: json.dumps(modelspec.oracle_check(m), indent=2))):
         p = sub.add_parser(name, help=help_text)

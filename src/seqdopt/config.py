@@ -2,11 +2,13 @@
 
 A RunConfig fully determines a simulation experiment (including all random
 streams via the base seed), so every deterministic output artifact is a pure
-function of it.  It is complete and checked when it is built: a field left
-``None`` takes its model's default from the model table
-(``modelspec.MODELS``), and the table's per-model rules and the rules every
-run shares are checked then, a violation raising a ConfigError naming the
-field.  ``dataclasses.replace`` builds a new config, so it is checked too.
+function of it.  It is the run's ``modelspec.ModelSpec`` too: the model
+fields are the spec's, and the model functions take the config itself.  It
+is complete and checked when it is built: a field left ``None`` takes its
+model's default from the model table (``modelspec.MODELS``), and the table's
+per-model rules and the rules every run shares are checked then, a violation
+raising a ConfigError naming the field.  ``dataclasses.replace`` builds a
+new config, so it is checked too.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import math
 import numbers
 from dataclasses import dataclass
 
-from . import metrics, modelspec
+from . import modelspec
 from .errors import ConfigError, SeqDoptError
 from .linalg import det_sym
 
@@ -32,30 +34,29 @@ def _fail(name: str, message: str):
 
 def _real(name: str, value, finite: bool = True):
     """The number rule of the real fields and of each true value: a real
-    number, not a bool, and finite if `finite`.  A numpy number is stored as
-    a Python float, which summary.json can hold; a Python int or float is
-    kept as given."""
+    number, not a bool, and finite if `finite` (an int too large for a
+    double is not).  A numpy number is stored as a Python float, which
+    summary.json can hold; a Python int or float is kept as given."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         _fail(name, f"must be a real number, got {value!r}")
-    if finite and not -math.inf < value < math.inf:
+    try:
+        inside = not finite or math.isfinite(value)
+    except OverflowError:   # an int too large for a double
+        inside = False
+    if not inside:
         _fail(name, f"must be finite, got {value!r}")
     return value if type(value) in (int, float) else float(value)
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """One run; a field left None takes its model's default from the table."""
+class RunConfig(modelspec.ModelSpec):
+    """One run: its model (the ``ModelSpec`` fields) and how it is run; a
+    field left None takes its model's default from the table."""
 
-    model: str
     method: str = "pics"
     n1: int | None = None
     n: int | None = None
     initial_design: str | None = None
-    true_params: tuple | None = None
-    sigma2: float | None = None
-    x_min: float | None = None
-    x_max: float | None = None
-    x0_known: float | None = None
     seed: int = 0
     replications: int = 1
     delta_stop: float | None = None
@@ -95,9 +96,8 @@ class RunConfig:
         for name, holds, message in family.rules:
             if not holds(self):
                 _fail(name, message.format(c=self))
-        model = self.to_model()
         try:  # the admissible true values are those the closed form takes
-            i_star = metrics.true_fisher_info(model)
+            i_star = self.i_star
         except (ValueError, SeqDoptError) as exc:
             _fail("true_params", f"no closed-form design at the true values: {exc}")
 
@@ -116,10 +116,6 @@ class RunConfig:
         if not all(0.0 < d < math.inf for d in dets):
             _fail(family.info_scale, "the information I* at the true optimal design is "
                   f"degenerate: det(I*) = {dets[0]!r}, det(n I*) = {dets[1]!r}")
-
-    def to_model(self) -> modelspec.ModelSpec:
-        return modelspec.ModelSpec(self.model, self.true_params, self.sigma2,
-                                   self.x_min, self.x_max, self.x0_known)
 
 
 def parse_config(path: str | None = None, **overrides) -> RunConfig:

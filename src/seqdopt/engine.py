@@ -70,6 +70,7 @@ class Trajectory:
     ``det_cum_info`` are NaN before step n1, where no estimate exists yet;
     ``step_ms`` is 0 for the static stage.  ``final_info`` is the last row's
     cumulative information, whose determinant ends ``det_cum_info``.
+    ``model`` is the run's config, a ``ModelSpec``.
     """
 
     model: ModelSpec
@@ -143,7 +144,7 @@ class EngineState:
     def step(self) -> int:
         return len(self.step_ms)
 
-    def to_trajectory(self, stop_index: int | None = None) -> Trajectory:
+    def to_trajectory(self, stop_index: int | None) -> Trajectory:
         return Trajectory(model=self.model, n1=self.n1,
                           x=np.asarray(self.xs), y=np.asarray(self.ys, dtype=float),
                           theta_hat=np.array(self.thetas, dtype=float),
@@ -281,8 +282,7 @@ def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    model = config.to_model()
-    state = run_static_stage(model, config.method, config.n1, config.initial_design, rng)
+    state = run_static_stage(config, config.method, config.n1, config.initial_design, rng)
     step_fn = cm_step if config.method == "cm" else pics_step
     stop_index = None
     for i in range(config.n1 + 1, config.n + 1):

@@ -88,12 +88,10 @@ class FitResult:
 # ---------------------------------------------------------------------------
 
 def _project(x, bounds):
-    if bounds is None:
-        return np.asarray(x, dtype=float)
     return np.minimum(np.maximum(x, bounds[0]), bounds[1])
 
 
-def nelder_mead(f, x0, bounds=None, xtol: float = 1e-8,
+def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
                 max_iter: int | None = None, init_step: float = 0.05) -> FitResult:
     """Reflect/expand/contract/shrink simplex descent with box projection.
 
@@ -157,7 +155,7 @@ def nelder_mead(f, x0, bounds=None, xtol: float = 1e-8,
                      converged=it < max_iter, iterations=it)
 
 
-def local_minimize(f, x0, bounds=None) -> FitResult:
+def local_minimize(f, x0, bounds) -> FitResult:
     """Simplex descent (``nelder_mead`` at its defaults) from x0 and from x0
     moved by +/- 5% of max(|x0_k|, 1) in two alternating sign patterns, which
     keeps fits free of any random stream.  The first start is x0 itself, so

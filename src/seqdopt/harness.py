@@ -109,10 +109,8 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
             f"{len(failures)}/{config.replications} replications failed; "
             f"first failure: {failures[0]}")
 
-    model = config.to_model()
-    aggregate_field, aggregate, _ = model.family.aggregate
-    i_star = metrics.true_fisher_info(model)
-    curves = [metrics.relative_efficiency(t, i_star) for t in trajectories]
+    aggregate_field, aggregate, _ = config.family.aggregate
+    curves = [metrics.relative_efficiency(t, config.i_star) for t in trajectories]
     min_len = min(len(c.steps) for c in curves)
     mean_curve = metrics.mean_efficiency(
         [metrics.EfficiencyCurve(c.steps[:min_len], c.values[:min_len])
@@ -147,16 +145,15 @@ def _write_trajectories_csv(summary: ReplicationSummary, path):
     Floats go through repr, logistic points as their integer levels, and
     the estimate and determinant cells stay empty before step n1.
     """
-    model = summary.config.to_model()
-    d = model.dim
-    header = (["replication", "step", *model.family.columns, "y"]
-              + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
+    family = summary.config.family
+    header = (["replication", "step", *family.columns, "y"]
+              + [f"theta_hat_{k + 1}" for k in range(family.dim)] + ["det_cum_info"])
 
     def rows(rep, traj):
         n, skip = len(traj), traj.n1 - 1
         estimates = np.column_stack([traj.theta_hat, traj.det_cum_info])[skip:]
         return zip([str(rep)] * n, map(str, range(1, n + 1)),
-                   *(map(str, c) for c in zip(*model.family.csv_points(traj.x))),
+                   *(map(str, c) for c in zip(*family.csv_points(traj.x))),
                    map(repr, traj.y.tolist()),
                    *([""] * skip + list(map(repr, c)) for c in estimates.T.tolist()))
 
@@ -173,7 +170,7 @@ def _write_json(path, doc):
 def write_outputs(summary: ReplicationSummary, out_dir: str):
     """Write the artifact tree: deterministic CSV/JSON plus timing.json."""
     os.makedirs(out_dir, exist_ok=True)
-    name, _, write = summary.config.to_model().family.aggregate
+    name, _, write = summary.config.family.aggregate
 
     _write_trajectories_csv(summary, os.path.join(out_dir, "trajectories.csv"))
     metrics.efficiency_to_csv(summary.mean_curve,

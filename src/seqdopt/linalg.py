@@ -12,7 +12,8 @@ import numpy as np
 
 def det_sym(a: np.ndarray) -> float:
     """Cofactor determinant of a 2x2 or 3x3 matrix (another 2-D shape raises
-    ValueError): `det_sym_batch`'s products in its order, so the same double."""
+    ValueError); at 3x3, `det_sym_batch`'s products in its order, so the
+    same double."""
     rows = np.asarray(a, dtype=float).tolist()
     if len(rows) == 2:
         (a00, a01), (a10, a11) = rows
@@ -24,15 +25,12 @@ def det_sym(a: np.ndarray) -> float:
 
 
 def det_sym_batch(a: np.ndarray) -> np.ndarray:
-    """Vectorized `det_sym` over a stack of matrices shaped (..., d, d)."""
+    """Vectorized 3x3 `det_sym` over a stack of matrices shaped (..., 3, 3)."""
     a = np.asarray(a, dtype=float)
-    d = a.shape[-1]
-    if d == 2:
-        return a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
-    if d == 3:
-        return (
-            a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
-            - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
-            + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
-        )
-    raise ValueError(f"expected trailing dims 2x2 or 3x3, got {a.shape}")
+    if a.shape[-2:] != (3, 3):
+        raise ValueError(f"expected trailing dims 3x3, got {a.shape}")
+    return (
+        a[..., 0, 0] * (a[..., 1, 1] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 1])
+        - a[..., 0, 1] * (a[..., 1, 0] * a[..., 2, 2] - a[..., 1, 2] * a[..., 2, 0])
+        + a[..., 0, 2] * (a[..., 1, 0] * a[..., 2, 1] - a[..., 1, 1] * a[..., 2, 0])
+    )

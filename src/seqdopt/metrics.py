@@ -71,8 +71,8 @@ def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
 
 
 def true_fisher_info(model: ModelSpec) -> np.ndarray:
-    """I*: the information at the closed-form optimal design at theta_star."""
-    theta = model.theta_star
+    """I*: the information at the closed-form optimal design at true_params."""
+    theta = model.true_params
     return design_info(model, theta, model.family.closed_form(model, theta))
 
 

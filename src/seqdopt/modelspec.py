@@ -12,9 +12,12 @@ point encoding and CSV columns, the study aggregate and the grid oracle;
 every model takes every method.  The rest of the package asks the entry
 (``model.family``) or the spec's fields, never which model it runs; the
 engine calls ``fit``, ``simulate`` and ``closed_form_design`` through this
-module, so a tracer can wrap them.  The growth functions (means, fits,
-closed forms, grid oracles) take the ``ModelSpec`` and read its interval
-and known change point; the growth entry scales by its sigma2.
+module, so a tracer can wrap them.  A ``ModelSpec`` holds a model's name
+and simulation truth, and a ``config.RunConfig`` is one that is checked and
+also holds the run, so a run passes its config wherever a model is taken.
+The growth functions (means, fits, closed forms, grid oracles) take the
+spec and read its interval and known change point; the growth entry scales
+by its sigma2.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .linalg import det_sym
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """One of the five concrete models with its simulation truth; a
-    ``config.RunConfig`` checks its rules when it is built."""
+    """One of the five concrete models with its simulation truth, unchecked;
+    a ``config.RunConfig`` is one that is checked and also holds the run."""
 
-    name: str
-    theta_star: tuple
+    model: str
+    true_params: tuple | None = None
     sigma2: float | None = None      # growth models only
     x_min: float | None = None       # growth models only
     x_max: float | None = None       # growth models only
@@ -43,7 +46,7 @@ class ModelSpec:
 
     @property
     def family(self) -> _Growth | _Logistic:
-        return MODELS[self.name]
+        return MODELS[self.model]
 
     @property
     def dim(self) -> int:
@@ -51,12 +54,17 @@ class ModelSpec:
 
     @cached_property
     def success_probs(self) -> list[float]:
-        """Logistic models: P(Y=1) at theta_star in each cell, which every
+        """Logistic models: P(Y=1) at true_params in each cell, which every
         simulated trial reads."""
-        return logistic.cell_probs(self.theta_star)
+        return logistic.cell_probs(self.true_params)
+
+    @cached_property
+    def i_star(self) -> np.ndarray:
+        """I*, the information at the closed form at the true values."""
+        return metrics.true_fisher_info(self)
 
     def __getstate__(self) -> dict:
-        # only the fields are pickled; success_probs is rebuilt on use
+        # only the fields are pickled; success_probs and i_star are rebuilt on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -112,8 +120,8 @@ class _Growth:
         return np.outer(g, g) / model.sigma2
 
     def simulate(self, model, x, rng) -> float:
-        # the mean at theta_star plus N(0, sigma2) noise
-        return (growth.growth_mean(model, model.theta_star, x)
+        # the mean at true_params plus N(0, sigma2) noise
+        return (growth.growth_mean(model, model.true_params, x)
                 + rng.normal(0.0, np.sqrt(model.sigma2)))
 
     def decode(self, x: np.ndarray) -> list:
@@ -174,7 +182,7 @@ class _Logistic:
         return self.cm_candidates(theta)[3 - logistic.cell_index(x)][1]
 
     def simulate(self, model, x, rng) -> int:
-        # one Bernoulli draw at theta_star, against the spec's cached cell
+        # one Bernoulli draw at true_params, against the spec's cached cell
         # probabilities
         return int(rng.random() < model.success_probs[logistic.cell_index(x)])
 
@@ -214,7 +222,7 @@ def simulate(model: ModelSpec, x, rng: np.random.Generator):
     return model.family.simulate(model, x, rng)
 
 
-def fit(model: ModelSpec, xs, ys, init=None, table=None) -> fitting.FitResult:
+def fit(model: ModelSpec, xs, ys, init, table) -> fitting.FitResult:
     """Constrained MLE for the model; growth fits are least squares.
 
     The logistic fits are exact functions of the cell `table`, which the
@@ -230,7 +238,7 @@ def oracle_check(model: ModelSpec) -> dict:
     """The closed form at the true values against the family's brute-force
     grid oracle: both designs, their D-criteria, and the oracle's relative
     excess, which stays below 1e-3 where the closed form is optimal."""
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     closed = closed_form_design(model, theta)
     oracle = model.family.oracle(model, theta)
     val_closed = det_sym(metrics.design_info(model, theta, closed))

@@ -25,6 +25,7 @@ from seqdopt.harness import run_experiment
 from seqdopt.linalg import det_sym
 from seqdopt.logistic import (LEVEL_POINTS, XXT_CELLS, X_CELLS, cell_index, cell_probs,
                               cell_weights)
+from seqdopt.modelspec import ModelSpec
 
 ACCEPTANCE_SEED = 20240
 REPLICATIONS = 50
@@ -46,9 +47,12 @@ BATTERY_CELLS = [
 
 
 def model_spec(name: str, **overrides):
-    """The model's ``ModelSpec`` at its table defaults, with `overrides` put
-    in unchecked: some tests need a spec that a RunConfig would reject."""
-    return dataclasses.replace(RunConfig(model=name).to_model(), **overrides)
+    """A bare ``ModelSpec``: the model's fields at their table defaults, with
+    `overrides` put in unchecked, since some tests need a spec that a
+    RunConfig would reject."""
+    cfg = RunConfig(model=name)
+    spec = ModelSpec(*(getattr(cfg, f.name) for f in dataclasses.fields(ModelSpec)))
+    return dataclasses.replace(spec, **overrides)
 
 
 def central_diff_gradient(f, theta, h: float | None = None) -> np.ndarray:

@@ -37,7 +37,7 @@ def test_acceptance_1_closed_form_vs_oracle():
 
     for name in ("M1", "M2", "M3"):
         model = model_spec(name)
-        theta = np.asarray(model.theta_star)
+        theta = np.asarray(model.true_params)
         closed = modelspec.closed_form_design(model, theta)
         if name == "M3":
             oracle = grid_oracle_three_point(model, theta, steps=(2.0, 0.25, 0.01))
@@ -55,7 +55,7 @@ def test_acceptance_1_closed_form_vs_oracle():
 
     for name in ("GLM_C1", "GLM_C2"):
         model = model_spec(name)
-        theta = np.asarray(model.theta_star)
+        theta = np.asarray(model.true_params)
         closed = modelspec.closed_form_design(model, theta)
         oracle = grid_oracle_glm(theta, step=0.001)
         crit = lambda measure: det_sym(design_info(model, theta, measure))
@@ -155,9 +155,9 @@ def test_acceptance_4_timing_orderings(battery):
 def test_acceptance_5_normality_diagnostic(normality_battery):
     """Standardized final estimates look standard normal at n=400."""
     summary, elapsed = normality_battery
-    model = summary.config.to_model()
+    model = summary.config
     diag = normality_diagnostic([t.final_theta for t in summary.trajectories],
-                                model.theta_star,
+                                model.true_params,
                                 [t.final_info for t in summary.trajectories])
     mean, cov = diag["mean"], diag["cov"]
     diag_ok = np.all((np.diag(cov) >= 0.7) & (np.diag(cov) <= 1.3))
@@ -175,12 +175,12 @@ def test_acceptance_5_normality_diagnostic(normality_battery):
 def test_acceptance_6_glm_allocation_convergence(battery):
     """Pooled adaptive allocation approaches the closed-form proportions."""
     summary, _ = battery[("GLM_C1", 100, 1200, "pics")]
-    model = summary.config.to_model()
-    closed = modelspec.closed_form_design(model, model.theta_star)
+    model = summary.config
+    closed = modelspec.closed_form_design(model, model.true_params)
     target = np.asarray(closed.weights)
 
     # independent confirmation of the target via the simplex oracle
-    oracle = grid_oracle_glm(model.theta_star, step=0.001)
+    oracle = grid_oracle_glm(model.true_params, step=0.001)
     oracle_gap = np.max(np.abs(np.asarray(oracle.weights) - target))
 
     alloc = summary.allocation
@@ -199,7 +199,7 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
     worst = 0.0
     for name in ("M1", "M2", "M3"):
         model = model_spec(name)
-        theta_star = np.asarray(model.theta_star, dtype=float)
+        theta_star = np.asarray(model.true_params, dtype=float)
         done = 0
         while done < 20:
             x = rng.uniform(0.6, 209.0)
@@ -216,8 +216,8 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
     grad_ok = worst < 1e-5
 
     summary = balanced_m3_battery
-    model = summary.config.to_model()
-    support = modelspec.closed_form_design(model, model.theta_star).support
+    model = summary.config
+    support = modelspec.closed_form_design(model, model.true_params).support
     hist = sequential_density(summary.trajectories, bins=100)
     # equal-split check: partition the histogram by nearest support point
     masses = hist.mode_masses(support)
@@ -234,8 +234,8 @@ def test_m3_plugin_density_concentrates_on_support(battery):
     """Plain plug-in draws pile up near the three optimal points (the
     balanced variant additionally splits them a third each)."""
     summary, _ = battery[("M3", 60, 200, "pics")]
-    model = summary.config.to_model()
-    support = modelspec.closed_form_design(model, model.theta_star).support
+    model = summary.config
+    support = modelspec.closed_form_design(model, model.true_params).support
     hist = sequential_density(summary.trajectories, bins=100)
     near = sum(hist.mass_near(s, halfwidth_bins=2) for s in support)
     assert near > 0.8

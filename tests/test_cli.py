@@ -115,6 +115,20 @@ def test_a_malformed_true_params_in_a_config_file_is_one_error_line(tmp_path, ca
     assert captured.err.count("\n") == 1
 
 
+def test_a_config_file_integer_too_large_for_a_double_is_one_error_line(tmp_path, capsys):
+    # a JSON integer has no size limit; this ended in an OverflowError traceback
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": "M1", "x_max": 1' + "0" * 400 + "}")
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--seed", "1", "--reps", "1",
+              "--out-dir", str(tmp_path / "never-written")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("seqdopt: error: config field 'x_max': must be finite")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("content", [None, '{"model": "M1",'], ids=["missing", "malformed"])
 def test_an_unreadable_config_file_is_one_error_line_naming_it(content, tmp_path, capsys):
     path = tmp_path / "cfg.json"

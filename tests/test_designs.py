@@ -156,7 +156,7 @@ def test_growth_closed_forms_match_their_reference_formulas(inputs):
     model, theta = inputs
     new, ref = {"M1": (optimal_design_m1, reference_optimal_design_m1),
                 "M2": (optimal_design_m2, reference_optimal_design_m2),
-                "M3": (optimal_design_m3, reference_optimal_design_m3)}[model.name]
+                "M3": (optimal_design_m3, reference_optimal_design_m3)}[model.model]
 
     def outcome(closed_form):
         try:
@@ -324,7 +324,7 @@ def test_scheduler_updates_support_only_at_cycle_boundary():
 
 def test_oracle_agrees_with_closed_form_m1():
     model = M1
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     oracle = grid_oracle_two_point(model, theta, step=0.1)
     closed = optimal_design_m1(model, theta)
     assert abs(oracle.support[0] - closed.support[0]) <= 0.1
@@ -338,7 +338,7 @@ def test_oracle_glm_zero_beta_uniform():
 
 def test_oracle_three_point_agrees_with_closed_form():
     model = M3
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     oracle = grid_oracle_three_point(model, theta)
     closed = optimal_design_m3(model, theta)
     for a, b in zip(oracle.support, closed.support):
@@ -356,8 +356,8 @@ def test_closed_form_criterion_dominates_oracle_random_parameters():
         a1 = rng.uniform(5.0, 80.0)
         a2 = rng.uniform(30.0, 200.0)
         x0 = rng.uniform(40.0, 160.0)
-        model = model_spec(name, theta_star=((a1, a2, x0) if name == "M3" else (a1, a2)))
-        theta = np.asarray(model.theta_star)
+        model = model_spec(name, true_params=((a1, a2, x0) if name == "M3" else (a1, a2)))
+        theta = np.asarray(model.true_params)
         try:
             closed = modelspec.closed_form_design(model, theta)
         except DegenerateDesign:

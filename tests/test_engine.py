@@ -156,7 +156,7 @@ def test_cm_step_appends_record_and_increases_det():
 
 def test_cm_step_near_optimal_history_picks_a_support_point():
     model = model_spec("M1")
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     from seqdopt.designs import optimal_design_m1
     measure = optimal_design_m1(model, theta)
     state = EngineState(model=model, n1=40, rng=np.random.default_rng(0))
@@ -175,7 +175,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
 
 def test_pics_step_draws_from_closed_form_support():
     model = model_spec("M1")
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     from seqdopt.designs import optimal_design_m1
     support = optimal_design_m1(model, theta).support
     for seed in range(5):
@@ -374,8 +374,8 @@ def test_det_nondecreasing_under_fixed_theta():
     cfg = parse_config(model="M2", method="pics", n1=60, n=120, seed=13,
                        initial_design="three_point")
     traj = run(cfg)
-    model = cfg.to_model()
-    theta = np.asarray(model.theta_star)
+    model = cfg
+    theta = np.asarray(model.true_params)
     xs = [r.x for r in traj.records]
     dets = [det_sym(reference_cumulative_fisher_nlr(model, theta, np.array(xs[:i])))
             for i in range(5, len(xs) + 1, 5)]
@@ -459,6 +459,10 @@ def test_trajectory_columns_round_trip(name, n1, n):
         assert np.array_equal(getattr(copy, col), getattr(traj, col), equal_nan=True)
     assert (copy.n1, copy.stage1_ms, copy.stop_index) == (traj.n1, traj.stage1_ms,
                                                            traj.stop_index)
+    # the model is the run's config, and its pickle carries the fields only:
+    # I* and the cell probabilities are rebuilt on use
+    assert "i_star" in cfg.__dict__ and copy.model == cfg
+    assert set(copy.model.__dict__) == {f.name for f in dataclasses.fields(cfg)}
 
     records = copy.records
     assert records is copy.records  # built once, then kept
@@ -521,7 +525,7 @@ def test_glm_balanced_cycles_serve_the_apportioned_counts(name):
         traj = run(cfg)
         start, cycles = cfg.n1, 0
         while True:
-            measure = modelspec.closed_form_design(cfg.to_model(), traj.theta_hat[start - 1])
+            measure = modelspec.closed_form_design(cfg, traj.theta_hat[start - 1])
             assert measure.support == LEVEL_POINTS
             counts = balanced_cycle_counts(measure.weights)
             end = start + sum(counts)
@@ -621,6 +625,6 @@ def _assert_final_info_is_the_rebuild(cfg, traj):
         rebuilt = reference_fisher_from_counts(np.bincount(traj.x, minlength=4),
                                                traj.final_theta)
     else:
-        rebuilt = reference_cumulative_fisher_nlr(cfg.to_model(), traj.final_theta, traj.x)
+        rebuilt = reference_cumulative_fisher_nlr(cfg, traj.final_theta, traj.x)
     assert traj.final_info.tobytes() == rebuilt.tobytes()
     assert det_sym(traj.final_info) == traj.det_cum_info[-1]

@@ -58,7 +58,7 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    res = local_minimize(rosen, np.array([-1.2, 1.0]))
+    res = local_minimize(rosen, np.array([-1.2, 1.0]), bounds=(-np.inf, np.inf))
     assert np.allclose(res.theta, [1.0, 1.0], atol=1e-4)
 
 
@@ -80,7 +80,7 @@ def test_local_minimize_multistart_returns_best():
     def f(x):
         return min((x[0] - 1.0) ** 2, (x[0] + 1.0) ** 2 + 0.5)
 
-    res = local_minimize(f, np.array([1.0]))
+    res = local_minimize(f, np.array([1.0]), bounds=(-np.inf, np.inf))
     assert res.objective <= f(np.array([1.0])) + 1e-12
 
 
@@ -289,7 +289,7 @@ def _oracle_rss_fn(model, x, y):
     xs, ys = x[order], y[order]
     inv_x = 1.0 / xs
 
-    if model.name == "M1":
+    if model.model == "M1":
         def rss(theta):
             r = ys - theta[0] * np.exp(-theta[1] * inv_x)
             return float(r @ r)
@@ -300,7 +300,7 @@ def _oracle_rss_fn(model, x, y):
         r_hi = ys[k:] - a1 * np.exp(-a2 / x0) * (1.0 - a2 / x0 + a2 * xs[k:] / x0**2)
         return float(r_lo @ r_lo + r_hi @ r_hi)
 
-    if model.name == "M2":
+    if model.model == "M2":
         x0 = float(model.x0_known)
         k_fixed = int(np.searchsorted(xs, x0, side="left"))
         return lambda theta: branched_rss(theta[0], theta[1], x0, k_fixed)
@@ -367,7 +367,7 @@ def _oracle_cold_fit(model, x, y):
     """The replaced cold fit: a start (log-linear, or the M3 profile), then a
     3-start box-projected simplex."""
     bounds = _nls_bounds(model)
-    init = _oracle_m3_start(model, x, y) if model.name == "M3" else _oracle_exp_start(x, y)
+    init = _oracle_m3_start(model, x, y) if model.model == "M3" else _oracle_exp_start(x, y)
     init = np.clip(init, bounds[0], bounds[1])
     return local_minimize(_oracle_rss_fn(model, x, y), init, bounds=bounds)
 
@@ -375,7 +375,7 @@ def _oracle_cold_fit(model, x, y):
 def _stage1_data(name, design, n1, seed):
     """The static stage of the run with this config: points and responses."""
     model = parse_config(model=name, n1=n1, n=n1 + 1, initial_design=design,
-                         seed=seed).to_model()
+                         seed=seed)
     rng = np.random.default_rng(seed)
     x = np.array(model.family.initial_points(model, design, n1, rng))
     y = np.array([simulate(model, v, rng) for v in x])
@@ -637,7 +637,7 @@ def test_logistic_fit_of_any_table_admits_the_closed_form(table):
     counts, successes = table
     for name in ("GLM_C1", "GLM_C2"):
         model = model_spec(name)
-        res = fit(model, None, None, table=[counts.tolist(), successes.tolist()])
+        res = fit(model, None, None, init=None, table=[counts.tolist(), successes.tolist()])
         _assert_probability_measure(closed_form_design(model, res.theta))
 
 

@@ -80,7 +80,7 @@ def test_mean_m2_branches_agree_at_change_point():
 
 @pytest.mark.parametrize("kind,theta", MODELS)
 def test_mean_continuity_near_change_point(kind, theta):
-    if kind.name == "M1":
+    if kind.model == "M1":
         pytest.skip("no change point")
     eps = 1e-6
     gap = abs(growth_mean(kind, theta, X0 - eps) - growth_mean(kind, theta, X0 + eps))
@@ -113,10 +113,10 @@ def test_grad_matches_central_differences(kind, theta):
     rng = np.random.default_rng(42)
     for _ in range(20):
         x = rng.uniform(0.6, 209.0)
-        if kind.name != "M1" and abs(x - X0) < 0.5:
+        if kind.model != "M1" and abs(x - X0) < 0.5:
             continue  # finite differences straddle the kink there
         t = np.asarray(theta, dtype=float) * rng.uniform(0.8, 1.2, size=len(theta))
-        if kind.name == "M3":
+        if kind.model == "M3":
             t[2] = float(np.clip(t[2], 5.0, 205.0))
         numeric = central_diff_gradient(lambda v: growth_mean(kind, v, x), t)
         analytic = growth_grad(kind, t, x)
@@ -136,12 +136,12 @@ def _oracle_growth_grad(model, theta, x):
     x = np.asarray(x, dtype=float)
     theta = np.asarray(theta, dtype=float)
     a1, a2 = theta[0], theta[1]
-    x0 = theta[2] if model.name == "M3" else (float(model.x0_known) if model.name == "M2"
+    x0 = theta[2] if model.model == "M3" else (float(model.x0_known) if model.model == "M2"
                                              else np.inf)
     e_x = np.exp(-a2 / x)
     d_a1_expo = e_x
     d_a2_expo = -a1 * e_x / x
-    if model.name == "M1":
+    if model.model == "M1":
         return np.stack(np.broadcast_arrays(d_a1_expo, d_a2_expo), axis=-1)
     e0 = np.exp(-a2 / x0)
     phi = 1.0 - a2 / x0 + a2 * x / x0**2
@@ -149,7 +149,7 @@ def _oracle_growth_grad(model, theta, x):
     d_a2_lin = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
     on_lin = x >= x0
     comps = [np.where(on_lin, d_a1_lin, d_a1_expo), np.where(on_lin, d_a2_lin, d_a2_expo)]
-    if model.name == "M3":
+    if model.model == "M3":
         d_x0_lin = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
         comps.append(np.where(on_lin, d_x0_lin, 0.0))
     return np.stack(np.broadcast_arrays(*comps), axis=-1)
@@ -161,9 +161,9 @@ def grad_inputs(draw):
     array, some of them exactly at the change point."""
     model = draw(st.sampled_from([M1, M2, M3]))
     theta = [draw(st.floats(1e-3, 1e3)) for _ in range(2)]
-    if model.name == "M3":
+    if model.model == "M3":
         theta.append(draw(st.floats(1.5, 209.0)))
-    x0 = theta[2] if model.name == "M3" else X0
+    x0 = theta[2] if model.model == "M3" else X0
     shape = draw(st.sampled_from([(), (1,), (12,), (3, 4), (5, 1)]))
     points = draw(st.lists(st.one_of(st.just(x0), st.floats(0.5, 210.0)),
                            min_size=max(1, int(np.prod(shape))),
@@ -215,7 +215,7 @@ def test_cumulative_fisher_matches_sum():
     xs = np.array([5.0, 50.0, 80.0, 120.0, 160.0, 200.0])
     rng = np.random.default_rng(4)
     ys = [modelspec.simulate(M3, x, rng) for x in xs]
-    res = modelspec.fit(M3, xs.tolist(), ys, init=THETA3)
+    res = modelspec.fit(M3, xs.tolist(), ys, init=THETA3, table=None)
     total = sum(M3.family.fisher_point(M3, res.theta, x) for x in xs)
     assert np.allclose(M3.family.cumulative_info(M3, res, None), total)
 
@@ -262,7 +262,7 @@ def test_entry_information_and_response_match_the_reference_formulas_bit_for_bit
     # the formulas the package used to hold, at scaled true values
     model, theta = case
     theta = tuple(v * s for v, s in zip(theta, scales))
-    spec = dataclasses.replace(model, theta_star=theta, sigma2=sigma2)
+    spec = dataclasses.replace(model, true_params=theta, sigma2=sigma2)
     info = spec.family.fisher_point(spec, theta, x)
     assert info.tobytes() == reference_fisher_info_nlr(spec, theta, x).tobytes()
     ra, rb = np.random.default_rng(seed), np.random.default_rng(seed)

@@ -76,8 +76,7 @@ def test_validation_errors_name_the_field():
     for name in ("M1", "M2", "M3"):   # the growth entry's interval
         cfg = parse_config(model=name)
         assert (cfg.x_min, cfg.x_max) == (0.5, 210.0)
-        assert (cfg.to_model().x_min, cfg.to_model().x_max) == (0.5, 210.0)
-    assert parse_config(model="GLM_C1").to_model().x_min is None
+    assert parse_config(model="GLM_C1").x_min is None
     # the interval and the known change point
     assert RunConfig(model="M2", x0_known=None, sigma2=0.086,
                      true_params=(32.11, 105.65)).x0_known == 86.67
@@ -182,14 +181,18 @@ def test_a_config_either_runs_or_is_rejected_naming_the_field(kw):
     (dict(model="M1", true_params=(math.inf, 100.0)), "true_params"),
     (dict(model="M3", true_params=(32.11, math.nan, 86.67)), "true_params"),
     (dict(model="M1", x_max=math.inf), "x_max"),
+    (dict(model="M1", x_max=10**400), "x_max"),
+    (dict(model="M1", sigma2=10**400), "sigma2"),
+    (dict(model="GLM_C1", true_params=(10**400,) * 3), "true_params"),
 ], ids=["n1-float", "n-float", "GLM-n1-float", "replications-bool", "replications-float",
         "seed-float", "seed-negative", "sigma2-str", "x0_known-str", "delta_stop-nan",
         "true_params-str", "true_params-int", "true_params-bool", "true_params-inf",
-        "M3-true_params-nan", "x_max-inf"])
+        "M3-true_params-nan", "x_max-inf", "x_max-int-overflow", "sigma2-int-overflow",
+        "GLM-true_params-int-overflow"])
 def test_a_count_seed_or_real_field_of_the_wrong_kind_is_rejected(kw, field):
     # each was accepted at first and then failed every replication outside a
-    # step, raised a TypeError while being checked, ran with a string true
-    # value, or was blamed on sigma2
+    # step, raised a TypeError or an OverflowError while being checked, ran
+    # with a string true value, or was blamed on sigma2
     with pytest.raises(ConfigError, match=f"config field '{field}'"):
         parse_config(**kw)
 
@@ -399,9 +402,9 @@ def _reference_trajectories_csv(summary, path):
     """Row-by-row writer over the records, the layout trajectories.csv keeps."""
     import csv
 
-    model = summary.config.to_model()
+    model = summary.config
     d = model.dim
-    is_glm = model.name in ("GLM_C1", "GLM_C2")
+    is_glm = model.model in ("GLM_C1", "GLM_C2")
     xcols = ["x1", "x2"] if is_glm else ["x"]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)

@@ -175,12 +175,12 @@ def test_simulate_reproducible():
 def test_model_simulate_draws_against_cached_probabilities(name):
     model = model_spec(name)
     assert model.success_probs is model.success_probs
-    assert model.success_probs == np.array(cell_probs(model.theta_star)).tolist()
+    assert model.success_probs == np.array(cell_probs(model.true_params)).tolist()
     # the same draws as simulate_binary at the truth, from the same stream
     ra, rb = np.random.default_rng(4), np.random.default_rng(4)
     points = [LEVEL_POINTS[c] for c in np.random.default_rng(5).integers(0, 4, 400)]
     assert ([simulate(model, p, ra) for p in points]
-            == [simulate_binary(model.theta_star, p, rb) for p in points])
+            == [simulate_binary(model.true_params, p, rb) for p in points])
     # the cache neither travels in a pickle nor enters equality
     assert "success_probs" not in pickle.loads(pickle.dumps(model)).__dict__
     assert pickle.loads(pickle.dumps(model)) == model

@@ -34,7 +34,7 @@ from conftest import (model_spec, reference_cumulative_fisher_nlr, reference_des
 
 def test_true_fisher_glm_zero_beta_identity_pattern():
     # hand oracle: X*^T X* = 4 I, weights 1/4, proportions 1/4 -> I* = 0.25 I
-    model = model_spec("GLM_C1", theta_star=(0.0, 0.0, 0.0))
+    model = model_spec("GLM_C1", true_params=(0.0, 0.0, 0.0))
     i_star = true_fisher_info(model)
     assert np.allclose(i_star, 0.25 * np.eye(3))
 
@@ -49,7 +49,7 @@ def test_true_fisher_matches_monte_carlo(name):
     # oracle: Monte Carlo integration of the single-point information over
     # draws from the optimal design
     model = model_spec(name)
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     i_star = true_fisher_info(model)
     measure = closed_form_design(model, theta)
     rng = np.random.default_rng(123)
@@ -89,7 +89,7 @@ def _recomputed_efficiency(traj, i_star):
     values = np.empty(steps.size)
     for k, i in enumerate(steps):
         theta_i = traj.theta_hat[i - 1]
-        if model.name in ("GLM_C1", "GLM_C2"):
+        if model.model in ("GLM_C1", "GLM_C2"):
             counts = np.bincount(traj.x[:i], minlength=4)
             info = fisher_from_counts(counts, theta_i) / i
         else:
@@ -112,7 +112,7 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
     traj = run(cfg)
     if cfg.delta_stop is not None:
         assert traj.stop_index is not None and len(traj) == traj.stop_index < cfg.n
-    i_star = true_fisher_info(cfg.to_model())
+    i_star = true_fisher_info(cfg)
     curve = relative_efficiency(traj, i_star)
     steps, values = _recomputed_efficiency(traj, i_star)
     assert np.array_equal(curve.steps, steps)
@@ -121,7 +121,7 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
 
 def test_efficiency_one_when_information_matches():
     model = model_spec("M1")
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     measure = optimal_design_m1(model, theta)
     # alternate the two support points: the empirical average equals I*
     xs = list(measure.support) * 30
@@ -134,7 +134,7 @@ def test_efficiency_one_when_information_matches():
 def test_efficiency_half_when_det_is_half():
     # formula arithmetic on synthetic determinants
     model = model_spec("M1")
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     i_star = true_fisher_info(model)
     # scale I* by c so det(c I*) = 0.5 det(I*): c = sqrt(0.5) for d = 2
     # construct a two-point design whose average info is c * I*
@@ -149,7 +149,7 @@ def test_efficiency_sigma2_invariance_at_formula_level():
     # sigma2 scales both determinants by sigma^(-2d) and cancels
     model_a = model_spec("M1", sigma2=0.086)
     model_b = model_spec("M1", sigma2=4 * 0.086)
-    theta = np.asarray(model_a.theta_star)
+    theta = np.asarray(model_a.true_params)
     xs = np.linspace(10.0, 210.0, 40)
     curves = []
     for model in (model_a, model_b):
@@ -184,7 +184,7 @@ def _model_theta_measure(draw):
     one to four support points of positive integer-ratio weights."""
     name = draw(st.sampled_from(["M1", "M2", "M3", "GLM_C1", "GLM_C2"]))
     model = model_spec(name)
-    theta = [v * draw(st.floats(0.5, 1.5)) for v in model.theta_star]
+    theta = [v * draw(st.floats(0.5, 1.5)) for v in model.true_params]
     if model.x_min is None:
         points = draw(st.lists(st.sampled_from(LEVEL_POINTS), min_size=1, max_size=4,
                                unique=True))
@@ -215,7 +215,7 @@ def test_design_info_matches_the_reference_sum_bit_for_bit(case):
 def test_efficiency_glm_matches_direct_recomputation():
     cfg = parse_config(model="GLM_C1", method="pics", n1=80, n=120, seed=4)
     traj = run(cfg)
-    model = cfg.to_model()
+    model = cfg
     i_star = true_fisher_info(model)
     curve = relative_efficiency(traj, i_star)
     # recompute one step by brute force
@@ -229,7 +229,7 @@ def test_efficiency_glm_matches_direct_recomputation():
 def test_efficiency_nlr_uses_stepwise_estimates():
     cfg = parse_config(model="M1", method="pics", n1=40, n=60, seed=5)
     traj = run(cfg)
-    model = cfg.to_model()
+    model = cfg
     i_star = true_fisher_info(model)
     curve = relative_efficiency(traj, i_star)
     i = 50
@@ -244,7 +244,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
 def test_efficiency_iid_optimal_draws_approach_one():
     # law of large numbers with the truth plugged in throughout
     model = model_spec("M1")
-    theta = np.asarray(model.theta_star)
+    theta = np.asarray(model.true_params)
     measure = optimal_design_m1(model, theta)
     rng = np.random.default_rng(11)
     xs = [draw_point(measure, rng) for _ in range(2000)]
@@ -266,7 +266,7 @@ def test_mean_efficiency_and_crossing():
 
 def test_density_single_point_single_bin():
     model = model_spec("M1")
-    traj = _toy_trajectory(model, [100.0] * 50, np.asarray(model.theta_star))
+    traj = _toy_trajectory(model, [100.0] * 50, np.asarray(model.true_params))
     hist = sequential_density([traj], bins=100)
     assert hist.mass.sum() == pytest.approx(1.0)
     assert np.count_nonzero(hist.mass) == 1

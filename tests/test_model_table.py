@@ -9,14 +9,15 @@ from dataclasses import fields
 from pathlib import Path
 
 import seqdopt
-from seqdopt.config import RunConfig
-from seqdopt.modelspec import MODELS
+from seqdopt.config import RunConfig, parse_config
+from seqdopt.engine import run
+from seqdopt.modelspec import MODELS, ModelSpec
 
 SRC = Path(seqdopt.__file__).parent
 ROOT = Path(__file__).parent.parent
 
 #: comparisons against a model name, or tests of the model kind
-MODEL_BRANCH = re.compile(r"""==\s*["'](M1|M2|M3|GLM_C1|GLM_C2)["']|\.name\s*==|is_glm"""
+MODEL_BRANCH = re.compile(r"""==\s*["'](M1|M2|M3|GLM_C1|GLM_C2)["']|\.model\s*==|is_glm"""
                           r"""|startswith\(\s*["']GLM""")
 
 
@@ -44,6 +45,20 @@ def test_no_file_names_a_separate_config_check():
     paths = [ROOT / "README.md", *(p for d in ("src", "tests", "demos")
                                    for p in sorted((ROOT / d).rglob("*.py")))]
     assert [p.name for p in paths if "validate" + "_config" in p.read_text()] == []
+
+
+def test_a_run_config_is_its_model_spec():
+    # the model's fields are declared once, on ModelSpec; a run's config is
+    # the spec the model functions take and its trajectory keeps, so no copy
+    # of it is built (the copying method's name is spelled in two parts, so
+    # that this file does not hold it either)
+    assert issubclass(RunConfig, ModelSpec)
+    assert not set(vars(RunConfig)["__annotations__"]) & {f.name for f in fields(ModelSpec)}
+    cfg = parse_config(model="M1", n=42)
+    assert run(cfg).model is cfg
+    paths = [ROOT / "README.md", *(p for d in ("src", "tests", "demos")
+                                   for p in sorted((ROOT / d).rglob("*.py")))]
+    assert [p.name for p in paths if "to" + "_model" in p.read_text()] == []
 
 
 def test_engine_reaches_a_family_only_through_its_entry():

@@ -4,10 +4,11 @@ Usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT
 
 Each ROOT is a checkout of this repository.  With each tree's ``src`` on
 PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 20
-configurations (seed 20240, 3 replications, one worker) and ``seqdopt
-design`` and ``seqdopt oracle`` on the five models.  It lists every file
-whose bytes differ, or that only one tree wrote, but ``timing.json``, which
-holds wall-clock times; it exits 1 if there is any, else 0.
+configurations (seed 20240, 3 replications, one worker), four of them again
+on two workers, and ``seqdopt design`` and ``seqdopt oracle`` on the five
+models.  It lists every file whose bytes differ, or that only one tree
+wrote, but ``timing.json``, which holds wall-clock times; it exits 1 if
+there is any, else 0.
 """
 
 from __future__ import annotations
@@ -34,6 +35,9 @@ RUNS = {
     **{f"M3-60-200-{method}": ["--model", "M3", "--method", method, "--n1", "60", "--n", "200"]
        for method in METHODS},
 }
+#: the runs repeated on two workers, whose jobs and trajectories cross the
+#: process pool; each writes to its name with "-pooled" appended
+POOLED = ("GLM_C2-pics-8-200", *(f"M3-60-200-{method}" for method in METHODS))
 
 
 def sweep(root: Path, out: Path) -> None:
@@ -44,9 +48,11 @@ def sweep(root: Path, out: Path) -> None:
         subprocess.run([sys.executable, "-m", "seqdopt.cli", *args], env=env, cwd=out,
                        stdout=stdout, check=True)
 
-    for name, flags in RUNS.items():
-        seqdopt("run", *flags, "--seed", "20240", "--reps", "3", "--workers", "1",
-                "--out-dir", name)
+    runs = [(name, "1", name) for name in RUNS] + [(name, "2", f"{name}-pooled")
+                                                   for name in POOLED]
+    for name, workers, out_dir in runs:
+        seqdopt("run", *RUNS[name], "--seed", "20240", "--reps", "3", "--workers", workers,
+                "--out-dir", out_dir)
     for model in MODELS:
         for report in ("design", "oracle"):
             with open(out / f"{report}-{model}.json", "w") as fh:
@@ -80,8 +86,8 @@ def main() -> int:
         diffs, compared = differing(*outs)
     for name in diffs:
         print(f"differs: {name}")
-    print(f"{len(diffs)} of {compared} files differ ({len(RUNS)} runs, "
-          f"{2 * len(MODELS)} reports; timing.json skipped)")
+    print(f"{len(diffs)} of {compared} files differ ({len(RUNS)} runs, {len(POOLED)} "
+          f"pooled, {2 * len(MODELS)} reports; timing.json skipped)")
     return 1 if diffs else 0
 
 
