@@ -20,7 +20,7 @@ from .designs import (
 )
 from .engine import Trajectory, run
 from .harness import ReplicationSummary, compare_methods, run_experiment
-from .metrics import relative_efficiency, sequential_density, true_fisher_info
+from .metrics import relative_efficiency, sequential_density
 from .modelspec import ModelSpec, closed_form_design
 
 __version__ = "0.1.0"
@@ -32,6 +32,6 @@ __all__ = [
     "mandal_c1", "mandal_c2",
     "Trajectory", "run",
     "ReplicationSummary", "compare_methods", "run_experiment",
-    "relative_efficiency", "sequential_density", "true_fisher_info",
+    "relative_efficiency", "sequential_density",
     "ModelSpec", "closed_form_design",
 ]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import harness, modelspec
@@ -54,6 +55,10 @@ def _config_from_args(args):
 
 def _cmd_run(args) -> int:
     config = _config_from_args(args)
+    try:   # the destination is made before any replication runs
+        os.makedirs(args.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out-dir: {exc}") from None
     summary = harness.run_experiment(config, out_dir=args.out_dir,
                                      workers=args.workers)
     print(f"wrote {args.out_dir}: {len(summary.trajectories)} replications, "
@@ -64,7 +69,13 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report, _ = harness.compare_methods(_config_from_args(args), args.methods.split(","),
+    config = _config_from_args(args)
+    if args.out:
+        try:   # the report's path is opened before any replication runs
+            open(args.out, "a").close()
+        except OSError as exc:
+            raise ConfigError(f"--out: {exc}") from None
+    report, _ = harness.compare_methods(config, args.methods.split(","),
                                         workers=args.workers, eff_target=args.eff_target)
     text = json.dumps(report, indent=2, sort_keys=True)
     if args.out:

@@ -237,6 +237,13 @@ class BalancedScheduler:
 # brute-force grid oracles (test/validation only)
 # ---------------------------------------------------------------------------
 
+def _widening(model: ModelSpec) -> float:
+    """The factor, at least 1, by which a growth oracle widens its steps,
+    so that no stage holds more points than at the default interval."""
+    default = model.family.defaults
+    return max(1.0, (model.x_max - model.x_min) / (default["x_max"] - default["x_min"]))
+
+
 def _grid(model: ModelSpec, theta, step: float) -> tuple[np.ndarray, np.ndarray]:
     """The interval's grid at `step`, ending at x_max, and the gradients on it."""
     xs = np.arange(model.x_min, model.x_max + step / 2.0, step)
@@ -268,7 +275,7 @@ def grid_oracle_two_point(model: ModelSpec, theta, step: float = 0.05) -> Design
     the squared cross product of the two gradients, which lets the pair
     search run on the gradient table without forming any matrices.
     """
-    xs, grads = _grid(model, theta, step)
+    xs, grads = _grid(model, theta, step * _widening(model))
     i, j = _pair_best(grads)
     return _balanced(sorted((float(xs[i]), float(xs[j]))))
 
@@ -283,6 +290,7 @@ def grid_oracle_three_point(model: ModelSpec, theta,
     of three rank-one terms equals det(G)^2 for the 3x3 gradient matrix G,
     so each stage is one batched determinant.
     """
+    steps = [s * _widening(model) for s in steps]
     xs, grads = _grid(model, theta, steps[0])
     triples = np.array(list(itertools.combinations(range(len(xs)), 3)))
     k = int(np.argmax(np.abs(det_sym_batch(grads[triples]))))  # rows: the 3 gradients

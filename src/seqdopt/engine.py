@@ -28,8 +28,8 @@ candidate cells, while the fit, the response and the closed form go
 through ``modelspec`` functions.  cm enumerates the cells when the run
 keeps a table.  A run returns its history as a columnar ``Trajectory``
 (points, responses, estimates, the determinant of the cumulative
-information at each step's estimate, step times) and the last cumulative
-information; a pooled replication sends back only these arrays.
+information at each step's estimate, step times, the static stage's at
+step n1) and the last information; a pooled replication sends only these.
 """
 
 from __future__ import annotations
@@ -67,10 +67,10 @@ class Trajectory:
 
     ``x`` holds the points of the growth models, or the cell indices (into
     ``LEVEL_POINTS``) of the logistic models.  ``theta_hat`` (n x d) and
-    ``det_cum_info`` are NaN before step n1, where no estimate exists yet;
-    ``step_ms`` is 0 for the static stage.  ``final_info`` is the last row's
-    cumulative information, whose determinant ends ``det_cum_info``.
-    ``model`` is the run's config, a ``ModelSpec``.
+    ``det_cum_info`` are NaN before step n1, where no estimate exists yet,
+    and ``step_ms`` 0: its row n1 holds the whole static stage's compute.
+    ``final_info`` is the last row's cumulative information, whose
+    determinant ends ``det_cum_info``.  ``model`` is the run's config.
     """
 
     model: ModelSpec
@@ -80,7 +80,6 @@ class Trajectory:
     theta_hat: np.ndarray
     det_cum_info: np.ndarray
     step_ms: np.ndarray
-    stage1_ms: float
     final_info: np.ndarray
     stop_index: int | None = None
 
@@ -92,7 +91,7 @@ class Trajectory:
         return self.theta_hat[-1]
 
     def total_compute_ms(self) -> float:
-        return self.stage1_ms + float(self.step_ms[self.n1:].sum())
+        return float(self.step_ms.sum())
 
     @cached_property
     def records(self) -> list[TrialRecord]:
@@ -126,8 +125,7 @@ class EngineState:
     ``scheduler`` serves a ``balanced_pics`` run's points.
     """
 
-    model: ModelSpec
-    n1: int
+    model: RunConfig
     rng: np.random.Generator
     xs: list = field(default_factory=list)
     ys: list = field(default_factory=list)
@@ -138,19 +136,18 @@ class EngineState:
     cum_info: np.ndarray | None = None
     table: list | None = None
     scheduler: BalancedScheduler | None = None
-    stage1_ms: float = 0.0
 
     @property
     def step(self) -> int:
         return len(self.step_ms)
 
     def to_trajectory(self, stop_index: int | None) -> Trajectory:
-        return Trajectory(model=self.model, n1=self.n1,
+        return Trajectory(model=self.model, n1=self.model.n1,
                           x=np.asarray(self.xs), y=np.asarray(self.ys, dtype=float),
                           theta_hat=np.array(self.thetas, dtype=float),
                           det_cum_info=np.array(self.dets, dtype=float),
                           step_ms=np.array(self.step_ms, dtype=float),
-                          stage1_ms=self.stage1_ms, final_info=self.cum_info,
+                          final_info=self.cum_info,
                           stop_index=stop_index)
 
 
@@ -187,20 +184,20 @@ def _observe(state: EngineState, x):
     state.ys.append(y)
 
 
-def run_static_stage(model: ModelSpec, method: str, n1: int, initial_design: str,
-                     rng: np.random.Generator) -> EngineState:
-    """Draw the static design, observe responses and fit the initial MLE."""
-    scheduler = BalancedScheduler(rng) if method == "balanced_pics" else None
+def run_static_stage(config: RunConfig, rng: np.random.Generator) -> EngineState:
+    """Draw the config's static design, observe responses and fit the initial MLE."""
+    n1 = config.n1
+    scheduler = BalancedScheduler(rng) if config.method == "balanced_pics" else None
     # no estimate exists before the last static trial
-    state = EngineState(model=model, n1=n1, rng=rng,
-                        thetas=[np.full(model.dim, np.nan)] * (n1 - 1),
-                        dets=[np.nan] * (n1 - 1), step_ms=[0.0] * n1,
-                        table=model.family.new_table(), scheduler=scheduler)
+    state = EngineState(model=config, rng=rng,
+                        thetas=[np.full(config.dim, np.nan)] * (n1 - 1),
+                        dets=[np.nan] * (n1 - 1), step_ms=[0.0] * (n1 - 1),
+                        table=config.family.new_table(), scheduler=scheduler)
     t0 = time.perf_counter()
-    for x in model.family.initial_points(model, initial_design, n1, rng):
+    for x in config.family.initial_points(config, config.initial_design, n1, rng):
         _observe(state, x)
     _refit(state)
-    state.stage1_ms = (time.perf_counter() - t0) * 1e3
+    state.step_ms.append((time.perf_counter() - t0) * 1e3)
     return state
 
 
@@ -268,7 +265,7 @@ def stopping_check(state: EngineState, delta: float) -> bool:
     post-static determinants available, nor while the previous determinant
     is not positive, as no relative improvement over it exists.
     """
-    if state.step < state.n1 + 2:
+    if state.step < state.model.n1 + 2:
         return False
     det_now, det_prev = state.dets[-1], state.dets[-2]
     return det_prev > 0.0 and abs(det_now - det_prev) / det_prev < delta
@@ -282,7 +279,7 @@ def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory
     """
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    state = run_static_stage(config, config.method, config.n1, config.initial_design, rng)
+    state = run_static_stage(config, rng)
     step_fn = cm_step if config.method == "cm" else pics_step
     stop_index = None
     for i in range(config.n1 + 1, config.n + 1):

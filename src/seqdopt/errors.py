@@ -35,4 +35,4 @@ class StepFailed(SeqDoptError):
 
 
 class ConfigError(SeqDoptError, ValueError):
-    """A run configuration breaks a rule; the message names the field."""
+    """A run configuration or output path breaks a rule; the message names it."""

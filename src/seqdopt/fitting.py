@@ -356,7 +356,7 @@ def _neg_loglik_cells(counts, succ, etas) -> float:
 
 
 def _logistic_line_min(counts, succ, slopes, offsets, lo: float, hi: float,
-                       start: float = 0.0) -> tuple[float, int]:
+                       start: float) -> tuple[float, int]:
     """Exact minimizer of the logistic negative log-likelihood on a segment.
 
     The cells' linear predictors are eta_c = slopes[c] * t + offsets[c], so
@@ -424,7 +424,7 @@ def logistic_mle_c1(*, counts, successes) -> FitResult:
     the result carries boundary=True; the objective is None.
     """
     b, it = _logistic_line_min(counts, successes, _C1_MULT, (0.0,) * 4,
-                               -C1_EDGE, C1_EDGE)
+                               -C1_EDGE, C1_EDGE, start=0.0)
     return FitResult(theta=np.array([b] * 3), objective=None, converged=True,
                      iterations=it, boundary=abs(b) == C1_EDGE)
 

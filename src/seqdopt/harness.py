@@ -110,11 +110,11 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
             f"first failure: {failures[0]}")
 
     aggregate_field, aggregate, _ = config.family.aggregate
+    # a delta_stop run can end early: the mean covers the shortest run's steps
     curves = [metrics.relative_efficiency(t, config.i_star) for t in trajectories]
     min_len = min(len(c.steps) for c in curves)
-    mean_curve = metrics.mean_efficiency(
-        [metrics.EfficiencyCurve(c.steps[:min_len], c.values[:min_len])
-         for c in curves])
+    mean_curve = metrics.EfficiencyCurve(
+        curves[0].steps[:min_len], np.mean([c.values[:min_len] for c in curves], axis=0))
 
     finals = np.array([t.final_theta for t in trajectories])
     theta_cov = (np.cov(finals, rowvar=False) if len(finals) > 1
@@ -193,7 +193,7 @@ def write_outputs(summary: ReplicationSummary, out_dir: str):
     _write_json(os.path.join(out_dir, "timing.json"), {
         "median_total_ms": summary.median_total_ms,
         "total_ms": summary.total_ms,
-        "stage1_ms": [t.stage1_ms for t in summary.trajectories],
+        "stage1_ms": [float(t.step_ms[t.n1 - 1]) for t in summary.trajectories],
     })
 
 

@@ -2,9 +2,9 @@
 
 The per-step relative efficiency compares the determinant of the averaged
 cumulative information under the step's own estimate to the determinant of
-the information at the true optimal design.  The engine records the
-determinant of the cumulative information at every step, so the curve is
-array arithmetic over that column; nothing is refitted or rebuilt here.
+I* (``ModelSpec.i_star``), the information at the true optimal design.  The
+engine records the former at every step, so the curve is array arithmetic
+over that column; nothing is refitted or rebuilt here.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class DensityHistogram:
     edges: np.ndarray   # bins + 1 edges
     mass: np.ndarray    # sums to 1
 
-    def mass_near(self, x: float, halfwidth_bins: int = 2) -> float:
+    def mass_near(self, x: float, halfwidth_bins: int) -> float:
         """Pooled mass within +/- `halfwidth_bins` bin widths of x."""
         width = self.edges[1] - self.edges[0]
         lo, hi = x - halfwidth_bins * width, x + halfwidth_bins * width
@@ -70,12 +70,6 @@ def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
                for x, w in zip(measure.support, measure.weights))
 
 
-def true_fisher_info(model: ModelSpec) -> np.ndarray:
-    """I*: the information at the closed-form optimal design at true_params."""
-    theta = model.true_params
-    return design_info(model, theta, model.family.closed_form(model, theta))
-
-
 def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve:
     """e_i = 1 - |det((1/i) sum_j I(theta_hat_i, X_j)) - det(I*)| / det(I*).
 
@@ -89,16 +83,6 @@ def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve
     steps = np.arange(traj.n1, len(traj) + 1)
     dets = traj.det_cum_info[traj.n1 - 1:] / steps.astype(float) ** traj.model.dim
     return EfficiencyCurve(steps=steps, values=1.0 - np.abs(dets - det_star) / det_star)
-
-
-def mean_efficiency(curves: list[EfficiencyCurve]) -> EfficiencyCurve:
-    """Pointwise mean over replications (curves must share their steps)."""
-    steps = curves[0].steps
-    for c in curves[1:]:
-        if not np.array_equal(c.steps, steps):
-            raise ValueError("efficiency curves cover different step ranges")
-    return EfficiencyCurve(steps=steps,
-                           values=np.mean([c.values for c in curves], axis=0))
 
 
 def crossing_step(curve: EfficiencyCurve, target: float) -> int | None:
@@ -169,8 +153,8 @@ def histogram_to_csv(hist: DensityHistogram, path):
 
 
 __all__ = [
-    "EfficiencyCurve", "DensityHistogram", "design_info", "true_fisher_info",
-    "relative_efficiency", "mean_efficiency", "crossing_step",
+    "EfficiencyCurve", "DensityHistogram", "design_info",
+    "relative_efficiency", "crossing_step",
     "sequential_density", "normality_diagnostic", "glm_allocation",
     "write_csv", "allocation_to_csv", "efficiency_to_csv", "histogram_to_csv",
 ]

@@ -61,7 +61,8 @@ class ModelSpec:
     @cached_property
     def i_star(self) -> np.ndarray:
         """I*, the information at the closed form at the true values."""
-        return metrics.true_fisher_info(self)
+        theta = self.true_params
+        return metrics.design_info(self, theta, self.family.closed_form(self, theta))
 
     def __getstate__(self) -> dict:
         # only the fields are pickled; success_probs and i_star are rebuilt on use
@@ -78,13 +79,12 @@ class _Growth:
     columns = ("x",)
     aggregate = ("density", metrics.sequential_density, metrics.histogram_to_csv)
 
-    def __init__(self, true_params, closed_form, oracle, rules=(), **defaults):
+    def __init__(self, true_params, closed_form, rules=(), **defaults):
         self.dim = len(true_params)
         self.defaults = {"n1": 40, "n": 100, "initial_design": "uniform",
                          "true_params": true_params, "sigma2": 0.086,
                          "x_min": 0.5, "x_max": 210.0, **defaults}
         self.closed_form = closed_form   # (model, theta) -> DesignMeasure
-        self.oracle = oracle             # (model, theta) -> DesignMeasure
         self.rules = (("sigma2", lambda c: c.sigma2 > 0.0, "growth models need sigma2 > 0"),
                       ("x_min", lambda c: 0.0 < c.x_min < c.x_max, "need 0 < x_min < x_max"),
                       *rules)
@@ -129,6 +129,11 @@ class _Growth:
 
     def csv_points(self, x: np.ndarray) -> list[tuple]:
         return [(v,) for v in x.tolist()]
+
+    def oracle(self, model, theta) -> designs.DesignMeasure:
+        if self.dim == 2:
+            return designs.grid_oracle_two_point(model, theta)
+        return designs.grid_oracle_three_point(model, theta)
 
 
 class _Logistic:
@@ -197,14 +202,11 @@ class _Logistic:
 
 #: the table, at the simulation study's true values
 MODELS: dict[str, _Growth | _Logistic] = {
-    "M1": _Growth((32.11, 105.65), designs.optimal_design_m1,
-                  designs.grid_oracle_two_point),
-    "M2": _Growth((32.11, 105.65), designs.optimal_design_m2,
-                  designs.grid_oracle_two_point, x0_known=86.67,
+    "M1": _Growth((32.11, 105.65), designs.optimal_design_m1),
+    "M2": _Growth((32.11, 105.65), designs.optimal_design_m2, x0_known=86.67,
                   rules=[("x0_known", lambda c: c.x_min < c.x0_known < c.x_max,
                           "known change point must lie inside the interval")]),
-    "M3": _Growth((32.11, 105.65, 86.67), designs.optimal_design_m3,
-                  designs.grid_oracle_three_point),
+    "M3": _Growth((32.11, 105.65, 86.67), designs.optimal_design_m3),
     "GLM_C1": _Logistic((0.7125, 0.7125, 0.7125), fitting.logistic_mle_c1,
                         lambda m, theta: designs.mandal_c1(theta)),
     "GLM_C2": _Logistic((1.5, 0.5, 0.0), fitting.logistic_mle_c2,

@@ -143,3 +143,27 @@ def test_an_unreadable_config_file_is_one_error_line_naming_it(content, tmp_path
     assert captured.err.startswith(f"seqdopt: error: cannot read config file '{path}': ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "never-written").exists()
+
+
+@pytest.mark.parametrize("flag", ["--out-dir", "--out"])
+def test_an_unwritable_output_is_one_error_line_before_any_replication_runs(
+        flag, tmp_path, capsys, monkeypatch):
+    # both ran every replication first and then ended in a traceback
+    from seqdopt import harness
+
+    monkeypatch.setattr(harness, "_run_replications",
+                        lambda *args: pytest.fail("a replication ran"))
+    (tmp_path / "file").write_text("")
+    if flag == "--out-dir":   # a directory inside a regular file
+        path = tmp_path / "file" / "x"
+        argv = ["run", "--out-dir", str(path)]
+    else:                     # a report in a directory that does not exist
+        path = tmp_path / "missing" / "x.json"
+        argv = ["compare", "--out", str(path)]
+    with pytest.raises(SystemExit) as info:
+        main(argv + ["--model", "M1", "--seed", "1", "--reps", "2", "--workers", "1"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"seqdopt: error: {flag}: ")
+    assert str(path) in captured.err and captured.err.count("\n") == 1

@@ -345,6 +345,32 @@ def test_oracle_three_point_agrees_with_closed_form():
         assert abs(a - b) <= 0.25
 
 
+@pytest.mark.parametrize("name, x_max", [("M1", 1e6), ("M2", 1e6), ("M3", 1e4)])
+def test_a_growth_oracle_on_a_wide_interval_holds_no_more_points_than_at_the_default(
+        name, x_max, monkeypatch):
+    # each step widens with the interval, so the exhaustive stage, whose
+    # pair or triple table grows with its grid, holds no more points than at
+    # the default interval (at x_max = 1e6 the unwidened two-point grid held
+    # 2e7 points, and its pair table 76 GiB); a refinement box is a fixed
+    # number of its steps wide at any interval
+    from seqdopt import designs
+
+    sizes, growth_grad = {}, designs.growth_grad
+
+    def recording_grad(model, theta, x):
+        sizes.setdefault(model.x_max, []).append(np.size(x))
+        return growth_grad(model, theta, x)
+
+    monkeypatch.setattr(designs, "growth_grad", recording_grad)
+    for model in (model_spec(name), model_spec(name, x_max=x_max)):
+        report = modelspec.oracle_check(model)
+        support = report["oracle"]["support"]
+        assert model.x_min <= support[0] < support[-1] <= model.x_max
+        assert report["oracle_excess"] <= 1e-3   # no grid design beats the closed form
+    assert len(sizes[x_max]) == len(sizes[210.0])
+    assert sizes[x_max][0] <= sizes[210.0][0]
+
+
 def test_closed_form_criterion_dominates_oracle_random_parameters():
     # ten random admissible parameter vectors per family
     rng = np.random.default_rng(9)

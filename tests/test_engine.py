@@ -31,9 +31,8 @@ from conftest import (REFERENCE_PRIMITIVES, model_spec, reference_cm_select_cell
 
 
 def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
-    model = model_spec(name)
-    rng = np.random.default_rng(seed)
-    return run_static_stage(model, method, n1, init, rng)
+    cfg = parse_config(model=name, method=method, n1=n1, initial_design=init)
+    return run_static_stage(cfg, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -135,7 +134,7 @@ def _cell_search_states(draw):
 @example(("GLM_C1", np.full(3, 0.7125), [20.0] * 4))
 def test_cm_cell_search_picks_the_reference_cell(drawn):
     name, theta, counts = drawn
-    state = EngineState(model=model_spec(name), n1=8, rng=np.random.default_rng(0),
+    state = EngineState(model=model_spec(name), rng=np.random.default_rng(0),
                         fit=FitResult(theta, 0.0, True, 0),
                         cum_info=fisher_from_counts(counts, theta))
     assert _cm_select_cells(state) == reference_cm_select_cells(theta, state.cum_info)
@@ -159,7 +158,7 @@ def test_cm_step_near_optimal_history_picks_a_support_point():
     theta = np.asarray(model.true_params)
     from seqdopt.designs import optimal_design_m1
     measure = optimal_design_m1(model, theta)
-    state = EngineState(model=model, n1=40, rng=np.random.default_rng(0))
+    state = EngineState(model=model, rng=np.random.default_rng(0))
     state.xs = list(measure.support) * 20
     state.ys = [0.0] * 40
     state.fit = FitResult(theta, 0.0, True, 0)
@@ -362,11 +361,16 @@ def test_trajectory_csv_schema(tmp_path):
     assert len(lines) == 51
 
 
-def test_trajectory_total_compute_sums_stage2():
-    cfg = parse_config(model="M1", method="pics", n1=40, n=50, seed=12)
+@pytest.mark.parametrize("name, n1, n", [("M1", 40, 50), ("GLM_C2", 80, 90)])
+def test_trajectory_total_compute_sums_the_step_times(name, n1, n):
+    # the static stage's compute is the time of step n1, the first with an
+    # estimate; no step before it has a time
+    cfg = parse_config(model=name, method="pics", n1=n1, n=n, seed=12)
     traj = run(cfg)
-    assert traj.total_compute_ms() == pytest.approx(
-        traj.stage1_ms + sum(r.step_ms for r in traj.records[40:]))
+    assert np.all(traj.step_ms[:cfg.n1 - 1] == 0.0)
+    assert traj.step_ms[cfg.n1 - 1] > 0.0 and np.all(traj.step_ms[cfg.n1:] > 0.0)
+    assert traj.total_compute_ms() == traj.step_ms.sum()
+    assert [r.step_ms for r in traj.records] == traj.step_ms.tolist()
 
 
 def test_det_nondecreasing_under_fixed_theta():
@@ -457,8 +461,7 @@ def test_trajectory_columns_round_trip(name, n1, n):
     assert "records" not in traj.__dict__ and "records" not in copy.__dict__
     for col in ("x", "y", "theta_hat", "det_cum_info", "step_ms", "final_info"):
         assert np.array_equal(getattr(copy, col), getattr(traj, col), equal_nan=True)
-    assert (copy.n1, copy.stage1_ms, copy.stop_index) == (traj.n1, traj.stage1_ms,
-                                                           traj.stop_index)
+    assert (copy.n1, copy.stop_index) == (traj.n1, traj.stop_index)
     # the model is the run's config, and its pickle carries the fields only:
     # I* and the cell probabilities are rebuilt on use
     assert "i_star" in cfg.__dict__ and copy.model == cfg

@@ -30,7 +30,6 @@ from seqdopt.fitting import (
 )
 from seqdopt.growth import growth_grad, growth_mean
 from seqdopt.logistic import LEVEL_POINTS
-from seqdopt.metrics import true_fisher_info
 from seqdopt.modelspec import closed_form_design, fit, simulate
 
 from conftest import (central_diff_gradient, model_spec, reference_cumulative_fisher_nlr,
@@ -167,7 +166,7 @@ def test_nls_m1_within_three_standard_errors():
     # oracle: asymptotic covariance from the optimal-design information;
     # draws come from the optimal design itself
     model = model_spec("M1")
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     n = 200
     cov = np.linalg.inv(n * i_star)
     se = np.sqrt(np.diag(cov))

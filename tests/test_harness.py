@@ -12,6 +12,7 @@ from seqdopt.config import METHODS, RunConfig, parse_config
 from seqdopt.engine import run
 from seqdopt.errors import ConfigError, StepFailed
 from seqdopt.harness import ReplicationFailure, compare_methods, run_experiment
+from seqdopt.metrics import relative_efficiency
 from seqdopt.modelspec import MODEL_NAMES
 
 
@@ -357,6 +358,21 @@ def test_failed_step_recorded_with_step_and_cause(monkeypatch):
     # a StepFailed loses its cause when pickled, so the record is built where
     # the replication ran, and it crosses a process boundary intact
     assert pickle.loads(pickle.dumps(summary.failures)) == summary.failures
+
+
+def test_a_delta_stop_study_averages_its_curves_over_the_shortest_run():
+    # the runs stop at different steps; the mean curve covers the steps of
+    # the shortest, and is the mean of the curves cut there, bit for bit
+    cfg = parse_config(model="M1", method="pics", n1=40, n=200, seed=3, replications=4,
+                       delta_stop=1e-2)
+    summary = run_experiment(cfg, workers=1)
+    curves = [relative_efficiency(t, cfg.i_star) for t in summary.trajectories]
+    lengths = [len(c.steps) for c in curves]
+    assert len(set(lengths)) > 1
+    k = min(lengths)
+    assert np.array_equal(summary.mean_curve.steps, curves[0].steps[:k])
+    assert np.array_equal(summary.mean_curve.values,
+                          np.mean([c.values[:k] for c in curves], axis=0))
 
 
 def test_stop_indices_collected_with_delta():

@@ -17,11 +17,9 @@ from seqdopt.metrics import (
     efficiency_to_csv,
     glm_allocation,
     histogram_to_csv,
-    mean_efficiency,
     normality_diagnostic,
     relative_efficiency,
     sequential_density,
-    true_fisher_info,
 )
 from seqdopt.designs import DesignMeasure, draw_point, optimal_design_m1
 from seqdopt.linalg import det_sym
@@ -35,12 +33,12 @@ from conftest import (model_spec, reference_cumulative_fisher_nlr, reference_des
 def test_true_fisher_glm_zero_beta_identity_pattern():
     # hand oracle: X*^T X* = 4 I, weights 1/4, proportions 1/4 -> I* = 0.25 I
     model = model_spec("GLM_C1", true_params=(0.0, 0.0, 0.0))
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     assert np.allclose(i_star, 0.25 * np.eye(3))
 
 
 def test_true_fisher_m1_nondegenerate():
-    i_star = true_fisher_info(model_spec("M1"))
+    i_star = model_spec("M1").i_star
     assert det_sym(i_star) > 0.0
 
 
@@ -50,7 +48,7 @@ def test_true_fisher_matches_monte_carlo(name):
     # draws from the optimal design
     model = model_spec(name)
     theta = np.asarray(model.true_params)
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     measure = closed_form_design(model, theta)
     rng = np.random.default_rng(123)
     total = np.zeros_like(i_star)
@@ -76,7 +74,6 @@ def _toy_trajectory(model, xs, theta):
         dets[i - 1] = det_sym(reference_cumulative_fisher_nlr(model, theta, x[:i]))
     return Trajectory(model=model, n1=n1, x=x, y=np.zeros(n),
                       theta_hat=thetas, det_cum_info=dets, step_ms=np.zeros(n),
-                      stage1_ms=0.0,
                       final_info=reference_cumulative_fisher_nlr(model, theta, x))
 
 
@@ -112,9 +109,8 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
     traj = run(cfg)
     if cfg.delta_stop is not None:
         assert traj.stop_index is not None and len(traj) == traj.stop_index < cfg.n
-    i_star = true_fisher_info(cfg)
-    curve = relative_efficiency(traj, i_star)
-    steps, values = _recomputed_efficiency(traj, i_star)
+    curve = relative_efficiency(traj, cfg.i_star)
+    steps, values = _recomputed_efficiency(traj, cfg.i_star)
     assert np.array_equal(curve.steps, steps)
     assert np.max(np.abs(curve.values - values)) <= 1e-12
 
@@ -126,7 +122,7 @@ def test_efficiency_one_when_information_matches():
     # alternate the two support points: the empirical average equals I*
     xs = list(measure.support) * 30
     traj = _toy_trajectory(model, xs, theta)
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     curve = relative_efficiency(traj, i_star)
     assert curve.values[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -135,7 +131,7 @@ def test_efficiency_half_when_det_is_half():
     # formula arithmetic on synthetic determinants
     model = model_spec("M1")
     theta = np.asarray(model.true_params)
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     # scale I* by c so det(c I*) = 0.5 det(I*): c = sqrt(0.5) for d = 2
     # construct a two-point design whose average info is c * I*
     # (not exactly reachable with model gradients, so check the formula
@@ -154,7 +150,7 @@ def test_efficiency_sigma2_invariance_at_formula_level():
     curves = []
     for model in (model_a, model_b):
         traj = _toy_trajectory(model, list(xs), theta)
-        curves.append(relative_efficiency(traj, true_fisher_info(model)))
+        curves.append(relative_efficiency(traj, model.i_star))
     assert np.allclose(curves[0].values, curves[1].values, rtol=1e-10)
 
 
@@ -216,7 +212,7 @@ def test_efficiency_glm_matches_direct_recomputation():
     cfg = parse_config(model="GLM_C1", method="pics", n1=80, n=120, seed=4)
     traj = run(cfg)
     model = cfg
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     curve = relative_efficiency(traj, i_star)
     # recompute one step by brute force
     i = 100
@@ -230,7 +226,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
     cfg = parse_config(model="M1", method="pics", n1=40, n=60, seed=5)
     traj = run(cfg)
     model = cfg
-    i_star = true_fisher_info(model)
+    i_star = model.i_star
     curve = relative_efficiency(traj, i_star)
     i = 50
     theta_i = traj.records[i - 1].theta_hat
@@ -249,19 +245,14 @@ def test_efficiency_iid_optimal_draws_approach_one():
     rng = np.random.default_rng(11)
     xs = [draw_point(measure, rng) for _ in range(2000)]
     traj = _toy_trajectory(model, xs, theta)
-    curve = relative_efficiency(traj, true_fisher_info(model))
+    curve = relative_efficiency(traj, model.i_star)
     assert curve.values[-1] > 0.95
 
 
-def test_mean_efficiency_and_crossing():
-    a = EfficiencyCurve(np.array([1, 2, 3]), np.array([0.1, 0.5, 0.9]))
-    b = EfficiencyCurve(np.array([1, 2, 3]), np.array([0.3, 0.7, 0.7]))
-    m = mean_efficiency([a, b])
-    assert np.allclose(m.values, [0.2, 0.6, 0.8])
+def test_crossing_step():
+    m = EfficiencyCurve(np.array([1, 2, 3]), np.array([0.2, 0.6, 0.8]))
     assert crossing_step(m, 0.6) == 2
     assert crossing_step(m, 0.95) is None
-    with pytest.raises(ValueError):
-        mean_efficiency([a, EfficiencyCurve(np.array([1, 2]), np.array([0.0, 0.0]))])
 
 
 def test_density_single_point_single_bin():
@@ -309,7 +300,7 @@ def test_glm_allocation_pools_stage2_only():
     traj = Trajectory(model=model, n1=2, x=np.array([0, 0, 3, 2]),
                       y=np.array([1.0, 0.0, 1.0, 1.0]), theta_hat=thetas,
                       det_cum_info=np.array([np.nan, 1.0, 1.0, 1.0]),
-                      step_ms=np.zeros(4), stage1_ms=0.0, final_info=np.eye(3))
+                      step_ms=np.zeros(4), final_info=np.eye(3))
     alloc = glm_allocation([traj])
     assert alloc.tolist() == [0.0, 0.0, 0.5, 0.5]
 

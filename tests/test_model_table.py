@@ -61,6 +61,19 @@ def test_a_run_config_is_its_model_spec():
     assert [p.name for p in paths if "to" + "_model" in p.read_text()] == []
 
 
+def test_no_file_names_a_second_home_of_a_run_fact():
+    # I* is the spec's i_star, the mean curve is built once in run_experiment,
+    # and a run's static-stage compute is row n1 of its step_ms.  The names
+    # are spelled in parts so that this file does not hold them either;
+    # timing.json's key for that row is a string, not a field.
+    stage1 = "stage1" + "_ms"
+    second = re.compile("true_fisher" + "_info|mean_efficiency" + r"\("
+                        + rf"|\.{stage1}\b|\b{stage1}\s*[:=]")
+    paths = [ROOT / "README.md", *(p for d in ("src", "tests", "demos")
+                                   for p in sorted((ROOT / d).rglob("*.py")))]
+    assert [p.name for p in paths if second.search(p.read_text())] == []
+
+
 def test_engine_reaches_a_family_only_through_its_entry():
     # the engine imports nothing from the growth or logistic modules: a
     # point's information, the cell table and cm's candidate cells come
