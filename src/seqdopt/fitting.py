@@ -10,7 +10,9 @@ grid in one numpy pass, a simplex polishes the best nodes, and
 Levenberg-Marquardt finishes.  Sequential refits take projected
 Levenberg-Marquardt steps from the incumbent estimate on the analytic
 Jacobian: every mean is C^1 in its parameters, the change point included,
-because the two branches meet in value and slope at x0.
+because the two branches meet in value and slope at x0.  Only the Jacobian
+and the normal equations are numpy work; the 2x2 or 3x3 damped system is
+solved by cofactors on Python floats (``linalg.solve_sym``).
 
 The factorial logistic cases are fitted exactly under their admissibility
 constraints: a safeguarded Newton iteration on the concave scalar
@@ -30,6 +32,7 @@ import numpy as np
 from .designs import MANDAL_C0
 from .errors import InsufficientData
 from .growth import fixed_change_point, growth_grad
+from .linalg import solve_sym
 from .logistic import sigmoid_scalar
 
 if TYPE_CHECKING:
@@ -291,16 +294,21 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
     The growth means are C^1 in theta, the change point included (the
     branches meet in value and slope at x0), so damped Gauss-Newton steps on
     the analytic growth_grad Jacobian apply.  Steps are projected onto the
-    parameter box and kept only when they lower the RSS, so the result is
-    never worse than `init`.  Stops once a proposed step moves every
-    coordinate by at most LM_XTOL * (1 + |theta|), or unconverged when the
-    Jacobian is all zero, so no step exists.  The normal matrix
-    J^T J is formed once per accepted point, so the result carries it at
-    the returned theta (``FitResult.normal``) at no extra cost.  It checks
-    nothing: a refit only adds points to data that ``nls_fit`` has checked.
+    parameter box and kept only when they lower the exact RSS, so the
+    result is never worse than `init`.  Stops once a proposed step moves
+    every coordinate by at most LM_XTOL * (1 + |theta|), or unconverged at
+    the incumbent when the damped system is singular or not finite (an
+    all-zero Jacobian among them), so no step exists.  The Jacobian and the
+    normal equations J^T J, J^T r are numpy work over the data; the d x d
+    rest of an iteration (damping, the cofactor solve ``linalg.solve_sym``,
+    projection and the step test) runs on Python floats, where numpy's
+    per-call overhead would dominate.  J^T J is formed once per accepted
+    point, so the result carries it at the returned theta
+    (``FitResult.normal``) at no extra cost.  It checks nothing: a refit
+    only adds points to data that ``nls_fit`` has checked.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lo, hi = _nls_bounds(model)
+    box = list(zip(*_nls_bounds(model).tolist()))   # (lo, hi) per coordinate
 
     def residuals_and_jacobian(theta):
         # every growth mean is a1 times its a1-derivative, so one gradient
@@ -309,9 +317,16 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
         r = y - theta[0] * jac[:, 0]
         return r, float(r @ r), jac
 
-    theta = np.minimum(np.maximum(np.asarray(init, dtype=float), lo), hi)
+    def normal_equations(r, jac):
+        # J^T J, kept as the result's normal matrix, and J^T J and J^T r
+        # as Python floats for the d x d work
+        jtj = jac.T @ jac
+        return jtj, jtj.tolist(), (jac.T @ r).tolist()
+
+    init = np.asarray(init, dtype=float).tolist()
+    theta = [min(max(t, lo), hi) for t, (lo, hi) in zip(init, box)]
     r, rss, jac = residuals_and_jacobian(theta)
-    jtj, jtr = jac.T @ jac, jac.T @ r
+    jtj, a, b = normal_equations(r, jac)
     lam = LM_LAMBDA0
     converged = False
     it = 0
@@ -319,26 +334,25 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
         it += 1
         # Marquardt scaling; the floor keeps a flat direction (an M3 change
         # point above every data point) from making the system singular
-        diag = jtj.diagonal()
-        damped = jtj.copy()
-        damped.flat[::theta.size + 1] += lam * np.maximum(diag, 1e-12 * diag.max())
-        try:
-            step = np.linalg.solve(damped, jtr)
-        except np.linalg.LinAlgError:  # only an all-zero Jacobian: no direction
+        floor = 1e-12 * max(row[k] for k, row in enumerate(a))
+        damped = [row[:k] + [row[k] + lam * max(row[k], floor)] + row[k + 1:]
+                  for k, row in enumerate(a)]
+        step = solve_sym(damped, b)
+        if step is None:
             break
-        cand = np.minimum(np.maximum(theta + step, lo), hi)
-        if (np.abs(cand - theta) <= LM_XTOL * (1.0 + np.abs(theta))).all():
+        cand = [min(max(t + s, lo), hi) for t, s, (lo, hi) in zip(theta, step, box)]
+        if all(abs(c - t) <= LM_XTOL * (1.0 + abs(t)) for c, t in zip(cand, theta)):
             converged = True
             break
         r_cand, rss_cand, jac_cand = residuals_and_jacobian(cand)
         if rss_cand < rss:
-            theta, r, rss, jac = cand, r_cand, rss_cand, jac_cand
-            jtj, jtr = jac.T @ jac, jac.T @ r
+            theta, rss = cand, rss_cand
+            jtj, a, b = normal_equations(r_cand, jac_cand)
             lam = max(lam / 10.0, LM_LAMBDA_MIN)
         else:  # more damping shortens the step until it descends
             lam *= 10.0
-    return FitResult(theta=theta, objective=rss, converged=converged, iterations=it,
-                     normal=jtj)
+    return FitResult(theta=np.array(theta), objective=rss, converged=converged,
+                     iterations=it, normal=jtj)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ parameters does not depend on it.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -33,9 +34,10 @@ def fixed_change_point(model: ModelSpec) -> float:
 
 
 def _split_x0(model: ModelSpec, theta) -> tuple[float, float, float]:
-    theta = np.asarray(theta, dtype=float)
-    if theta.size == 3:
-        return theta[0], theta[1], theta[2]
+    # Python floats: the scalar arithmetic on them is cheaper than on numpy's
+    theta = np.asarray(theta, dtype=float).tolist()
+    if len(theta) == 3:
+        return tuple(theta)
     return theta[0], theta[1], fixed_change_point(model)
 
 
@@ -55,34 +57,44 @@ def growth_grad(model: ModelSpec, theta, x):
 
     Returns shape (d,) for scalar x and x.shape + (d,) for arrays, with d
     the length of theta, filled in place: the exponential-branch columns on
-    every point, then the linear-branch columns over the points with
-    x >= x0 only (none when x0 = +inf).  A free change point's component is
-    identically zero on the exponential branch.  At x == x0 exactly, the
-    linear-branch (right) derivative is used, matching the branch rule of
-    growth_mean.  The rows of a least-squares Jacobian are these gradients,
-    so its normal matrix J^T J divided by sigma2 is the cumulative
-    information.
+    every point, then the linear-branch rows over the points with x >= x0
+    only (none when x0 = +inf).  A free change point's component is
+    identically zero on the exponential branch.  On the linear branch every
+    column is affine in x, alpha_k + beta_k * x, so the coefficients are
+    computed once per call on Python floats and the rows filled by one
+    broadcast; with u = a2/x0 and c = 1 - u they are
+    (e0 c, e0 u/x0), (a1 e0 (u - 2)/x0, a1 e0 c/x0^2) and, for a free
+    change point, alpha_3 = a1 e0 u (2 - u)/x0 and beta_3 = -alpha_3/x0.
+    Scalar and array x share this arithmetic, so they give the same bits.
+    At x == x0 exactly, the linear-branch (right) derivative is used,
+    matching the branch rule of growth_mean.  The rows of a least-squares
+    Jacobian are these gradients, so its normal matrix J^T J divided by
+    sigma2 is the cumulative information.
     """
     x = np.asarray(x, dtype=float)
     a1, a2, x0 = _split_x0(model, theta)
-    free_x0 = len(theta) == 3
-    g = np.empty(x.shape + (len(theta),))
+    d = len(theta)
+    g = np.empty(x.shape + (d,))
     e_x = np.exp(-a2 / x)
     g[..., 0] = e_x
     g[..., 1] = -a1 * e_x / x
-    if free_x0:
+    if d == 3:
         g[..., 2] = 0.0
     on_lin = x >= x0
     if x.ndim:
-        x = x[on_lin]
+        x = x[on_lin, None]
     elif on_lin:
         on_lin = ...   # a scalar on the linear branch fills the whole row
     else:
         return g
-    e0 = np.exp(-a2 / x0)
-    phi = 1.0 - a2 / x0 + a2 * x / x0**2
-    g[on_lin, 0] = e0 * phi
-    g[on_lin, 1] = a1 * e0 * (-phi / x0 + (-1.0 / x0 + x / x0**2))
-    if free_x0:
-        g[on_lin, 2] = a1 * e0 * ((a2 / x0**2) * phi + (a2 / x0**2 - 2.0 * a2 * x / x0**3))
+    u = a2 / x0
+    e0 = math.exp(-u)
+    c = 1.0 - u
+    ae = a1 * e0 / x0
+    alpha = [e0 * c, ae * (u - 2.0)]
+    beta = [e0 * u / x0, ae * c / x0]
+    if d == 3:
+        alpha.append(ae * u * (2.0 - u))
+        beta.append(-alpha[2] / x0)
+    g[on_lin] = np.add(alpha, np.multiply(beta, x))
     return g

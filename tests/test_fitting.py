@@ -255,14 +255,22 @@ def recorded_refits():
     return calls
 
 
-def test_refit_equals_the_replaced_loop_bit_for_bit(recorded_refits):
+#: coordinate-wise agreement of a converged refit with the replaced loop,
+#: relative to 1 + |theta|: the cofactor solve and the affine gradient round
+#: differently, so the iterates part by rounding, and a converged LM stops
+#: within LM_XTOL-sized steps of the same minimum
+REFIT_AGREEMENT = 1e-6
+
+
+def test_refit_agrees_with_the_replaced_loop(recorded_refits):
     unconverged = 0
     for model, x, y, init in recorded_refits:
         new = nls_refit(model, x, y, init)
         old = _oracle_nls_refit(model, x, y, init)
-        assert np.array_equal(new.theta, old.theta)
-        assert new.objective == old.objective
-        assert (new.iterations, new.converged) == (old.iterations, old.converged)
+        assert new.converged == old.converged
+        if new.converged:
+            assert np.all(np.abs(new.theta - old.theta)
+                          <= REFIT_AGREEMENT * (1.0 + np.abs(old.theta)))
         unconverged += not new.converged
     assert len(recorded_refits) > 150 and unconverged > 0
 

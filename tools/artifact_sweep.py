@@ -8,12 +8,19 @@ configurations (seed 20240, 3 replications, one worker), four of them again
 on two workers, and ``seqdopt design`` and ``seqdopt oracle`` on the five
 models.  It lists every file whose bytes differ, or that only one tree
 wrote, but ``timing.json``, which holds wall-clock times; it exits 1 if
-there is any, else 0.
+there is any, else 0.  For a differing file that both trees wrote it also
+prints the largest relative difference |a - b| / max(|a|, |b|) over the
+file's numbers, CSV cells and JSON numbers compared position by position,
+with the CSV column or JSON key where it occurs, so a change that agrees
+within a tolerance instead of bit for bit shows by how much.
 """
 
 from __future__ import annotations
 
+import csv
 import filecmp
+import json
+import math
 import os
 import subprocess
 import sys
@@ -70,6 +77,58 @@ def differing(old: Path, new: Path) -> tuple[list[str], int]:
     return diffs, len(names)
 
 
+def _numbers(path: Path) -> list[tuple[str, float]]:
+    """(label, value) of every number in a CSV or JSON file, in file order:
+    a CSV cell is labelled by its column's header, a JSON number by its key
+    path.  Other files, and cells that are not numbers, hold none."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        out = []
+        for row in rows:
+            for label, cell in zip(header, row):
+                try:
+                    out.append((label, float(cell)))
+                except ValueError:
+                    pass
+        return out
+    if path.suffix != ".json":
+        return []
+
+    def walk(node, label):
+        if isinstance(node, dict):
+            return [item for key in node for item in walk(node[key], f"{label}.{key}")]
+        if isinstance(node, list):
+            return [item for k, v in enumerate(node) for item in walk(v, f"{label}[{k}]")]
+        if isinstance(node, (int, float)) and not isinstance(node, bool):
+            return [(label, float(node))]
+        return []
+    with open(path) as fh:
+        return [(label.lstrip("."), v) for label, v in walk(json.load(fh), "")]
+
+
+def largest_difference(old: Path, new: Path) -> str:
+    """The largest relative difference between two files' numbers, position
+    by position, and where it occurs; or why they cannot be compared."""
+    a, b = _numbers(old), _numbers(new)
+    if not a and not b:
+        return "no numbers to compare"
+    if [label for label, _ in a] != [label for label, _ in b]:
+        return f"numbers not comparable ({len(a)} against {len(b)})"
+    worst, where = 0.0, ""
+    for (label, u), (_, v) in zip(a, b):
+        if u == v or (math.isnan(u) and math.isnan(v)):
+            continue
+        rel = abs(u - v) / max(abs(u), abs(v))
+        if not rel <= worst:   # NaN against a number reads as the largest
+            worst, where = rel, label
+            if math.isnan(rel):
+                break
+    if not where:
+        return "numbers equal"
+    return f"largest relative difference {worst:.2g} at {where}"
+
+
 def main() -> int:
     if len(sys.argv) != 3:
         print("usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT", file=sys.stderr)
@@ -84,8 +143,11 @@ def main() -> int:
             sweep(root, out)
             outs.append(out)
         diffs, compared = differing(*outs)
-    for name in diffs:
-        print(f"differs: {name}")
+        for name in diffs:
+            old, new = (out / name for out in outs)
+            note = (largest_difference(old, new) if old.is_file() and new.is_file()
+                    else "written by one tree only")
+            print(f"differs: {name} ({note})")
     print(f"{len(diffs)} of {compared} files differ ({len(RUNS)} runs, {len(POOLED)} "
           f"pooled, {2 * len(MODELS)} reports; timing.json skipped)")
     return 1 if diffs else 0
