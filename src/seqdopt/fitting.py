@@ -14,6 +14,14 @@ because the two branches meet in value and slope at x0.  Only the Jacobian
 and the normal equations are numpy work; the 2x2 or 3x3 damped system is
 solved by cofactors on Python floats (``linalg.solve_sym``).
 
+Work on 1 to 3 numbers runs on Python floats, where numpy's per-call
+overhead would dominate, with the same double arithmetic in the same
+order.  ``nelder_mead`` (the cold fit's polish and cm's interval search)
+keeps its simplex, f-values, centroid and box in lists; its objective still
+receives a float64 array.  The profile's scalar path finds the branch split
+by bisection and projects the amplitude on floats, but takes exp(-a2/x0)
+from numpy: ``math.exp`` differs from it in the last bit on some inputs.
+
 The factorial logistic cases are fitted exactly under their admissibility
 constraints: a safeguarded Newton iteration on the concave scalar
 likelihood for the equal-coefficient case, and for the zero-beta2 case the
@@ -23,8 +31,11 @@ of the admissible box when those logits are not admissible.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -60,7 +71,7 @@ VP_RATE_NODES = 120
 VP_X0_NODES = 80
 VP_BASINS = 5
 VP_XTOL = 1e-6
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 
 #: the equal-beta MLE lives strictly inside the admissible interval
 C1_EDGE = MANDAL_C0 - 1e-6
@@ -90,8 +101,14 @@ class FitResult:
 # generic local optimizers
 # ---------------------------------------------------------------------------
 
-def _project(x, bounds):
-    return np.minimum(np.maximum(x, bounds[0]), bounds[1])
+def _clip(t, lo, hi):
+    """np.minimum(np.maximum(t, lo), hi), elementwise on an array and bit for
+    bit on a float: NaN stays NaN, and a tie (only a signed zero can tell)
+    returns the bound, as numpy's do."""
+    if isinstance(t, np.ndarray):
+        return np.minimum(np.maximum(t, lo), hi)
+    t = lo if lo >= t else t
+    return hi if hi <= t else t
 
 
 def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
@@ -99,62 +116,89 @@ def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
     """Reflect/expand/contract/shrink simplex descent with box projection.
 
     Terminates when the simplex diameter drops below xtol * (1 + |best|)
-    or after max_iter (default 500 * d) iterations.
+    or after max_iter (default 500 * d) iterations.  `bounds` is (lo, hi),
+    each a scalar or one value per coordinate, infinities allowed.  The
+    simplex, its f-values, the centroid and the box are lists of Python
+    floats, on which each step does the elementwise float64 arithmetic of
+    the numpy loop it replaced, in the same order, so every point and
+    estimate is the same double; vertices are ranked by a stable sort with
+    NaN last, which is numpy's argsort on 2 or 3 vertices.  f receives each
+    point as a fresh float64 array and must return a real number.
     """
-    x0 = _project(np.asarray(x0, dtype=float), bounds)
-    d = x0.size
+    x0 = np.asarray(x0, dtype=float).tolist()
+    d = len(x0)
+    box = list(zip(*(np.broadcast_to(np.asarray(b, dtype=float), (d,)).tolist()
+                     for b in bounds)))
     if max_iter is None:
         max_iter = 500 * d
 
-    sim = np.empty((d + 1, d))
-    sim[0] = x0
+    def fun(v):
+        return float(f(np.array(v)))
+
+    def rank(sim, fsim):
+        # in place, by insertion: stable with NaN last, and cheap on a simplex
+        # that is sorted but for its replaced vertices
+        for i in range(1, d + 1):
+            for j in range(i, 0, -1):
+                a, b = fsim[j], fsim[j - 1]
+                if not (a < b or (b != b and a == a)):
+                    break
+                fsim[j - 1], fsim[j] = a, b
+                sim[j - 1], sim[j] = sim[j], sim[j - 1]
+
+    x0 = [_clip(t, lo, hi) for t, (lo, hi) in zip(x0, box)]
+    sim = [x0]
     for k in range(d):
         step = init_step * max(abs(x0[k]), 1.0)
         vertex = x0.copy()
-        vertex[k] += step
-        vertex = _project(vertex, bounds)
+        vertex[k] = _clip(x0[k] + step, *box[k])
         if vertex[k] == x0[k]:  # clipped onto a bound face; step inward
-            vertex[k] = x0[k] - step
-            vertex = _project(vertex, bounds)
-        sim[k + 1] = vertex
-    fsim = np.array([f(v) for v in sim])
+            vertex[k] = _clip(x0[k] - step, *box[k])
+        sim.append(vertex)
+    fsim = [fun(v) for v in sim]
 
     rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
     inv_d = 1.0 / d
     it = 0
     while it < max_iter:
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-        diameter = abs(sim[1:] - sim[0]).max()
-        if diameter < xtol * (1.0 + abs(sim[0]).max()):
+        rank(sim, fsim)
+        best, worst = sim[0], sim[-1]
+        # every coordinate's gap to the best vertex under the tolerance: the
+        # diameter test, also when a NaN would make the diameter NaN
+        tol = xtol * (1.0 + max(map(abs, best)))
+        if all(abs(t - b) < tol for v in sim[1:] for t, b in zip(v, best)):
             break
         it += 1
 
-        centroid = sim[:-1].sum(axis=0) * inv_d
-        xr = _project(centroid + rho * (centroid - sim[-1]), bounds)
-        fr = f(xr)
+        # numpy's column sums: from +0.0, vertex by vertex
+        centroid = [reduce(add, col, 0.0) * inv_d for col in zip(*sim[:-1])]
+        away = [c - w for c, w in zip(centroid, worst)]
+
+        def toward(coef):  # centroid + coef * (centroid - worst), projected
+            return [_clip(c + coef * a, lo, hi) for c, a, (lo, hi) in zip(centroid, away, box)]
+
+        xr = toward(rho)
+        fr = fun(xr)
         if fr < fsim[0]:
-            xe = _project(centroid + rho * chi * (centroid - sim[-1]), bounds)
-            fe = f(xe)
+            xe = toward(rho * chi)
+            fe = fun(xe)
             sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fr
         else:
-            if fr < fsim[-1]:
-                xc = _project(centroid + psi * rho * (centroid - sim[-1]), bounds)
-            else:
-                xc = _project(centroid - psi * (centroid - sim[-1]), bounds)
-            fc = f(xc)
+            # c - psi * (c - w) is c + (-psi) * (c - w) exactly in IEEE arithmetic
+            xc = toward(psi * rho if fr < fsim[-1] else -psi)
+            fc = fun(xc)
             if fc < min(fr, fsim[-1]):
                 sim[-1], fsim[-1] = xc, fc
             else:
                 for j in range(1, d + 1):
-                    sim[j] = _project(sim[0] + sigma * (sim[j] - sim[0]), bounds)
-                    fsim[j] = f(sim[j])
+                    sim[j] = [_clip(b + sigma * (t - b), lo, hi)
+                              for b, t, (lo, hi) in zip(best, sim[j], box)]
+                    fsim[j] = fun(sim[j])
 
-    order = np.argsort(fsim)
-    sim, fsim = sim[order], fsim[order]
-    return FitResult(theta=sim[0], objective=float(fsim[0]),
+    rank(sim, fsim)
+    return FitResult(theta=np.array(sim[0]), objective=fsim[0],
                      converged=it < max_iter, iterations=it)
 
 
@@ -208,6 +252,7 @@ def _amplitude_profile(x: np.ndarray, y: np.ndarray):
     """
     order = np.argsort(x, kind="stable")
     xs, ys = x[order], y[order]
+    xs_list = xs.tolist()   # for bisect on the scalar path
     inv_xs = 1.0 / xs
     yy = float(ys @ ys)
     # tails[:, k] = sums over xs[k:] of 1, x, x^2, y and x*y
@@ -215,13 +260,13 @@ def _amplitude_profile(x: np.ndarray, y: np.ndarray):
     tails = np.hstack([np.cumsum(moments[:, ::-1], axis=1)[:, ::-1], np.zeros((5, 1))])
     tail_rows = tails.T.tolist()  # python floats for the scalar path
 
-    def project(a2, x0, tail, head_fy, head_ff):
+    def project(a2, x0, e0, tail, head_fy, head_ff):
+        # elementwise on the grid's arrays, on Python floats for `at`
         n_lin, s_x, s_xx, s_y, s_xy = tail
-        e0, c, d = np.exp(-a2 / x0), 1.0 - a2 / x0, a2 / x0**2
+        c, d = 1.0 - a2 / x0, a2 / x0**2
         fy = head_fy + e0 * (c * s_y + d * s_xy)
         ff = head_ff + e0 * e0 * (c * c * n_lin + 2.0 * c * d * s_x + d * d * s_xx)
-        a1 = np.minimum(np.maximum(fy / np.maximum(ff, _TINY), ALPHA_BOUNDS[0]),
-                        ALPHA_BOUNDS[1])
+        a1 = _clip(fy / _clip(ff, _TINY, math.inf), *ALPHA_BOUNDS)
         return a1, yy - 2.0 * a1 * fy + a1 * a1 * ff
 
     def grid(a2s: np.ndarray, x0s: np.ndarray):
@@ -230,12 +275,17 @@ def _amplitude_profile(x: np.ndarray, y: np.ndarray):
         head = np.zeros((2, a2s.size, xs.size + 1))
         np.cumsum(expo * ys, axis=1, out=head[0, :, 1:])
         np.cumsum(expo * expo, axis=1, out=head[1, :, 1:])
-        return project(a2s[:, None], x0s, tails[:, k], head[0][:, k], head[1][:, k])
+        return project(a2s[:, None], x0s, np.exp(-a2s[:, None] / x0s),
+                       tails[:, k], head[0][:, k], head[1][:, k])
 
     def at(a2: float, x0: float):
-        k = int(np.searchsorted(xs, x0, side="left"))
+        x0 = float(x0)
+        k = bisect.bisect_left(xs_list, x0)
         expo = np.exp(-a2 * inv_xs[:k])
-        return project(a2, x0, tail_rows[k], float(expo @ ys[:k]), float(expo @ expo))
+        # numpy's exp, not math.exp: the two differ in the last bit on some
+        # inputs, and the grid path uses numpy's
+        return project(a2, x0, float(np.exp(-a2 / x0)), tail_rows[k],
+                       float(expo @ ys[:k]), float(expo @ expo))
     return grid, at
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -435,6 +436,255 @@ def test_cold_fit_recovers_noise_free_m3(n1, log2_scale, x0, seed):
     y = growth_mean(model, theta, x)
     res = nls_fit(model, x, y)
     assert res.objective <= 1e-10 * float(y @ y), res.theta
+
+
+# ---------------------------------------------------------------------------
+# the float simplex and the profile's float scalar path against the numpy
+# loops they replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _oracle_nelder_mead(f, x0, bounds, xtol=1e-8, max_iter=None, init_step=0.05):
+    """The replaced simplex loop, on numpy arrays: np.argsort ranking, the
+    np.minimum/np.maximum box projection and numpy column sums.  It ranked
+    with numpy's default argsort; the stable kind here is the same order on
+    the 2 or 3 vertices of every simplex the package runs (see
+    test_default_argsort_is_stable_on_two_or_three_values), and names the
+    order nelder_mead keeps on 4 or more, where numpy's default dispatches
+    to a SIMD sort that is not stable on some hosts."""
+    def project(x):
+        return np.minimum(np.maximum(x, bounds[0]), bounds[1])
+
+    x0 = project(np.asarray(x0, dtype=float))
+    d = x0.size
+    if max_iter is None:
+        max_iter = 500 * d
+
+    sim = np.empty((d + 1, d))
+    sim[0] = x0
+    for k in range(d):
+        step = init_step * max(abs(x0[k]), 1.0)
+        vertex = x0.copy()
+        vertex[k] += step
+        vertex = project(vertex)
+        if vertex[k] == x0[k]:
+            vertex[k] = x0[k] - step
+            vertex = project(vertex)
+        sim[k + 1] = vertex
+    fsim = np.array([f(v) for v in sim])
+
+    rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
+    inv_d = 1.0 / d
+    it = 0
+    while it < max_iter:
+        order = np.argsort(fsim, kind="stable")
+        sim, fsim = sim[order], fsim[order]
+        diameter = abs(sim[1:] - sim[0]).max()
+        if diameter < xtol * (1.0 + abs(sim[0]).max()):
+            break
+        it += 1
+
+        centroid = sim[:-1].sum(axis=0) * inv_d
+        xr = project(centroid + rho * (centroid - sim[-1]))
+        fr = f(xr)
+        if fr < fsim[0]:
+            xe = project(centroid + rho * chi * (centroid - sim[-1]))
+            fe = f(xe)
+            sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fr
+        else:
+            if fr < fsim[-1]:
+                xc = project(centroid + psi * rho * (centroid - sim[-1]))
+            else:
+                xc = project(centroid - psi * (centroid - sim[-1]))
+            fc = f(xc)
+            if fc < min(fr, fsim[-1]):
+                sim[-1], fsim[-1] = xc, fc
+            else:
+                for j in range(1, d + 1):
+                    sim[j] = project(sim[0] + sigma * (sim[j] - sim[0]))
+                    fsim[j] = f(sim[j])
+
+    order = np.argsort(fsim, kind="stable")
+    sim, fsim = sim[order], fsim[order]
+    return FitResult(theta=sim[0], objective=float(fsim[0]),
+                     converged=it < max_iter, iterations=it)
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _assert_same_descent(f, *args, **kwargs):
+    """Run nelder_mead and its oracle on f; every point f is called with,
+    and the result, must be the same doubles.  Returns the new result."""
+    seen = {"new": [], "old": []}
+
+    def logged(side):
+        def g(u):
+            seen[side].append(_bits(u))
+            return f(u)
+        return g
+
+    new = nelder_mead(logged("new"), *args, **kwargs)
+    old = _oracle_nelder_mead(logged("old"), *args, **kwargs)
+    assert seen["new"] == seen["old"]
+    assert _bits(new.theta) == _bits(old.theta)
+    assert _bits(new.objective) == _bits(old.objective)
+    assert (new.iterations, new.converged) == (old.iterations, old.converged)
+    return new
+
+
+def _test_objective(kind, center, plateau, nan_radius):
+    """A quadratic or Rosenbrock objective around `center`, rounded down to
+    multiples of `plateau` (flat steps, so f-values tie) when it is set, and
+    NaN farther than `nan_radius` from the center in the max norm."""
+    center = np.array(center)
+
+    def f(u):
+        z = u - center
+        if kind == "quadratic":
+            value = float(z @ z)
+        else:
+            value = float((1.0 - z[0]) ** 2
+                          + np.sum(100.0 * (z[1:] - z[:-1] ** 2) ** 2 + (1.0 - z[:-1]) ** 2))
+        if np.max(np.abs(z)) > nan_radius:
+            return math.nan
+        return float(np.floor(value / plateau) * plateau) if plateau else value
+    return f
+
+
+@st.composite
+def simplex_problems(draw):
+    d = draw(st.integers(1, 3))
+    center = draw(st.lists(st.floats(-6.0, 6.0), min_size=d, max_size=d))
+    start = draw(st.lists(st.floats(-40.0, 40.0), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(["quadratic", "rosenbrock"]))
+    plateau = draw(st.sampled_from([0.0, 0.0, 0.25, 4.0]))
+    nan_radius = draw(st.sampled_from([math.inf, math.inf, 3.0, 8.0]))
+    shape = draw(st.sampled_from(["infinite", "scalar", "array"]))
+    if shape == "infinite":
+        bounds = (-np.inf, np.inf)
+    elif shape == "scalar":
+        lo = draw(st.floats(-5.0, 0.0))
+        bounds = (lo, lo + draw(st.floats(0.5, 8.0)))
+    else:
+        lo = np.array(draw(st.lists(st.sampled_from([-np.inf, -4.0, -1.0, 0.0, 0.5]),
+                                    min_size=d, max_size=d)))
+        width = np.array(draw(st.lists(st.sampled_from([0.25, 2.0, 7.0, np.inf]),
+                                       min_size=d, max_size=d)))
+        bounds = (lo, np.where(np.isinf(lo), -4.0, lo) + width)
+    options = draw(st.fixed_dictionaries({}, optional={
+        "xtol": st.sampled_from([1e-4, 1e-12]),
+        "max_iter": st.sampled_from([3, 40]),
+        "init_step": st.sampled_from([0.01, 0.5, 2.0])}))
+    f = _test_objective(kind, center, plateau, nan_radius)
+    return f, np.array(start), bounds, options
+
+
+def test_default_argsort_is_stable_on_two_or_three_values():
+    # the package's simplices have 2 (cm, the M1/M2 cold fits) or 3 vertices
+    # (the M3 cold fit): on those the replaced loop's np.argsort ranked
+    # exactly as a stable sort with NaN last, ties of signed zeros included
+    values = (0.0, -0.0, 1.0, -1.0, math.nan, math.inf, -math.inf)
+    for n in (2, 3):
+        for fsim in itertools.product(values, repeat=n):
+            stable = sorted(range(n), key=lambda j: (math.isnan(fsim[j]), fsim[j]))
+            assert np.argsort(np.array(fsim)).tolist() == stable, fsim
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(simplex_problems())
+# the first check's diameter equals the tolerance exactly (0.05 both)
+@example((_test_objective("quadratic", [0.0], 0.0, math.inf), np.array([0.0]),
+          (-np.inf, np.inf), {"xtol": 0.05}))
+# signed zeros meet the bounds: numpy's projection returns the bound on a tie
+@example((_test_objective("quadratic", [0.5, -0.5], 0.0, math.inf), np.array([-0.0, 0.0]),
+          (np.array([0.0, -1.0]), np.array([1.0, -0.0])), {}))
+def test_nelder_mead_equals_the_replaced_loop_bit_for_bit(problem):
+    f, start, bounds, options = problem
+    _assert_same_descent(f, start, bounds, **options)
+
+
+@pytest.fixture(scope="module")
+def recorded_simplices():
+    """Every simplex descent of short M1/M2/M3 cm and pics runs (the cold
+    fits' polishes and cm's interval searches) and of the edge configs,
+    checked against the oracle as it runs; returns the dimension of each."""
+    calls, original = [], fitting.nelder_mead
+
+    def checked(f, *args, **kwargs):
+        res = _assert_same_descent(f, *args, **kwargs)
+        calls.append(res.theta.size)
+        return res
+
+    fitting.nelder_mead = checked
+    try:
+        for name in ("M1", "M2", "M3"):
+            for method in ("cm", "pics"):
+                run(parse_config(model=name, method=method, n1=20, n=40, seed=5))
+            extra = {"x0_known": 5.0} if name == "M2" else {}
+            run(parse_config(model=name, method="pics", n1=model_spec(name).dim + 2,
+                             n=20, sigma2=10.0, seed=0, **extra))
+        run(parse_config(model="M3", method="cm", n1=6, n=20, x_max=1e4, seed=1))
+        run(parse_config(model="M1", method="cm", n1=6, n=20, x_min=0.5, x_max=1.0,
+                         seed=2))
+    finally:
+        fitting.nelder_mead = original
+    return calls
+
+
+def test_recorded_simplices_equal_the_replaced_loop(recorded_simplices):
+    # every descent was compared as it ran; this checks that the battery
+    # held both kinds of search: cm's 1-d interval searches and the M3 2-d
+    # cold-fit polishes
+    assert set(recorded_simplices) == {1, 2} and len(recorded_simplices) > 250
+
+
+def _oracle_profile_at(x, y):
+    """The replaced scalar path of ``_amplitude_profile``: np.searchsorted for
+    the branch split, and numpy scalar arithmetic on the change point, which
+    the cold fit passed as a float64 scalar."""
+    order = np.argsort(x, kind="stable")
+    xs, ys = x[order], y[order]
+    inv_xs = 1.0 / xs
+    yy = float(ys @ ys)
+    moments = np.stack([np.ones_like(xs), xs, xs * xs, ys, xs * ys])
+    tails = np.hstack([np.cumsum(moments[:, ::-1], axis=1)[:, ::-1], np.zeros((5, 1))])
+    tail_rows = tails.T.tolist()
+
+    def at(a2, x0):
+        x0 = np.float64(x0)
+        k = int(np.searchsorted(xs, x0, side="left"))
+        expo = np.exp(-a2 * inv_xs[:k])
+        head_fy, head_ff = float(expo @ ys[:k]), float(expo @ expo)
+        n_lin, s_x, s_xx, s_y, s_xy = tail_rows[k]
+        e0, c, d = np.exp(-a2 / x0), 1.0 - a2 / x0, a2 / x0**2
+        fy = head_fy + e0 * (c * s_y + d * s_xy)
+        ff = head_ff + e0 * e0 * (c * c * n_lin + 2.0 * c * d * s_x + d * d * s_xx)
+        a1 = np.minimum(np.maximum(fy / np.maximum(ff, np.finfo(float).tiny),
+                                   ALPHA_BOUNDS[0]), ALPHA_BOUNDS[1])
+        return a1, yy - 2.0 * a1 * fy + a1 * a1 * ff
+    return at
+
+
+@pytest.mark.parametrize("name", ["M1", "M2", "M3"])
+def test_amplitude_profile_scalar_path_equals_the_replaced_one(name):
+    # at every grid node of the cold fit, at change points tied with a data
+    # point, before the first and beyond the last one, and at random points
+    model, x, y = _stage1_data(name, "uniform" if name != "M2" else "three_point", 30, 4)
+    lo, hi = _nls_bounds(model)
+    a2s = np.exp(np.linspace(math.log(lo[1]), math.log(hi[1]), fitting.VP_RATE_NODES))
+    if name == "M3":
+        x0s = np.r_[np.linspace(lo[2], hi[2], fitting.VP_X0_NODES), x, x.min() - 0.25,
+                    x.max() + 0.5, np.random.default_rng(1).uniform(lo[2], hi[2], 40)]
+    else:
+        x0s = np.array([model.x0_known if name == "M2" else np.inf])
+    a2s = np.r_[a2s, np.random.default_rng(2).uniform(1e-3, 1e3, 40)]
+    at, oracle = _amplitude_profile(x, y)[1], _oracle_profile_at(x, y)
+    for a2 in a2s.tolist():
+        for x0 in x0s:
+            assert _bits(at(a2, x0)) == _bits(oracle(a2, x0)), (a2, x0)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT
 
 Each ROOT is a checkout of this repository.  With each tree's ``src`` on
-PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 20
+PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 23
 configurations (seed 20240, 3 replications, one worker), four of them again
 on two workers, and ``seqdopt design`` and ``seqdopt oracle`` on the five
 models.  It lists every file whose bytes differ, or that only one tree
@@ -41,6 +41,13 @@ RUNS = {
     "GLM_C2-pics-8-200": ["--model", "GLM_C2", "--method", "pics", "--n1", "8", "--n", "200"],
     **{f"M3-60-200-{method}": ["--model", "M3", "--method", method, "--n1", "60", "--n", "200"]
        for method in METHODS},
+    # edge configs whose simplices clip at a bound or tie
+    "M3-pics-sigma2-10": ["--model", "M3", "--method", "pics", "--sigma2", "10",
+                          "--n1", "5", "--n", "40"],
+    "M1-cm-sigma2-10": ["--model", "M1", "--method", "cm", "--sigma2", "10",
+                        "--n1", "4", "--n", "30"],
+    "M3-cm-x_max-1e4": ["--model", "M3", "--method", "cm", "--x-max", "1e4",
+                        "--n1", "6", "--n", "40"],
 }
 #: the runs repeated on two workers, whose jobs and trajectories cross the
 #: process pool; each writes to its name with "-pooled" appended
