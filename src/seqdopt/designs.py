@@ -123,7 +123,7 @@ def optimal_design_m3(model: ModelSpec, theta) -> DesignMeasure:
 
 def mandal_c1(beta) -> DesignMeasure:
     """Optimal cell proportions when b0 = b1 = b2 with |b0| < 0.8314."""
-    b0, b1, b2 = (float(v) for v in beta)
+    b0, b1, b2 = np.asarray(beta, dtype=float).tolist()
     if abs(b0 - b1) > 1e-9 or abs(b0 - b2) > 1e-9:
         raise ConstraintViolated("requires beta0 = beta1 = beta2")
     if abs(b0) >= MANDAL_C0:
@@ -147,7 +147,7 @@ def mandal_c2(beta) -> DesignMeasure:
     1/2 - p1 on the others, running from (1/6, 1/3) as r -> 0 to uniform
     as r -> 1.
     """
-    b0, b1, b2 = (float(v) for v in beta)
+    b0, b1, b2 = np.asarray(beta, dtype=float).tolist()
     if abs(b2) > 1e-9:
         raise ConstraintViolated("requires beta2 = 0")
     if b0 * b1 <= 0.0:

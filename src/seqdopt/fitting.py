@@ -26,7 +26,10 @@ The factorial logistic cases are fitted exactly under their admissibility
 constraints: a safeguarded Newton iteration on the concave scalar
 likelihood for the equal-coefficient case, and for the zero-beta2 case the
 closed-form pooled logits, falling back to 1-D Newton solves on the edges
-of the admissible box when those logits are not admissible.
+of the admissible box when those logits are not admissible.  The searches'
+derivatives are sums over the cells on Python floats, each sigmoid in
+``logistic.sigmoid_scalar``'s arithmetic; the equal-coefficient cells share
+two exps (``_c1_derivs``), with the same doubles as the per-cell loop.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .designs import MANDAL_C0
 from .errors import InsufficientData
 from .growth import fixed_change_point, growth_grad
 from .linalg import solve_sym
-from .logistic import sigmoid_scalar
 
 if TYPE_CHECKING:
     from .modelspec import ModelSpec
@@ -419,27 +421,68 @@ def _neg_loglik_cells(counts, succ, etas) -> float:
     return total
 
 
-def _logistic_line_min(counts, succ, slopes, offsets, lo: float, hi: float,
-                       start: float) -> tuple[float, int]:
-    """Exact minimizer of the logistic negative log-likelihood on a segment.
+def _cell_derivs(counts, succ, slopes, offsets):
+    """The first and second derivatives in t of the logistic negative
+    log-likelihood of cells whose linear predictors are
+    eta_c = slopes[c] * t + offsets[c], as a function of t."""
+    # per cell: slope, offset, trials, successes and the curvature factor
+    # a * a * n, whose product the Hessian term starts with
+    cells = [(a, c, n, s, a * a * n) for n, s, a, c in zip(counts, succ, slopes, offsets)]
+    exp = math.exp
 
-    The cells' linear predictors are eta_c = slopes[c] * t + offsets[c], so
-    the objective is convex in the scalar t.  Newton steps from `start` run
-    inside a bracket that shrinks around the sign change of the derivative;
-    a step that would leave the bracket bisects it instead, after checking
-    whether the end it heads for is itself the constrained optimum.  A
-    Newton step below NEWTON_RTOL ends the search: with quadratic
-    convergence the next correction would be below rounding.  Returns
-    (t, derivative evaluations).
-    """
     def derivs(t: float) -> tuple[float, float]:
         g = h = 0.0
-        for n, s, a, c in zip(counts, succ, slopes, offsets):
-            p = sigmoid_scalar(a * t + c)
+        for a, c, n, s, aan in cells:
+            eta = a * t + c
+            if eta >= 0.0:   # logistic.sigmoid_scalar, inline
+                p = 1.0 / (1.0 + exp(-eta))
+            else:
+                ex = exp(eta)
+                p = ex / (1.0 + ex)
             g += a * (n * p - s)
-            h += a * a * n * p * (1.0 - p)
+            h += aan * p * (1.0 - p)
         return g, h
+    return derivs
 
+
+def _c1_derivs(counts, succ):
+    """``_cell_derivs`` of the equal-coefficient cells, whose slopes are the
+    multipliers 1 + x1 + x2 = (3, 1, 1, -1) of b and whose offsets are 0:
+    the same doubles from two exps.  |eta| is 3|b| at (+1, +1) and |b| at
+    the other three cells, and eta = -b at (-1, -1) takes the branch that
+    eta = b does not, but at b = 0.  The sums keep the cell order; they
+    differ only in the sign of a zero gradient, where the search stops
+    either way."""
+    (n0, n1, n2, n3), (s0, s1, s2, s3) = counts, succ
+    h0 = 3.0 * 3.0 * n0
+    exp = math.exp
+
+    def derivs(b: float) -> tuple[float, float]:
+        u = 3.0 * b
+        e = exp(-abs(u))
+        p0 = 1.0 / (1.0 + e) if u >= 0.0 else e / (1.0 + e)
+        e = exp(-abs(b))
+        up, down = 1.0 / (1.0 + e), e / (1.0 + e)
+        p1 = up if b >= 0.0 else down      # cells (+1, -1) and (-1, +1)
+        p3 = up if b <= 0.0 else down      # cell (-1, -1)
+        g = 3.0 * (n0 * p0 - s0) + (n1 * p1 - s1) + (n2 * p1 - s2) - (n3 * p3 - s3)
+        h = (h0 * p0 * (1.0 - p0) + n1 * p1 * (1.0 - p1) + n2 * p1 * (1.0 - p1)
+             + n3 * p3 * (1.0 - p3))
+        return g, h
+    return derivs
+
+
+def _logistic_line_min(derivs, lo: float, hi: float, start: float) -> tuple[float, int]:
+    """Exact minimizer of a convex logistic negative log-likelihood on a
+    segment, from ``derivs(t)``, its first and second derivatives in t.
+
+    Newton steps from `start` run inside a bracket that shrinks around the
+    sign change of the derivative; a step that would leave the bracket
+    bisects it instead, after checking whether the end it heads for is
+    itself the constrained optimum.  A Newton step below NEWTON_RTOL ends
+    the search: with quadratic convergence the next correction would be
+    below rounding.  Returns (t, derivative evaluations).
+    """
     a, b = lo, hi
     checked = set()
     t = min(max(start, lo), hi)
@@ -474,10 +517,6 @@ def _logistic_line_min(counts, succ, slopes, offsets, lo: float, hi: float,
     return t, evals
 
 
-#: per-cell multipliers of the common coefficient, 1 + x1 + x2
-_C1_MULT = (3.0, 1.0, 1.0, -1.0)
-
-
 def logistic_mle_c1(*, counts, successes) -> FitResult:
     """MLE under beta0 = beta1 = beta2 = b with |b| < 0.8314.
 
@@ -487,8 +526,7 @@ def logistic_mle_c1(*, counts, successes) -> FitResult:
     alone.  When the maximizer pins to an edge (e.g. complete separation)
     the result carries boundary=True; the objective is None.
     """
-    b, it = _logistic_line_min(counts, successes, _C1_MULT, (0.0,) * 4,
-                               -C1_EDGE, C1_EDGE, start=0.0)
+    b, it = _logistic_line_min(_c1_derivs(counts, successes), -C1_EDGE, C1_EDGE, start=0.0)
     return FitResult(theta=np.array([b] * 3), objective=None, converged=True,
                      iterations=it, boundary=abs(b) == C1_EDGE)
 
@@ -505,11 +543,11 @@ def _c2_positive_box_edges(n_pm, s_pm) -> tuple[float, float, float, int]:
     best, best_obj, total_it = None, math.inf, 0
     for fixed in (lo, hi):
         # b0 = fixed: eta+ = fixed + b1, eta- = fixed - b1
-        t1, it1 = _logistic_line_min(n_pm, s_pm, (1.0, -1.0), (fixed, fixed), lo, hi,
-                                     start=1.0)
+        t1, it1 = _logistic_line_min(_cell_derivs(n_pm, s_pm, (1.0, -1.0), (fixed, fixed)),
+                                     lo, hi, start=1.0)
         # b1 = fixed: eta+ = b0 + fixed, eta- = b0 - fixed
-        t0, it0 = _logistic_line_min(n_pm, s_pm, (1.0, 1.0), (fixed, -fixed), lo, hi,
-                                     start=1.0)
+        t0, it0 = _logistic_line_min(_cell_derivs(n_pm, s_pm, (1.0, 1.0), (fixed, -fixed)),
+                                     lo, hi, start=1.0)
         total_it += it0 + it1
         for b0, b1 in ((fixed, t1), (t0, fixed)):
             obj = _neg_loglik_cells(n_pm, s_pm, (b0 + b1, b0 - b1))
@@ -532,13 +570,13 @@ def logistic_mle_c2(*, counts, successes) -> FitResult:
     concave 1-D problem, and the better quadrant wins (positive on ties).
     Estimates on the box edge carry boundary=True; the objective is None.
     """
-    n_pm = (counts[0] + counts[1], counts[2] + counts[3])
-    s_pm = (successes[0] + successes[1], successes[2] + successes[3])
+    n_p, n_m = counts[0] + counts[1], counts[2] + counts[3]
+    s_p, s_m = successes[0] + successes[1], successes[2] + successes[3]
     lo, hi = _C2_BOX
 
     theta, it = None, 0
-    if all(0.0 < s < n for n, s in zip(n_pm, s_pm)):
-        eta_p, eta_m = (math.log(s / (n - s)) for n, s in zip(n_pm, s_pm))
+    if 0.0 < s_p < n_p and 0.0 < s_m < n_m:
+        eta_p, eta_m = math.log(s_p / (n_p - s_p)), math.log(s_m / (n_m - s_m))
         b0, b1 = 0.5 * (eta_p + eta_m), 0.5 * (eta_p - eta_m)
         if b0 * b1 > 0.0 and lo <= abs(b0) <= hi and lo <= abs(b1) <= hi:
             theta = (b0, b1)
@@ -546,13 +584,14 @@ def logistic_mle_c2(*, counts, successes) -> FitResult:
         # the negative quadrant is the positive one with successes and
         # failures swapped (eta -> -eta); scoring each on its own data makes
         # mirror-symmetric tables tie exactly
-        f_pm = tuple(n - s for n, s in zip(n_pm, s_pm))
-        b0, b1, obj_pos, it_pos = _c2_positive_box_edges(n_pm, s_pm)
-        m0, m1, obj_neg, it_neg = _c2_positive_box_edges(n_pm, f_pm)
+        n_pm = (n_p, n_m)
+        b0, b1, obj_pos, it_pos = _c2_positive_box_edges(n_pm, (s_p, s_m))
+        m0, m1, obj_neg, it_neg = _c2_positive_box_edges(n_pm, (n_p - s_p, n_m - s_m))
         it = it_pos + it_neg
         theta = (b0, b1) if obj_pos <= obj_neg else (-m0, -m1)
 
     b0, b1 = theta
-    boundary = any(abs(math.log(abs(b))) >= C2_UBOUND - 1e-6 for b in theta)
+    edge = C2_UBOUND - 1e-6
+    boundary = abs(math.log(abs(b0))) >= edge or abs(math.log(abs(b1))) >= edge
     return FitResult(theta=np.array([b0, b1, 0.0]), objective=None, converged=True,
                      iterations=it, boundary=boundary)

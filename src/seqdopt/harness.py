@@ -142,8 +142,10 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 def _write_trajectories_csv(summary: ReplicationSummary, path):
     """One row per trial and replication, formatted column-wise.
 
-    Floats go through repr, logistic points as their integer levels, and
-    the estimate and determinant cells stay empty before step n1.
+    A row's replication is its index r, seeded seed + r, as summary.json's
+    failures name theirs; a failed replication has no rows.  Floats go
+    through repr, logistic points as their integer levels, and the estimate
+    and determinant cells stay empty before step n1.
     """
     family = summary.config.family
     header = (["replication", "step", *family.columns, "y"]
@@ -157,8 +159,10 @@ def _write_trajectories_csv(summary: ReplicationSummary, path):
                    map(repr, traj.y.tolist()),
                    *([""] * skip + list(map(repr, c)) for c in estimates.T.tolist()))
 
+    failed = {f.replication for f in summary.failures}
+    reps = [r for r in range(summary.config.replications) if r not in failed]
     metrics.write_csv(path, header, itertools.chain.from_iterable(
-        rows(rep, traj) for rep, traj in enumerate(summary.trajectories)))
+        rows(rep, traj) for rep, traj in zip(reps, summary.trajectories)))
 
 
 def _write_json(path, doc):

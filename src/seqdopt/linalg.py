@@ -14,10 +14,10 @@ import numpy as np
 
 
 def det_sym(a: np.ndarray) -> float:
-    """Cofactor determinant of a 2x2 or 3x3 matrix (another 2-D shape raises
-    ValueError); at 3x3, `det_sym_batch`'s products in its order, so the
-    same double."""
-    rows = np.asarray(a, dtype=float).tolist()
+    """Cofactor determinant of a 2x2 or 3x3 float array (another 2-D shape
+    raises ValueError); at 3x3, `det_sym_batch`'s products in its order, so
+    the same double."""
+    rows = a.tolist()
     if len(rows) == 2:
         (a00, a01), (a10, a11) = rows
         return a00 * a11 - a01 * a10

@@ -10,8 +10,12 @@ x2 = +1.  All closed-form allocation formulas depend on this convention.
 
 The cell probabilities and weights are lists of Python floats (wrap one in
 ``np.array`` for an array), and the cell-table information is computed on
-them, from one matrix product and one exp over the four cells: on arrays
-this small numpy's per-call cost, not the arithmetic, would set the time.
+them: on four cells numpy's per-call cost, not the arithmetic, would set
+the time.  The linear predictors are float sums b0 +- b1 +- b2, in the
+order of the product ``X_CELLS @ beta`` they replace, so they are the same
+doubles.  The one exp over the four cells stays numpy's: ``math.exp``
+differs from it in the last bit on some inputs, and every cell weight, the
+information, its determinant and cm's choice would move with it.
 """
 
 from __future__ import annotations
@@ -43,11 +47,12 @@ def cell_index(point) -> int:
 def cell_probs(beta) -> list[float]:
     """Success probabilities at the linear predictors b0 + b1*x1 + b2*x2,
     as a list of four Python floats in the row order."""
+    b0, b1, b2 = np.asarray(beta, dtype=float).tolist()
+    etas = (b0 + b1 + b2, b0 + b1 - b2, b0 - b1 + b2, b0 - b1 - b2)
     # one exp of -|eta| per cell, which cannot overflow: p = 1/(1+e) for
     # eta >= 0, else e/(1+e)
-    eta = X_CELLS @ np.asarray(beta, dtype=float)
     return [1.0 / (1.0 + e) if h >= 0.0 else e / (1.0 + e)
-            for h, e in zip(eta.tolist(), np.exp(-np.abs(eta)).tolist())]
+            for h, e in zip(etas, np.exp([-abs(h) for h in etas]).tolist())]
 
 
 def cell_weights(beta) -> list[float]:
@@ -84,4 +89,4 @@ def fisher_from_counts(counts, beta) -> np.ndarray:
     c0, c1, c2, c3 = n0 * w0, n1 * w1, n2 * w2, n3 * w3   # summed in cell order
     s, s1 = c0 + c1 + c2 + c3, c0 + c1 - c2 - c3
     s2, s12 = c0 - c1 + c2 - c3, c0 - c1 - c2 + c3
-    return np.array([[s, s1, s2], [s1, s, s12], [s2, s12, s]])
+    return np.array((s, s1, s2, s1, s, s12, s2, s12, s)).reshape(3, 3)

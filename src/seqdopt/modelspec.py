@@ -23,6 +23,7 @@ by its sigma2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -44,8 +45,9 @@ class ModelSpec:
     x_max: float | None = None       # growth models only
     x0_known: float | None = None    # M2 only
 
-    @property
+    @cached_property
     def family(self) -> _Growth | _Logistic:
+        """The model's entry, which every step reads several times."""
         return MODELS[self.model]
 
     @property
@@ -65,7 +67,7 @@ class ModelSpec:
         return metrics.design_info(self, theta, self.family.closed_form(self, theta))
 
     def __getstate__(self) -> dict:
-        # only the fields are pickled; success_probs and i_star are rebuilt on use
+        # only the fields are pickled; the cached properties are rebuilt on use
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
@@ -205,7 +207,10 @@ MODELS: dict[str, _Growth | _Logistic] = {
     "M1": _Growth((32.11, 105.65), designs.optimal_design_m1),
     "M2": _Growth((32.11, 105.65), designs.optimal_design_m2, x0_known=86.67,
                   rules=[("x0_known", lambda c: c.x_min < c.x0_known < c.x_max,
-                          "known change point must lie inside the interval")]),
+                          "known change point must lie inside the interval"),
+                         # the closed form squares it (designs.m2_tau)
+                         ("x0_known", lambda c: math.isfinite(c.x0_known * c.x0_known),
+                          "known change point {c.x0_known!r} is too large to square")]),
     "M3": _Growth((32.11, 105.65, 86.67), designs.optimal_design_m3),
     "GLM_C1": _Logistic((0.7125, 0.7125, 0.7125), fitting.logistic_mle_c1,
                         lambda m, theta: designs.mandal_c1(theta)),

@@ -129,6 +129,20 @@ def test_a_config_file_integer_too_large_for_a_double_is_one_error_line(tmp_path
     assert captured.err.count("\n") == 1
 
 
+def test_an_m2_change_point_too_large_to_square_is_one_error_line(tmp_path, capsys):
+    # the closed form squares x0_known: past about 1.3e154 this ended in an
+    # OverflowError traceback
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--model", "M2", "--x-max", "1e160", "--x0-known", "1e155",
+              "--seed", "1", "--reps", "1", "--out-dir", str(tmp_path / "never-written")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("seqdopt: error: config field 'x0_known': ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "never-written").exists()
+
+
 @pytest.mark.parametrize("content", [None, '{"model": "M1",'], ids=["missing", "malformed"])
 def test_an_unreadable_config_file_is_one_error_line_naming_it(content, tmp_path, capsys):
     path = tmp_path / "cfg.json"

@@ -446,3 +446,27 @@ def test_mandal_c2_extreme_estimates_stay_valid():
         assert m.weights[0] == m.weights[1] and m.weights[2] == m.weights[3]
     assert mandal_c2((big, big, 0.0)).weights[0] == pytest.approx(1.0 / 6.0)
     assert mandal_c2((tiny, tiny, 0.0)).weights[0] == pytest.approx(0.25)
+
+
+#: admissible plug-in estimates: C1's common coefficient inside |b| < 0.8314
+#: (signed zeros included), and C2's matched signs out to the box edges e^+-10
+_c1_betas = st.one_of(st.floats(-0.8314, 0.8314, exclude_min=True, exclude_max=True),
+                      st.sampled_from([0.0, -0.0])).map(lambda b: (b, b, b))
+_c2_magnitudes = st.floats(math.exp(-10.0), math.exp(10.0))
+_c2_betas = st.tuples(_c2_magnitudes, _c2_magnitudes, st.sampled_from([0.0, -0.0]),
+                      st.sampled_from([1.0, -1.0])).map(lambda v: (v[3] * v[0], v[3] * v[1], v[2]))
+
+
+def _measure_bits(measure) -> tuple:
+    return measure.support, np.array(measure.weights).tobytes()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(_c1_betas.map(lambda b: (mandal_c1, b)), _c2_betas.map(lambda b: (mandal_c2, b))))
+def test_mandal_designs_read_arrays_and_tuples_alike(case):
+    # the plug-in step passes the fit's ndarray; a tuple or a list of numpy
+    # scalars must give the same weights to the bit
+    closed_form, beta = case
+    expected = _measure_bits(closed_form(tuple(beta)))
+    for other in (np.array(beta), list(np.array(beta)), [float(v) for v in beta]):
+        assert _measure_bits(closed_form(other)) == expected

@@ -21,6 +21,7 @@ from seqdopt.fitting import (
     LM_XTOL,
     FitResult,
     _amplitude_profile,
+    _logistic_line_min,
     _nls_bounds,
     local_minimize,
     logistic_mle_c1,
@@ -30,7 +31,7 @@ from seqdopt.fitting import (
     nls_refit,
 )
 from seqdopt.growth import growth_grad, growth_mean
-from seqdopt.logistic import LEVEL_POINTS
+from seqdopt.logistic import LEVEL_POINTS, sigmoid_scalar
 from seqdopt.modelspec import closed_form_design, fit, simulate
 
 from conftest import (central_diff_gradient, model_spec, reference_cumulative_fisher_nlr,
@@ -865,6 +866,162 @@ def test_c2_warm_sign_restriction_matches_full_fit():
     warm = fit(model_spec("GLM_C2"), None, None, init=np.array([1.4, 0.6, 0.0]),
                table=[counts.tolist(), succ.tolist()])
     assert np.allclose(full.theta, warm.theta, atol=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# the exact logistic line search against the loop it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _oracle_logistic_line_min(counts, succ, slopes, offsets, lo, hi, start):
+    """The replaced _logistic_line_min, which called logistic.sigmoid_scalar
+    for each cell and formed the curvature term a * a * n * p * (1 - p) in
+    full at every evaluation."""
+    def derivs(t):
+        g = h = 0.0
+        for n, s, a, c in zip(counts, succ, slopes, offsets):
+            p = sigmoid_scalar(a * t + c)
+            g += a * (n * p - s)
+            h += a * a * n * p * (1.0 - p)
+        return g, h
+
+    a, b = lo, hi
+    checked = set()
+    t = min(max(start, lo), hi)
+    evals = 0
+    while evals < fitting._LINE_MAX_EVALS:
+        g, h = derivs(t)
+        evals += 1
+        if g == 0.0:
+            return t, evals
+        if g > 0.0:
+            b = t
+        else:
+            a = t
+        nxt = t - g / h if h > 0.0 else math.nan
+        if abs(nxt - t) <= fitting.NEWTON_RTOL * (1.0 + abs(t)):
+            return min(max(nxt, a), b), evals
+        if not a < nxt < b:
+            end = a if g > 0.0 else b
+            if end in (lo, hi) and end not in checked:
+                checked.add(end)
+                if end == t:
+                    g_end = g
+                else:
+                    g_end = derivs(end)[0]
+                    evals += 1
+                if g_end == 0.0 or (g_end > 0.0) == (g > 0.0):
+                    return end, evals
+            nxt = 0.5 * (a + b)
+            if b - a <= 1e-15 * (1.0 + abs(nxt)):
+                return nxt, evals
+        t = nxt
+    return t, evals
+
+
+#: the equal-coefficient cells' multipliers of b, 1 + x1 + x2
+C1_MULT = (3.0, 1.0, 1.0, -1.0)
+
+
+def _assert_same_line_min(derivs, problem):
+    """Run the line search on `derivs` and the oracle on `problem`, (counts,
+    successes, slopes, offsets, lo, hi, start): the same t to the bit and
+    the same number of evaluations.  Returns the new result."""
+    new = _logistic_line_min(derivs, *problem[4:])
+    old = _oracle_logistic_line_min(*problem)
+    assert _bits(new[0]) == _bits(old[0]) and new[1] == old[1], problem
+    return new
+
+
+@st.composite
+def line_problems(draw):
+    """A line search as the fits pose it: the equal-coefficient cells on
+    their admissible interval, or one edge of C2's box on the two pooled
+    rows, whose fixed coefficient may be the edge e^10 itself; tables with
+    empty cells and separated rows, and signed-zero offsets and starts."""
+    kind = draw(st.sampled_from(["c1", "c2"]))
+    cells = 4 if kind == "c1" else 2
+    counts = [float(draw(st.integers(0, 2000))) for _ in range(cells)]
+    mode = draw(st.sampled_from(["any", "all", "none", "mixed"]))
+    succ = [{"any": float(draw(st.integers(0, int(n)))), "all": n, "none": 0.0,
+             "mixed": n if k % 2 else 0.0}[mode] for k, n in enumerate(counts)]
+    if kind == "c1":
+        zero = draw(st.sampled_from([0.0, -0.0]))
+        start = draw(st.one_of(st.sampled_from([0.0, -0.0, C1_EDGE, -C1_EDGE]),
+                               st.floats(-1.0, 1.0)))
+        return counts, succ, C1_MULT, (zero,) * 4, -C1_EDGE, C1_EDGE, start
+    lo, hi = fitting._C2_BOX
+    fixed = draw(st.one_of(st.sampled_from([lo, hi, 1.0]), st.floats(lo, hi)))
+    slopes, offsets = draw(st.sampled_from([((1.0, -1.0), (fixed, fixed)),
+                                            ((1.0, 1.0), (fixed, -fixed))]))
+    return counts, succ, slopes, offsets, lo, hi, draw(st.sampled_from([1.0, lo, hi]))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(line_problems())
+# the C2 box edge: the x1 = +1 row's weight underflows to 0.0 at the far end
+@example(([40.0, 40.0], [40.0, 0.0], (1.0, -1.0), (math.exp(C2_UBOUND),) * 2,
+          *fitting._C2_BOX, 1.0))
+@example(([2.0, 2.0, 2.0, 2.0], [2.0, 2.0, 0.0, 0.0], C1_MULT, (-0.0,) * 4,
+          -C1_EDGE, C1_EDGE, -0.0))
+@example(([0.0] * 4, [0.0] * 4, C1_MULT, (0.0,) * 4, -C1_EDGE, C1_EDGE, 0.0))
+# a balanced table: the gradient is exactly 0 at the start b = 0
+@example(([10.0] * 4, [5.0] * 4, C1_MULT, (0.0,) * 4, -C1_EDGE, C1_EDGE, 0.0))
+def test_logistic_line_min_equals_the_replaced_loop_bit_for_bit(problem):
+    counts, succ, slopes, offsets = problem[:4]
+    _assert_same_line_min(fitting._cell_derivs(counts, succ, slopes, offsets), problem)
+    if slopes == C1_MULT:   # the equal-coefficient fit's own derivatives
+        _assert_same_line_min(fitting._c1_derivs(counts, succ), problem)
+
+
+@pytest.fixture(scope="module")
+def recorded_line_searches():
+    """Every line search of GLM_C1 and GLM_C2 cm and pics runs, with small
+    static stages (separation, box-edge fits) and ordinary ones, checked
+    against the oracle on the cells its derivatives were built from as it
+    runs; returns each search's (cells, t)."""
+    calls, built = [], {}
+    line_min, c1_derivs, cell_derivs = (fitting._logistic_line_min, fitting._c1_derivs,
+                                        fitting._cell_derivs)
+
+    def c1_recorded(counts, succ):
+        derivs = c1_derivs(counts, succ)
+        built[derivs] = (list(counts), list(succ), C1_MULT, (0.0,) * 4)
+        return derivs
+
+    def cell_recorded(counts, succ, slopes, offsets):
+        derivs = cell_derivs(counts, succ, slopes, offsets)
+        built[derivs] = (list(counts), list(succ), slopes, offsets)
+        return derivs
+
+    def checked(derivs, lo, hi, start):
+        problem = (*built[derivs], lo, hi, start)
+        t, evals = _assert_same_line_min(derivs, problem)
+        calls.append((len(problem[0]), t))
+        return t, evals
+
+    patches = {"_logistic_line_min": checked, "_c1_derivs": c1_recorded,
+               "_cell_derivs": cell_recorded}
+    originals = {name: getattr(fitting, name) for name in patches}
+    for name, fn in patches.items():
+        setattr(fitting, name, fn)
+    try:
+        for name in ("GLM_C1", "GLM_C2"):
+            for method in ("cm", "pics"):
+                for n1, n, seed in ((8, 100, 3), (8, 100, 4), (8, 60, 6), (80, 200, 5)):
+                    run(parse_config(model=name, method=method, n1=n1, n=n, seed=seed))
+    finally:
+        for name, fn in originals.items():
+            setattr(fitting, name, fn)
+    return calls
+
+
+def test_recorded_line_searches_equal_the_replaced_loop(recorded_line_searches):
+    # every search was compared as it ran; this checks that the battery held
+    # C1's searches, at its admissible edge too, and C2's box-edge searches
+    # ending on the edge e^10
+    ends = {(cells, abs(t)) for cells, t in recorded_line_searches}
+    assert (4, C1_EDGE) in ends and (2, math.exp(C2_UBOUND)) in ends
+    assert len(recorded_line_searches) > 2000
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import json
 import math
 import pickle
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -71,6 +72,15 @@ def test_validation_errors_name_the_field():
     for name in ("GLM_C1", "GLM_C2"):
         with pytest.raises(ConfigError, match="'sigma2'"):
             parse_config(model=name, sigma2=0.086)
+    # M2's closed form squares the known change point: one whose square
+    # overflows is rejected by name, from the first double past the largest
+    # square a double holds
+    edge = math.sqrt(sys.float_info.max)
+    for x0 in (1e155, math.nextafter(edge, math.inf)):
+        with pytest.raises(ConfigError, match="'x0_known': .* too large to square"):
+            parse_config(model="M2", x_max=1e160, x0_known=x0)
+    with pytest.raises(ConfigError, match="'true_params': no closed-form design"):
+        parse_config(model="M2", x_max=1e160, x0_known=edge)
     for name, field in (("GLM_C1", "x_min"), ("GLM_C2", "x_max")):
         with pytest.raises(ConfigError, match=f"'{field}'"):
             parse_config(model=name, **{field: 5.0})
@@ -415,18 +425,21 @@ def test_glm_c2_small_static_stage_completes_every_replication():
 
 
 def _reference_trajectories_csv(summary, path):
-    """Row-by-row writer over the records, the layout trajectories.csv keeps."""
+    """Row-by-row writer over the records, the layout trajectories.csv keeps:
+    each row labelled with its replication's index, failed ones skipped."""
     import csv
 
     model = summary.config
     d = model.dim
     is_glm = model.model in ("GLM_C1", "GLM_C2")
     xcols = ["x1", "x2"] if is_glm else ["x"]
+    failed = [f.replication for f in summary.failures]
+    survivors = [r for r in range(model.replications) if r not in failed]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["replication", "step"] + xcols + ["y"]
                         + [f"theta_hat_{k + 1}" for k in range(d)] + ["det_cum_info"])
-        for rep, traj in enumerate(summary.trajectories):
+        for rep, traj in zip(survivors, summary.trajectories):
             for rec in traj.records:
                 row = [rep, rec.step]
                 row += list(rec.x) if is_glm else [repr(float(rec.x))]
@@ -446,6 +459,34 @@ def _reference_trajectories_csv(summary, path):
 def test_trajectories_csv_matches_row_by_row_writer(tmp_path, over):
     cfg = parse_config(seed=31, **over)
     summary = run_experiment(cfg, out_dir=str(tmp_path), workers=1)
+    ref = tmp_path / "reference.csv"
+    _reference_trajectories_csv(summary, ref)
+    assert (tmp_path / "trajectories.csv").read_bytes() == ref.read_bytes()
+
+
+def test_trajectories_csv_labels_rows_with_the_replication_index(monkeypatch, tmp_path):
+    # replication 2 fails: replication 3's rows say 3, the index its seed
+    # seed + 3 and summary.json's failures use, not its place among the
+    # trajectories that ran
+    import seqdopt.harness as harness_mod
+
+    orig = harness_mod.run
+
+    def failing_second(config, rng=None):
+        if rng.bit_generator.seed_seq.entropy == config.seed + 2:
+            raise ValueError("synthetic failure")
+        return orig(config, rng=rng)
+
+    monkeypatch.setattr(harness_mod, "run", failing_second)
+    cfg = _small_cfg(replications=11, n=45)
+    summary = run_experiment(cfg, out_dir=str(tmp_path), workers=1)
+    assert [f.replication for f in summary.failures] == [2]
+    reps = [line.split(",", 1)[0]
+            for line in (tmp_path / "trajectories.csv").read_text().splitlines()[1:]]
+    assert list(dict.fromkeys(reps)) == ["0", "1", *map(str, range(3, 11))]
+    assert reps.count("3") == cfg.n
+    serial = run(cfg, rng=np.random.default_rng(cfg.seed + 3))
+    assert np.array_equal(summary.trajectories[2].y, serial.y)
     ref = tmp_path / "reference.csv"
     _reference_trajectories_csv(summary, ref)
     assert (tmp_path / "trajectories.csv").read_bytes() == ref.read_bytes()

@@ -1,10 +1,14 @@
+import math
 import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from seqdopt.config import parse_config
+from seqdopt.engine import run
+from seqdopt.fitting import C2_UBOUND
 from seqdopt.logistic import (
     LEVEL_POINTS,
     X_CELLS,
@@ -213,3 +217,59 @@ def test_cell_primitives_match_the_reference_formulas_bit_for_bit(beta, counts):
                        reference_fisher_from_counts(counts, beta))
     for p in LEVEL_POINTS:
         assert _same_bytes(fisher_info_glm(beta, p), reference_fisher_info_glm(beta, p))
+
+
+# ---------------------------------------------------------------------------
+# cell_probs against the numpy product it replaced, bit for bit
+# ---------------------------------------------------------------------------
+
+def _oracle_cell_probs(beta) -> list[float]:
+    """The replaced cell_probs: the linear predictors as the product
+    X_CELLS @ beta, and -|eta| formed on the array."""
+    eta = X_CELLS @ np.asarray(beta, dtype=float)
+    return [1.0 / (1.0 + e) if h >= 0.0 else e / (1.0 + e)
+            for h, e in zip(eta.tolist(), np.exp(-np.abs(eta)).tolist())]
+
+
+#: the matched-sign fit's box edges, where a cell's weight underflows to 0.0
+_EDGE = (math.exp(C2_UBOUND), math.exp(-C2_UBOUND))
+
+#: ordinary and huge coefficients, signed zeros, and the box edges
+_coef_or_edge = st.one_of(_coef, st.sampled_from([0.0, -0.0, *_EDGE, *(-v for v in _EDGE)]),
+                          st.floats(math.exp(C2_UBOUND - 0.5), math.exp(C2_UBOUND)))
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
+@given(st.tuples(_coef_or_edge, _coef_or_edge, _coef_or_edge))
+@example((math.exp(C2_UBOUND), math.exp(C2_UBOUND), 0.0))     # x1 = +1 weights 0.0
+@example((-math.exp(C2_UBOUND), -math.exp(C2_UBOUND), -0.0))
+@example((0.0, -0.0, 0.0))
+@example((-0.0, -0.0, -0.0))
+def test_cell_probs_equal_the_replaced_product_bit_for_bit(beta):
+    probs = cell_probs(beta)
+    assert _same_bytes(probs, _oracle_cell_probs(beta))
+    assert _same_bytes(cell_probs(np.array(beta)), probs)
+    assert _same_bytes(cell_probs(list(beta)), probs)
+
+
+@pytest.fixture(scope="module")
+def recorded_estimates():
+    """Every estimate of short GLM_C1 and GLM_C2 cm and pics runs, small
+    static stages (separation, the C2 box edge) and ordinary ones."""
+    thetas = []
+    for name in ("GLM_C1", "GLM_C2"):
+        for method in ("cm", "pics"):
+            for n1, n, seed in ((8, 100, 3), (8, 100, 4), (80, 200, 5)):
+                traj = run(parse_config(model=name, method=method, n1=n1, n=n, seed=seed))
+                thetas += traj.theta_hat[n1 - 1:].tolist()
+    return thetas
+
+
+def test_recorded_estimates_give_the_replaced_cell_probs(recorded_estimates):
+    # the battery holds estimates on the C2 box edge, whose x1 = +1 weights
+    # are 0.0, and C1 estimates at the admissible edge
+    assert len(recorded_estimates) > 1000
+    assert any(cell_weights(theta)[0] == 0.0 for theta in recorded_estimates)
+    for theta in recorded_estimates:
+        assert _same_bytes(cell_probs(theta), _oracle_cell_probs(theta))
+        assert _same_bytes(cell_probs(np.array(theta)), cell_probs(tuple(theta)))

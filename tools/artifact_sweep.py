@@ -3,7 +3,7 @@
 Usage: python3 tools/artifact_sweep.py OLD_ROOT NEW_ROOT
 
 Each ROOT is a checkout of this repository.  With each tree's ``src`` on
-PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 23
+PYTHONPATH, in a temporary directory, the sweep runs ``seqdopt run`` on 25
 configurations (seed 20240, 3 replications, one worker), four of them again
 on two workers, and ``seqdopt design`` and ``seqdopt oracle`` on the five
 models.  It lists every file whose bytes differ, or that only one tree
@@ -48,6 +48,10 @@ RUNS = {
                         "--n1", "4", "--n", "30"],
     "M3-cm-x_max-1e4": ["--model", "M3", "--method", "cm", "--x-max", "1e4",
                         "--n1", "6", "--n", "40"],
+    # small logistic static stages: separation, fits on the C2 box edge and
+    # cm candidates whose determinants are all 0.0
+    **{f"{model}-cm-8-100": ["--model", model, "--method", "cm", "--n1", "8", "--n", "100"]
+       for model in ("GLM_C2", "GLM_C1")},
 }
 #: the runs repeated on two workers, whose jobs and trajectories cross the
 #: process pool; each writes to its name with "-pooled" appended
