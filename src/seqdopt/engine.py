@@ -194,7 +194,7 @@ def run_static_stage(config: RunConfig, rng: np.random.Generator) -> EngineState
                         dets=[np.nan] * (n1 - 1), step_ms=[0.0] * (n1 - 1),
                         table=config.family.new_table(), scheduler=scheduler)
     t0 = time.perf_counter()
-    for x in config.family.initial_points(config, config.initial_design, n1, rng):
+    for x in config.family.initial_points(config, rng):
         _observe(state, x)
     _refit(state)
     state.step_ms.append((time.perf_counter() - t0) * 1e3)
@@ -211,12 +211,11 @@ def _cm_select_interval(state: EngineState) -> float:
     model, theta = state.model, state.fit.theta
     cum, fisher_point = state.cum_info, model.family.fisher_point
 
-    def neg_criterion(x) -> float:
-        return -det_sym(cum + fisher_point(model, theta, float(x[0])))
+    def neg_criterion(x: list[float]) -> float:
+        return -det_sym(cum + fisher_point(model, theta, x[0]))
 
-    x0 = np.array([(model.x_min + model.x_max) / 2.0])
-    bounds = (np.array([model.x_min]), np.array([model.x_max]))
-    result = local_minimize(neg_criterion, x0, bounds=bounds)
+    result = local_minimize(neg_criterion, [(model.x_min + model.x_max) / 2.0],
+                            ([model.x_min], [model.x_max]))
     return float(result.theta[0])
 
 
@@ -258,14 +257,16 @@ def _finish_step(state: EngineState, x, t0: float):
     state.step_ms.append((time.perf_counter() - t0) * 1e3)
 
 
-def stopping_check(state: EngineState, delta: float) -> bool:
-    """Relative determinant improvement below `delta`?
+def stopping_check(state: EngineState) -> bool:
+    """Relative determinant improvement below the run's ``delta_stop``?
 
-    Never fires before step n1 + 2, so the comparison always has two
-    post-static determinants available, nor while the previous determinant
-    is not positive, as no relative improvement over it exists.
+    Never fires when the run sets no threshold, before step n1 + 2, so the
+    comparison always has two post-static determinants available, nor while
+    the previous determinant is not positive, as no relative improvement
+    over it exists.
     """
-    if state.step < state.model.n1 + 2:
+    delta = state.model.delta_stop
+    if delta is None or state.step < state.model.n1 + 2:
         return False
     det_now, det_prev = state.dets[-1], state.dets[-2]
     return det_prev > 0.0 and abs(det_now - det_prev) / det_prev < delta
@@ -287,7 +288,7 @@ def run(config: RunConfig, rng: np.random.Generator | None = None) -> Trajectory
             step_fn(state)
         except Exception as exc:
             raise StepFailed(i, f"{type(exc).__name__}: {exc}") from exc
-        if config.delta_stop is not None and stopping_check(state, config.delta_stop):
+        if stopping_check(state):
             stop_index = i
             break
     return state.to_trajectory(stop_index)

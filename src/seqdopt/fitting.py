@@ -15,12 +15,13 @@ and the normal equations are numpy work; the 2x2 or 3x3 damped system is
 solved by cofactors on Python floats (``linalg.solve_sym``).
 
 Work on 1 to 3 numbers runs on Python floats, where numpy's per-call
-overhead would dominate, with the same double arithmetic in the same
+overhead would dominate, with numpy's elementwise double arithmetic in its
 order.  ``nelder_mead`` (the cold fit's polish and cm's interval search)
-keeps its simplex, f-values, centroid and box in lists; its objective still
-receives a float64 array.  The profile's scalar path finds the branch split
-by bisection and projects the amplitude on floats, but takes exp(-a2/x0)
-from numpy: ``math.exp`` differs from it in the last bit on some inputs.
+keeps its simplex, f-values, centroid and box in lists, and hands its
+objective each vertex as its list of floats.  The profile's scalar path
+finds the branch split by bisection and projects the amplitude on floats,
+but takes exp(-a2/x0) from numpy: ``math.exp`` differs from it in the last
+bit on some inputs.
 
 The factorial logistic cases are fitted exactly under their admissibility
 constraints: a safeguarded Newton iteration on the concave scalar
@@ -73,6 +74,10 @@ VP_RATE_NODES = 120
 VP_X0_NODES = 80
 VP_BASINS = 5
 VP_XTOL = 1e-6
+#: the simplex's iteration budget per coordinate, and its first step in each
+#: coordinate as a fraction of max(|x0_k|, 1)
+NM_ITER_PER_DIM = 500
+NM_INIT_STEP = 0.05
 _TINY = float(np.finfo(float).tiny)
 
 #: the equal-beta MLE lives strictly inside the admissible interval
@@ -113,29 +118,21 @@ def _clip(t, lo, hi):
     return hi if hi <= t else t
 
 
-def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
-                max_iter: int | None = None, init_step: float = 0.05) -> FitResult:
+def nelder_mead(f, x0, bounds, xtol: float = 1e-8) -> FitResult:
     """Reflect/expand/contract/shrink simplex descent with box projection.
 
     Terminates when the simplex diameter drops below xtol * (1 + |best|)
-    or after max_iter (default 500 * d) iterations.  `bounds` is (lo, hi),
-    each a scalar or one value per coordinate, infinities allowed.  The
-    simplex, its f-values, the centroid and the box are lists of Python
-    floats, on which each step does the elementwise float64 arithmetic of
-    the numpy loop it replaced, in the same order, so every point and
-    estimate is the same double; vertices are ranked by a stable sort with
-    NaN last, which is numpy's argsort on 2 or 3 vertices.  f receives each
-    point as a fresh float64 array and must return a real number.
+    or after NM_ITER_PER_DIM * d iterations; the first simplex steps each
+    coordinate by NM_INIT_STEP * max(|x0_k|, 1).  `x0` and `bounds` =
+    (lo, hi) hold one real number per coordinate, infinities allowed in the
+    bounds.  The simplex, its f-values, the centroid and the box are lists
+    of Python floats, and vertices are ranked by a stable sort with NaN
+    last.  f receives each vertex as its list of Python floats, which it
+    must not modify, and returns a float.
     """
-    x0 = np.asarray(x0, dtype=float).tolist()
-    d = len(x0)
-    box = list(zip(*(np.broadcast_to(np.asarray(b, dtype=float), (d,)).tolist()
-                     for b in bounds)))
-    if max_iter is None:
-        max_iter = 500 * d
-
-    def fun(v):
-        return float(f(np.array(v)))
+    box = [(float(lo), float(hi)) for lo, hi in zip(*bounds, strict=True)]
+    d = len(box)
+    max_iter = NM_ITER_PER_DIM * d
 
     def rank(sim, fsim):
         # in place, by insertion: stable with NaN last, and cheap on a simplex
@@ -148,16 +145,16 @@ def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
                 fsim[j - 1], fsim[j] = a, b
                 sim[j - 1], sim[j] = sim[j], sim[j - 1]
 
-    x0 = [_clip(t, lo, hi) for t, (lo, hi) in zip(x0, box)]
+    x0 = [_clip(float(t), lo, hi) for t, (lo, hi) in zip(x0, box, strict=True)]
     sim = [x0]
     for k in range(d):
-        step = init_step * max(abs(x0[k]), 1.0)
+        step = NM_INIT_STEP * max(abs(x0[k]), 1.0)
         vertex = x0.copy()
         vertex[k] = _clip(x0[k] + step, *box[k])
         if vertex[k] == x0[k]:  # clipped onto a bound face; step inward
             vertex[k] = _clip(x0[k] - step, *box[k])
         sim.append(vertex)
-    fsim = [fun(v) for v in sim]
+    fsim = [f(v) for v in sim]
 
     rho, chi, psi, sigma = 1.0, 2.0, 0.5, 0.5
     inv_d = 1.0 / d
@@ -180,24 +177,24 @@ def nelder_mead(f, x0, bounds, xtol: float = 1e-8,
             return [_clip(c + coef * a, lo, hi) for c, a, (lo, hi) in zip(centroid, away, box)]
 
         xr = toward(rho)
-        fr = fun(xr)
+        fr = f(xr)
         if fr < fsim[0]:
             xe = toward(rho * chi)
-            fe = fun(xe)
+            fe = f(xe)
             sim[-1], fsim[-1] = (xe, fe) if fe < fr else (xr, fr)
         elif fr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fr
         else:
             # c - psi * (c - w) is c + (-psi) * (c - w) exactly in IEEE arithmetic
             xc = toward(psi * rho if fr < fsim[-1] else -psi)
-            fc = fun(xc)
+            fc = f(xc)
             if fc < min(fr, fsim[-1]):
                 sim[-1], fsim[-1] = xc, fc
             else:
                 for j in range(1, d + 1):
                     sim[j] = [_clip(b + sigma * (t - b), lo, hi)
                               for b, t, (lo, hi) in zip(best, sim[j], box)]
-                    fsim[j] = fun(sim[j])
+                    fsim[j] = f(sim[j])
 
     rank(sim, fsim)
     return FitResult(theta=np.array(sim[0]), objective=fsim[0],
@@ -211,17 +208,12 @@ def local_minimize(f, x0, bounds) -> FitResult:
     the returned objective never exceeds a restart from the incumbent;
     iterations count all three descents.
     """
-    x0 = np.asarray(x0, dtype=float)
-    scale = np.maximum(np.abs(x0), 1.0)
     best = None
     total_iter = 0
     for s in range(3):
-        if s == 0:
-            start = x0
-        else:
-            signs = np.array([(-1.0) ** (k + s) for k in range(x0.size)])
-            start = x0 + 0.05 * scale * signs
-        res = nelder_mead(f, start, bounds=bounds)
+        start = x0 if s == 0 else [t + 0.05 * max(abs(t), 1.0) * (-1.0) ** (k + s)
+                                   for k, t in enumerate(x0)]
+        res = nelder_mead(f, start, bounds)
         total_iter += res.iterations
         if best is None or res.objective < best.objective:
             best = res
@@ -233,11 +225,11 @@ def local_minimize(f, x0, bounds) -> FitResult:
 # nonlinear least squares for the growth models
 # ---------------------------------------------------------------------------
 
-def _nls_bounds(model: ModelSpec):
-    # (lo, hi) rows: a1 and a2 in ALPHA_BOUNDS, a free change point 1 inside
-    # the interval
-    box = (ALPHA_BOUNDS, ALPHA_BOUNDS, (model.x_min + 1.0, model.x_max - 1.0))
-    return np.array(box[:model.dim]).T
+def _nls_bounds(model: ModelSpec) -> list[tuple[float, float]]:
+    # (lo, hi) per coordinate: a1 and a2 in ALPHA_BOUNDS, a free change
+    # point 1 inside the interval
+    box = [ALPHA_BOUNDS, ALPHA_BOUNDS, (model.x_min + 1.0, model.x_max - 1.0)]
+    return box[:model.dim]
 
 
 def _amplitude_profile(x: np.ndarray, y: np.ndarray):
@@ -311,12 +303,13 @@ def nls_fit(model: ModelSpec, x, y) -> FitResult:
         raise InsufficientData(f"need at least {model.dim + 1} observations, got {x.size}")
     if not x.min() < x.max():
         raise InsufficientData("all design points identical")
-    lo, hi = _nls_bounds(model)
+    # the search's box: log a2, and a free change point's own box
+    u_box = [tuple(map(math.log, ALPHA_BOUNDS)), *_nls_bounds(model)[2:]]
     grid, at = _amplitude_profile(x, y)
     free_x0 = model.dim == 3
-    x0s = np.linspace(lo[2], hi[2], VP_X0_NODES) if free_x0 else \
+    x0s = np.linspace(*u_box[1], VP_X0_NODES) if free_x0 else \
         np.array([fixed_change_point(model)])
-    log_a2s = np.linspace(math.log(lo[1]), math.log(hi[1]), VP_RATE_NODES)
+    log_a2s = np.linspace(*u_box[0], VP_RATE_NODES)
 
     rss = grid(np.exp(log_a2s), x0s)[1]
     best_a2 = rss.argmin(axis=0)
@@ -329,10 +322,11 @@ def nls_fit(model: ModelSpec, x, y) -> FitResult:
     def profile(u):  # u = (log a2[, x0])
         return at(math.exp(u[0]), u[1] if free_x0 else x0s[0])
 
-    u_bounds = (np.append(math.log(lo[1]), lo[2:]), np.append(math.log(hi[1]), hi[2:]))
-    polished = [nelder_mead(lambda u: float(profile(u)[1]),
-                            np.r_[log_a2s[best_a2[j]], x0s[j:j + 1] if free_x0 else []],
-                            bounds=u_bounds, xtol=VP_XTOL) for j in minima]
+    u_bounds = tuple(zip(*u_box))
+    starts = [[log_a2, x0][:model.dim - 1]
+              for log_a2, x0 in zip(log_a2s[best_a2[minima]].tolist(), x0s[minima].tolist())]
+    polished = [nelder_mead(lambda u: profile(u)[1], start, u_bounds, xtol=VP_XTOL)
+                for start in starts]
     best = min(polished, key=lambda res: res.objective)
     theta = np.r_[profile(best.theta)[0], math.exp(best.theta[0]), best.theta[1:]]
     fit = nls_refit(model, x, y, theta)
@@ -360,7 +354,7 @@ def nls_refit(model: ModelSpec, x, y, init) -> FitResult:
     only adds points to data that ``nls_fit`` has checked.
     """
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    box = list(zip(*_nls_bounds(model).tolist()))   # (lo, hi) per coordinate
+    box = _nls_bounds(model)
 
     def residuals_and_jacobian(theta):
         # every growth mean is a1 times its a1-derivative, so one gradient

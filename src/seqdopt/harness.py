@@ -111,7 +111,7 @@ def run_experiment(config: RunConfig, out_dir: str | None = None,
 
     aggregate_field, aggregate, _ = config.family.aggregate
     # a delta_stop run can end early: the mean covers the shortest run's steps
-    curves = [metrics.relative_efficiency(t, config.i_star) for t in trajectories]
+    curves = [metrics.relative_efficiency(t) for t in trajectories]
     min_len = min(len(c.steps) for c in curves)
     mean_curve = metrics.EfficiencyCurve(
         curves[0].steps[:min_len], np.mean([c.values[:min_len] for c in curves], axis=0))

@@ -12,10 +12,10 @@ The cell probabilities and weights are lists of Python floats (wrap one in
 ``np.array`` for an array), and the cell-table information is computed on
 them: on four cells numpy's per-call cost, not the arithmetic, would set
 the time.  The linear predictors are float sums b0 +- b1 +- b2, in the
-order of the product ``X_CELLS @ beta`` they replace, so they are the same
-doubles.  The one exp over the four cells stays numpy's: ``math.exp``
-differs from it in the last bit on some inputs, and every cell weight, the
-information, its determinant and cm's choice would move with it.
+order of the matrix product ``X_CELLS @ beta``, so they are its doubles.
+The one exp over the four cells stays numpy's: ``math.exp`` differs from it
+in the last bit on some inputs, and every cell weight, the information, its
+determinant and cm's choice would move with it.
 """
 
 from __future__ import annotations

@@ -50,19 +50,6 @@ class DensityHistogram:
         centers = (self.edges[:-1] + self.edges[1:]) / 2.0
         return float(self.mass[(centers >= lo) & (centers <= hi)].sum())
 
-    def mode_masses(self, points) -> np.ndarray:
-        """Mass collected by each mode under a nearest-point partition.
-
-        Every bin is assigned to the closest of the given points, so the
-        returned masses form an exact decomposition of the total mass into
-        "around point k" shares.
-        """
-        centers = (self.edges[:-1] + self.edges[1:]) / 2.0
-        points = np.asarray(points, dtype=float)
-        nearest = np.argmin(np.abs(centers[:, None] - points[None, :]), axis=1)
-        return np.array([self.mass[nearest == k].sum()
-                         for k in range(points.size)])
-
 
 def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
     """Information sum_i w_i * I(theta, x_i) of a design measure."""
@@ -70,13 +57,14 @@ def design_info(model: ModelSpec, theta, measure) -> np.ndarray:
                for x, w in zip(measure.support, measure.weights))
 
 
-def relative_efficiency(traj: Trajectory, i_star: np.ndarray) -> EfficiencyCurve:
+def relative_efficiency(traj: Trajectory) -> EfficiencyCurve:
     """e_i = 1 - |det((1/i) sum_j I(theta_hat_i, X_j)) - det(I*)| / det(I*).
 
     The sum over j <= i is the cumulative information whose determinant the
     engine records at step i, and det(M / i) = det(M) / i^d for d x d M.
+    I* is the run's ``traj.model.i_star``.
     """
-    det_star = det_sym(i_star)
+    det_star = det_sym(traj.model.i_star)
     if not det_star > 0.0:   # NaN fails too
         raise DegenerateInformation(f"det(I*) = {det_star!r} must be positive")
 

@@ -91,13 +91,14 @@ class _Growth:
                       ("x_min", lambda c: 0.0 < c.x_min < c.x_max, "need 0 < x_min < x_max"),
                       *rules)
 
-    def initial_points(self, model, initial_design, n1, rng) -> list:
-        if initial_design == "uniform":
-            return [float(rng.uniform(model.x_min, model.x_max)) for _ in range(n1)]
+    def initial_points(self, model, rng) -> list:
+        """The static stage's ``model.n1`` points from ``model.initial_design``."""
+        if model.initial_design == "uniform":
+            return [float(rng.uniform(model.x_min, model.x_max)) for _ in range(model.n1)]
         mid = (model.x_min + model.x_max) / 2.0   # three_point
         xi0 = designs.DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
         while True:   # conditioned on two distinct points, which a fit needs
-            points = [designs.draw_point(xi0, rng) for _ in range(n1)]
+            points = [designs.draw_point(xi0, rng) for _ in range(model.n1)]
             if min(points) < max(points):
                 return points
 
@@ -156,8 +157,8 @@ class _Logistic:
         self._mle = mle
         self.closed_form = closed_form   # (model, theta) -> DesignMeasure
 
-    def initial_points(self, model, initial_design, n1, rng) -> list:
-        cells = np.repeat(np.arange(4), n1 // 4)   # four_point: n1/4 per cell
+    def initial_points(self, model, rng) -> list:
+        cells = np.repeat(np.arange(4), model.n1 // 4)   # four_point: n1/4 per cell
         rng.shuffle(cells)
         return [logistic.LEVEL_POINTS[c] for c in cells]
 

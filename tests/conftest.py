@@ -206,6 +206,20 @@ def reference_design_info(measure, fisher_fn) -> np.ndarray:
     return sum(w * fisher_fn(x) for x, w in zip(measure.support, measure.weights))
 
 
+def mode_masses(hist, points) -> np.ndarray:
+    """Mass of a ``DensityHistogram`` collected by each mode under a
+    nearest-point partition.
+
+    Every bin is assigned to the closest of the given points, so the
+    returned masses form an exact decomposition of the total mass into
+    "around point k" shares.
+    """
+    centers = (hist.edges[:-1] + hist.edges[1:]) / 2.0
+    points = np.asarray(points, dtype=float)
+    nearest = np.argmin(np.abs(centers[:, None] - points[None, :]), axis=1)
+    return np.array([hist.mass[nearest == k].sum() for k in range(points.size)])
+
+
 #: package primitive name -> the reference formula it must match bit for bit
 REFERENCE_PRIMITIVES = {
     "cell_probs": reference_cell_probs,

@@ -21,7 +21,7 @@ from seqdopt.metrics import (
     sequential_density,
 )
 
-from conftest import BATTERY_CELLS, central_diff_gradient, model_spec
+from conftest import BATTERY_CELLS, central_diff_gradient, mode_masses, model_spec
 
 pytestmark = pytest.mark.acceptance
 
@@ -220,7 +220,7 @@ def test_acceptance_7_gradient_and_density(balanced_m3_battery):
     support = modelspec.closed_form_design(model, model.true_params).support
     hist = sequential_density(summary.trajectories, bins=100)
     # equal-split check: partition the histogram by nearest support point
-    masses = hist.mode_masses(support)
+    masses = mode_masses(hist, support)
     dens_ok = all(abs(m - 1.0 / 3.0) <= 0.03 for m in masses)
 
     ok = grad_ok and dens_ok

@@ -159,6 +159,24 @@ def test_an_unreadable_config_file_is_one_error_line_naming_it(content, tmp_path
     assert not (tmp_path / "never-written").exists()
 
 
+@pytest.mark.parametrize("content, message", [
+    ("[1, 2]", "config file must hold a JSON object"),
+    ('{"n1": 40}', "config field 'model': is required"),
+], ids=["not-an-object", "no-model"])
+def test_a_config_file_that_is_no_run_is_one_error_line(content, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(content)
+    with pytest.raises(SystemExit) as info:
+        main(["run", "--config", str(path), "--seed", "1", "--reps", "1",
+              "--out-dir", str(tmp_path / "never-written")])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"seqdopt: error: {message}")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "never-written").exists()
+
+
 @pytest.mark.parametrize("flag", ["--out-dir", "--out"])
 def test_an_unwritable_output_is_one_error_line_before_any_replication_runs(
         flag, tmp_path, capsys, monkeypatch):

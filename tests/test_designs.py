@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -238,6 +239,18 @@ def test_draw_point_single_support():
     m = DesignMeasure((4.2,), (1.0,))
     rng = np.random.default_rng(3)
     assert all(draw_point(m, rng) == 4.2 for _ in range(10))
+
+
+def test_draw_point_falls_back_to_the_last_point_when_the_weights_sum_below_u():
+    # ten weights of 0.1 add up to 0.9999999999999999 in order, so a uniform
+    # draw of 1 - 2**-53, the largest below 1, is below no cumulative weight
+    class Top:
+        def random(self):
+            return 1.0 - 2.0**-53
+
+    m = DesignMeasure(tuple(float(k) for k in range(10)), (0.1,) * 10)
+    assert max(itertools.accumulate(m.weights)) <= Top().random()
+    assert draw_point(m, Top()) == 9.0
 
 
 def test_draw_point_frequencies():

@@ -30,8 +30,8 @@ from conftest import (REFERENCE_PRIMITIVES, model_spec, reference_cm_select_cell
                       reference_cumulative_fisher_nlr, reference_fisher_from_counts)
 
 
-def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0):
-    cfg = parse_config(model=name, method=method, n1=n1, initial_design=init)
+def _fresh_state(name="M1", method="pics", n1=40, init="uniform", seed=0, **over):
+    cfg = parse_config(model=name, method=method, n1=n1, initial_design=init, **over)
     return run_static_stage(cfg, np.random.default_rng(seed))
 
 
@@ -223,11 +223,14 @@ def test_pics_inadmissible_estimate_fails_the_step(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def test_stopping_never_fires_before_n1_plus_2():
-    state = _fresh_state("M1", n1=40, seed=5)
+    state = _fresh_state("M1", n1=40, seed=5, delta_stop=1e18)
     pics_step(state)  # step 41
-    assert stopping_check(state, 1e18) is False
+    assert stopping_check(state) is False
     pics_step(state)  # step 42
-    assert stopping_check(state, 1e18) is True
+    assert stopping_check(state) is True
+    # a run that sets no threshold never stops
+    state.model = dataclasses.replace(state.model, delta_stop=None)
+    assert stopping_check(state) is False
 
 
 def test_stopping_zero_delta_never_stops():
@@ -260,12 +263,12 @@ def test_stopping_monotone_in_delta():
 def test_stopping_waits_while_the_previous_determinant_is_not_positive():
     # no relative improvement exists over a singular information, so the
     # rule does not fire, however large delta is
-    state = _fresh_state("M1", n1=40)
+    state = _fresh_state("M1", n1=40, delta_stop=1e18)
     pics_step(state)
     pics_step(state)
     for det_prev in (0.0, -2.6645352591003757e-15, np.nan):
         state.dets[-2] = det_prev
-        assert stopping_check(state, 1e18) is False
+        assert stopping_check(state) is False
 
 
 def test_stop_rule_lets_glm_runs_pass_a_singular_information():
@@ -541,16 +544,16 @@ def test_glm_balanced_cycles_serve_the_apportioned_counts(name):
 
 @pytest.mark.parametrize("name", ["M1", "M2", "M3"])
 def test_three_point_static_design_is_redrawn_only_when_all_points_coincide(name):
-    model = model_spec(name)
-    n1 = model.dim + 2
+    model = parse_config(model=name, n1=model_spec(name).dim + 2,
+                         initial_design="three_point")
+    n1 = model.n1
     mid = (model.x_min + model.x_max) / 2.0
     xi0 = DesignMeasure((model.x_min, model.x_max, mid), (0.3, 0.3, 0.4))
     redrawn = 0
     for seed in range(40):
         rng = np.random.default_rng(seed)
         first = [draw_point(xi0, rng) for _ in range(n1)]
-        points = model.family.initial_points(model, "three_point", n1,
-                                             np.random.default_rng(seed))
+        points = model.family.initial_points(model, np.random.default_rng(seed))
         if min(first) < max(first):
             assert points == first
         else:

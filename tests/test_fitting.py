@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -49,8 +50,7 @@ ORACLE_SEEDS = {"M1": 20, "M2": 20, "M3": 8}
 # ---------------------------------------------------------------------------
 
 def test_nelder_mead_quadratic():
-    res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, np.array([0.0]),
-                      bounds=(np.array([-10.0]), np.array([10.0])))
+    res = nelder_mead(lambda x: (x[0] - 3.0) ** 2, [0.0], ([-10.0], [10.0]))
     assert res.converged
     assert res.theta[0] == pytest.approx(3.0, abs=1e-6)
 
@@ -59,7 +59,7 @@ def test_nelder_mead_rosenbrock():
     def rosen(x):
         return 100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2
 
-    res = local_minimize(rosen, np.array([-1.2, 1.0]), bounds=(-np.inf, np.inf))
+    res = local_minimize(rosen, [-1.2, 1.0], ([-np.inf] * 2, [np.inf] * 2))
     assert np.allclose(res.theta, [1.0, 1.0], atol=1e-4)
 
 
@@ -67,11 +67,11 @@ def test_nelder_mead_projects_start_into_bounds():
     seen = []
 
     def f(x):
+        x = np.asarray(x)
         seen.append(x.copy())
         return float(x @ x)
 
-    bounds = (np.array([1.0, 1.0]), np.array([5.0, 5.0]))
-    nelder_mead(f, np.array([-3.0, 7.0]), bounds=bounds)
+    nelder_mead(f, [-3.0, 7.0], ([1.0, 1.0], [5.0, 5.0]))
     seen = np.array(seen)
     assert np.all(seen >= 1.0 - 1e-12) and np.all(seen <= 5.0 + 1e-12)
 
@@ -81,8 +81,8 @@ def test_local_minimize_multistart_returns_best():
     def f(x):
         return min((x[0] - 1.0) ** 2, (x[0] + 1.0) ** 2 + 0.5)
 
-    res = local_minimize(f, np.array([1.0]), bounds=(-np.inf, np.inf))
-    assert res.objective <= f(np.array([1.0])) + 1e-12
+    res = local_minimize(f, [1.0], ([-np.inf], [np.inf]))
+    assert res.objective <= f([1.0]) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +130,7 @@ def test_lm_refit_never_worse_than_simplex_refit(name, init):
             return float(np.sum((y - growth_mean(model, t, x)) ** 2))
 
         lm = nls_refit(model, x, y, start)
-        simplex = nelder_mead(rss, start, bounds=bounds, xtol=1e-5, init_step=0.01)
+        simplex = _oracle_nelder_mead(rss, start, bounds, xtol=1e-5, init_step=0.01)
         assert lm.converged
         assert rss(lm.theta) <= simplex.objective, (i, lm.theta, simplex.theta)
         assert lm.objective == pytest.approx(rss(lm.theta), rel=1e-12)
@@ -204,7 +204,7 @@ def _oracle_nls_refit(model, x, y, init):
     normal equations formed afresh on every iteration, and no normal matrix
     in the result."""
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    lo, hi = _nls_bounds(model)
+    lo, hi = np.array(_nls_bounds(model)).T
 
     def residuals_and_jacobian(theta):
         jac = growth_grad(model, theta, x)
@@ -357,7 +357,7 @@ def _oracle_m3_start(model, x, y):
 
     def inner(x0, init):
         rss = _oracle_rss_fn(model_spec("M2", x0_known=float(x0)), x, y)
-        return nelder_mead(rss, init, bounds=inner_bounds, xtol=1e-4, max_iter=80)
+        return _oracle_nelder_mead(rss, init, inner_bounds, xtol=1e-4, max_iter=80)
 
     chain, best_k, best_fit = _oracle_exp_start(x, y), 0, None
     for k, x0 in enumerate(grid):
@@ -375,7 +375,7 @@ def _oracle_m3_start(model, x, y):
 def _oracle_cold_fit(model, x, y):
     """The replaced cold fit: a start (log-linear, or the M3 profile), then a
     3-start box-projected simplex."""
-    bounds = _nls_bounds(model)
+    bounds = tuple(zip(*_nls_bounds(model)))
     init = _oracle_m3_start(model, x, y) if model.model == "M3" else _oracle_exp_start(x, y)
     init = np.clip(init, bounds[0], bounds[1])
     return local_minimize(_oracle_rss_fn(model, x, y), init, bounds=bounds)
@@ -386,7 +386,7 @@ def _stage1_data(name, design, n1, seed):
     model = parse_config(model=name, n1=n1, n=n1 + 1, initial_design=design,
                          seed=seed)
     rng = np.random.default_rng(seed)
-    x = np.array(model.family.initial_points(model, design, n1, rng))
+    x = np.array(model.family.initial_points(model, rng))
     y = np.array([simulate(model, v, rng) for v in x])
     return model, x, y
 
@@ -516,9 +516,11 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def _assert_same_descent(f, *args, **kwargs):
-    """Run nelder_mead and its oracle on f; every point f is called with,
-    and the result, must be the same doubles.  Returns the new result."""
+def _assert_same_descent(f, x0, bounds, xtol=1e-8):
+    """Run nelder_mead and its oracle on f, the oracle at the budget and
+    first step that the module's constants set; every point f is called
+    with, and the result, must be the same doubles.  Returns the new
+    result."""
     seen = {"new": [], "old": []}
 
     def logged(side):
@@ -527,8 +529,10 @@ def _assert_same_descent(f, *args, **kwargs):
             return f(u)
         return g
 
-    new = nelder_mead(logged("new"), *args, **kwargs)
-    old = _oracle_nelder_mead(logged("old"), *args, **kwargs)
+    new = nelder_mead(logged("new"), x0, bounds, xtol)
+    old = _oracle_nelder_mead(logged("old"), x0, bounds, xtol,
+                              max_iter=fitting.NM_ITER_PER_DIM * len(x0),
+                              init_step=fitting.NM_INIT_STEP)
     assert seen["new"] == seen["old"]
     assert _bits(new.theta) == _bits(old.theta)
     assert _bits(new.objective) == _bits(old.objective)
@@ -543,7 +547,7 @@ def _test_objective(kind, center, plateau, nan_radius):
     center = np.array(center)
 
     def f(u):
-        z = u - center
+        z = np.asarray(u) - center
         if kind == "quadratic":
             value = float(z @ z)
         else:
@@ -563,24 +567,25 @@ def simplex_problems(draw):
     kind = draw(st.sampled_from(["quadratic", "rosenbrock"]))
     plateau = draw(st.sampled_from([0.0, 0.0, 0.25, 4.0]))
     nan_radius = draw(st.sampled_from([math.inf, math.inf, 3.0, 8.0]))
-    shape = draw(st.sampled_from(["infinite", "scalar", "array"]))
+    # the same bound on every coordinate (infinite or finite), or one each
+    shape = draw(st.sampled_from(["infinite", "same", "each"]))
     if shape == "infinite":
-        bounds = (-np.inf, np.inf)
-    elif shape == "scalar":
+        lo, hi = [-math.inf] * d, [math.inf] * d
+    elif shape == "same":
         lo = draw(st.floats(-5.0, 0.0))
-        bounds = (lo, lo + draw(st.floats(0.5, 8.0)))
+        lo, hi = [lo] * d, [lo + draw(st.floats(0.5, 8.0))] * d
     else:
-        lo = np.array(draw(st.lists(st.sampled_from([-np.inf, -4.0, -1.0, 0.0, 0.5]),
-                                    min_size=d, max_size=d)))
-        width = np.array(draw(st.lists(st.sampled_from([0.25, 2.0, 7.0, np.inf]),
-                                       min_size=d, max_size=d)))
-        bounds = (lo, np.where(np.isinf(lo), -4.0, lo) + width)
+        lo = draw(st.lists(st.sampled_from([-math.inf, -4.0, -1.0, 0.0, 0.5]),
+                           min_size=d, max_size=d))
+        width = draw(st.lists(st.sampled_from([0.25, 2.0, 7.0, math.inf]),
+                              min_size=d, max_size=d))
+        hi = [(-4.0 if math.isinf(a) else a) + w for a, w in zip(lo, width)]
     options = draw(st.fixed_dictionaries({}, optional={
         "xtol": st.sampled_from([1e-4, 1e-12]),
-        "max_iter": st.sampled_from([3, 40]),
+        "iter_per_dim": st.sampled_from([1, 3, 40]),
         "init_step": st.sampled_from([0.01, 0.5, 2.0])}))
     f = _test_objective(kind, center, plateau, nan_radius)
-    return f, np.array(start), bounds, options
+    return f, start, (lo, hi), options
 
 
 def test_default_argsort_is_stable_on_two_or_three_values():
@@ -597,14 +602,20 @@ def test_default_argsort_is_stable_on_two_or_three_values():
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(simplex_problems())
 # the first check's diameter equals the tolerance exactly (0.05 both)
-@example((_test_objective("quadratic", [0.0], 0.0, math.inf), np.array([0.0]),
-          (-np.inf, np.inf), {"xtol": 0.05}))
+@example((_test_objective("quadratic", [0.0], 0.0, math.inf), [0.0],
+          ([-math.inf], [math.inf]), {"xtol": 0.05}))
 # signed zeros meet the bounds: numpy's projection returns the bound on a tie
-@example((_test_objective("quadratic", [0.5, -0.5], 0.0, math.inf), np.array([-0.0, 0.0]),
-          (np.array([0.0, -1.0]), np.array([1.0, -0.0])), {}))
+@example((_test_objective("quadratic", [0.5, -0.5], 0.0, math.inf), [-0.0, 0.0],
+          ([0.0, -1.0], [1.0, -0.0]), {}))
 def test_nelder_mead_equals_the_replaced_loop_bit_for_bit(problem):
+    # the budget and first step are module constants: each example that
+    # draws them sets them for nelder_mead, and _assert_same_descent passes
+    # the same values to the oracle
     f, start, bounds, options = problem
-    _assert_same_descent(f, start, bounds, **options)
+    with mock.patch.multiple(fitting,
+                             NM_ITER_PER_DIM=options.get("iter_per_dim", fitting.NM_ITER_PER_DIM),
+                             NM_INIT_STEP=options.get("init_step", fitting.NM_INIT_STEP)):
+        _assert_same_descent(f, start, bounds, options.get("xtol", 1e-8))
 
 
 @pytest.fixture(scope="module")
@@ -642,6 +653,40 @@ def test_recorded_simplices_equal_the_replaced_loop(recorded_simplices):
     assert set(recorded_simplices) == {1, 2} and len(recorded_simplices) > 250
 
 
+def test_both_callers_objectives_receive_lists_of_python_floats():
+    # every objective call of a short M3 cm run (its cold fit's 2-d polishes
+    # and cm's 1-d interval searches) and of an M3 cold fit
+    calls, original = [], fitting.nelder_mead
+
+    def recorded(f, x0, bounds, *args, **kwargs):
+        def g(u):
+            calls.append((len(x0), type(u), [type(t) for t in u]))
+            return f(u)
+        return original(g, x0, bounds, *args, **kwargs)
+
+    with mock.patch.object(fitting, "nelder_mead", recorded):
+        run(parse_config(model="M3", method="cm", n1=20, n=30, seed=5))
+        nls_fit(*_stage1_data("M3", "uniform", 40, 3))
+    assert {d for d, _, _ in calls} == {1, 2} and len(calls) > 1000
+    for d, kind, types in calls:
+        assert kind is list and types == [float] * d
+
+
+@pytest.mark.parametrize("x0", [[0.5], [3.0, -40.0]])
+def test_simplex_budget_is_500_per_coordinate_and_first_step_5_percent(x0):
+    # xtol = 0 never converges, so the descent runs its whole budget
+    d, seen = len(x0), []
+
+    def f(u):
+        seen.append(list(u))
+        return sum(t * t for t in u)
+
+    res = nelder_mead(f, x0, ([-math.inf] * d, [math.inf] * d), xtol=0.0)
+    assert (res.iterations, res.converged) == (500 * d, False)
+    steps = [x0[:k] + [x0[k] + 0.05 * max(abs(x0[k]), 1.0)] + x0[k + 1:] for k in range(d)]
+    assert seen[:d + 1] == [x0, *steps]
+
+
 def _oracle_profile_at(x, y):
     """The replaced scalar path of ``_amplitude_profile``: np.searchsorted for
     the branch split, and numpy scalar arithmetic on the change point, which
@@ -674,7 +719,7 @@ def test_amplitude_profile_scalar_path_equals_the_replaced_one(name):
     # at every grid node of the cold fit, at change points tied with a data
     # point, before the first and beyond the last one, and at random points
     model, x, y = _stage1_data(name, "uniform" if name != "M2" else "three_point", 30, 4)
-    lo, hi = _nls_bounds(model)
+    lo, hi = np.array(_nls_bounds(model)).T
     a2s = np.exp(np.linspace(math.log(lo[1]), math.log(hi[1]), fitting.VP_RATE_NODES))
     if name == "M3":
         x0s = np.r_[np.linspace(lo[2], hi[2], fitting.VP_X0_NODES), x, x.min() - 0.25,
@@ -1059,6 +1104,5 @@ def test_logistic_fit_of_any_table_admits_the_closed_form(table):
 @given(st.sampled_from(["M1", "M2", "M3"]), st.data())
 def test_growth_fit_box_admits_the_closed_form(name, data):
     model = model_spec(name)
-    lo, hi = _nls_bounds(model)
-    theta = [data.draw(st.floats(float(a), float(b))) for a, b in zip(lo, hi)]
+    theta = [data.draw(st.floats(a, b)) for a, b in _nls_bounds(model)]
     _assert_probability_measure(closed_form_design(model, theta))

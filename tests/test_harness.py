@@ -376,7 +376,7 @@ def test_a_delta_stop_study_averages_its_curves_over_the_shortest_run():
     cfg = parse_config(model="M1", method="pics", n1=40, n=200, seed=3, replications=4,
                        delta_stop=1e-2)
     summary = run_experiment(cfg, workers=1)
-    curves = [relative_efficiency(t, cfg.i_star) for t in summary.trajectories]
+    curves = [relative_efficiency(t) for t in summary.trajectories]
     lengths = [len(c.steps) for c in curves]
     assert len(set(lengths)) > 1
     k = min(lengths)

@@ -44,6 +44,12 @@ def test_det_batch_matches_scalar():
         assert batch[k] == pytest.approx(det_sym(mats[k]), rel=1e-12)
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (4, 2, 2), (5, 3, 4)])
+def test_det_batch_rejects_a_stack_that_is_not_3x3(shape):
+    with pytest.raises(ValueError, match="expected trailing dims 3x3"):
+        det_sym_batch(np.ones(shape))
+
+
 def _matrices(d):
     # entries from ordinary sizes to near 1e200, where the products overflow
     entry = st.one_of(st.floats(-10.0, 10.0), st.floats(-1e200, 1e200),

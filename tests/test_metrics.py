@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -26,8 +27,9 @@ from seqdopt.linalg import det_sym
 from seqdopt.logistic import LEVEL_POINTS, fisher_from_counts
 from seqdopt.modelspec import closed_form_design
 
-from conftest import (model_spec, reference_cumulative_fisher_nlr, reference_design_info,
-                      reference_fisher_info_glm, reference_fisher_info_nlr)
+from conftest import (mode_masses, model_spec, reference_cumulative_fisher_nlr,
+                      reference_design_info, reference_fisher_info_glm,
+                      reference_fisher_info_nlr)
 
 
 def test_true_fisher_glm_zero_beta_identity_pattern():
@@ -109,7 +111,7 @@ def test_efficiency_from_recorded_dets_matches_full_recompute(over):
     traj = run(cfg)
     if cfg.delta_stop is not None:
         assert traj.stop_index is not None and len(traj) == traj.stop_index < cfg.n
-    curve = relative_efficiency(traj, cfg.i_star)
+    curve = relative_efficiency(traj)
     steps, values = _recomputed_efficiency(traj, cfg.i_star)
     assert np.array_equal(curve.steps, steps)
     assert np.max(np.abs(curve.values - values)) <= 1e-12
@@ -122,8 +124,7 @@ def test_efficiency_one_when_information_matches():
     # alternate the two support points: the empirical average equals I*
     xs = list(measure.support) * 30
     traj = _toy_trajectory(model, xs, theta)
-    i_star = model.i_star
-    curve = relative_efficiency(traj, i_star)
+    curve = relative_efficiency(traj)
     assert curve.values[-1] == pytest.approx(1.0, abs=1e-10)
 
 
@@ -150,23 +151,25 @@ def test_efficiency_sigma2_invariance_at_formula_level():
     curves = []
     for model in (model_a, model_b):
         traj = _toy_trajectory(model, list(xs), theta)
-        curves.append(relative_efficiency(traj, model.i_star))
+        curves.append(relative_efficiency(traj))
     assert np.allclose(curves[0].values, curves[1].values, rtol=1e-10)
 
 
 def test_efficiency_requires_positive_det():
-    model = model_spec("M1")
+    # infinite noise leaves no information: det(I*) = 0
+    model = model_spec("M1", sigma2=math.inf)
+    assert det_sym(model.i_star) == 0.0
     traj = _toy_trajectory(model, [10.0, 20.0, 30.0], np.array([32.11, 105.65]))
     with pytest.raises(DegenerateInformation):
-        relative_efficiency(traj, np.zeros((2, 2)))
+        relative_efficiency(traj)
 
 
 def test_efficiency_rejects_a_nan_determinant():
     # det(I*) = NaN is no positive determinant: it would make every value NaN
-    model = model_spec("M1")
+    model = model_spec("M1", sigma2=math.nan)
     traj = _toy_trajectory(model, [10.0, 20.0, 30.0], np.array([32.11, 105.65]))
     with pytest.raises(DegenerateInformation, match="nan"):
-        relative_efficiency(traj, np.full((2, 2), np.nan))
+        relative_efficiency(traj)
 
 
 def _same_bytes(a, b) -> bool:
@@ -213,7 +216,7 @@ def test_efficiency_glm_matches_direct_recomputation():
     traj = run(cfg)
     model = cfg
     i_star = model.i_star
-    curve = relative_efficiency(traj, i_star)
+    curve = relative_efficiency(traj)
     # recompute one step by brute force
     i = 100
     theta_i = traj.records[i - 1].theta_hat
@@ -227,7 +230,7 @@ def test_efficiency_nlr_uses_stepwise_estimates():
     traj = run(cfg)
     model = cfg
     i_star = model.i_star
-    curve = relative_efficiency(traj, i_star)
+    curve = relative_efficiency(traj)
     i = 50
     theta_i = traj.records[i - 1].theta_hat
     xs = np.array([r.x for r in traj.records[:i]])
@@ -245,8 +248,16 @@ def test_efficiency_iid_optimal_draws_approach_one():
     rng = np.random.default_rng(11)
     xs = [draw_point(measure, rng) for _ in range(2000)]
     traj = _toy_trajectory(model, xs, theta)
-    curve = relative_efficiency(traj, model.i_star)
+    curve = relative_efficiency(traj)
     assert curve.values[-1] > 0.95
+
+
+def test_efficiency_curve_at_a_step_off_the_curve_raises():
+    curve = EfficiencyCurve(np.array([40, 41, 42]), np.array([0.2, 0.6, 0.8]))
+    assert curve.at(41) == 0.6
+    for step in (39, 43):
+        with pytest.raises(KeyError, match=f"step {step} not on the curve"):
+            curve.at(step)
 
 
 def test_crossing_step():
@@ -285,10 +296,10 @@ def test_density_mode_masses_partition():
     edges = np.linspace(0.0, 10.0, 11)
     mass = np.full(10, 0.1)
     hist = DensityHistogram(edges=edges, mass=mass)
-    modes = hist.mode_masses([1.0, 9.0])  # split halfway at 5.0
+    modes = mode_masses(hist, [1.0, 9.0])  # split halfway at 5.0
     assert modes.tolist() == pytest.approx([0.5, 0.5])
     assert modes.sum() == pytest.approx(hist.mass.sum())
-    skew = hist.mode_masses([1.0, 3.0])
+    skew = mode_masses(hist, [1.0, 3.0])
     assert skew[0] == pytest.approx(0.2)  # bins centered below 2.0
 
 
